@@ -58,12 +58,17 @@ done
 # fresh profile must stay within tolerance of the committed baseline —
 # per-symbol cycle shares, wall seconds, derived metrics, sampled top-N.
 # `perf-diff` exits nonzero naming the offending symbols otherwise.
-run target/release/afsysbench profile pipeline --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile pipeline --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_pipeline.json" "$golden_dir/perf-b/BENCH_pipeline.json"
-run target/release/afsysbench perf-diff results/BENCH_pipeline.json "$golden_dir/perf-a/BENCH_pipeline.json"
-run target/release/afsysbench profile msa-sweep --quick --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench perf-diff results/BENCH_msa_sweep.json "$golden_dir/perf-a/BENCH_msa_sweep.json"
+# The two runs land in a fixed target/ci-profiles/{a,b} so the CI
+# workflow can upload run `a` as an artifact without re-running them.
+profile_dir=target/ci-profiles
+rm -rf "$profile_dir"
+mkdir -p "$profile_dir/a" "$profile_dir/b"
+run target/release/afsysbench profile pipeline --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile pipeline --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_pipeline.json" "$profile_dir/b/BENCH_pipeline.json"
+run target/release/afsysbench perf-diff results/BENCH_pipeline.json "$profile_dir/a/BENCH_pipeline.json"
+run target/release/afsysbench profile msa-sweep --quick --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench perf-diff results/BENCH_msa_sweep.json "$profile_dir/a/BENCH_msa_sweep.json"
 
 # Serving determinism + regression gate: two same-seed serve profiles
 # must be byte-identical, and the fresh profile must stay within
@@ -72,23 +77,23 @@ run target/release/afsysbench perf-diff results/BENCH_msa_sweep.json "$golden_di
 # per scenario). --timeline adds the gauge-timeline + SLO artifact and
 # the latency-histogram CSV, both gated byte-for-byte: two runs must
 # agree, and the timeline must match the committed quick golden.
-run target/release/afsysbench profile serve --quick --timeline --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile serve --quick --timeline --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_serve.json" "$golden_dir/perf-b/BENCH_serve.json"
-run cmp "$golden_dir/perf-a/serve.timeline.txt" "$golden_dir/perf-b/serve.timeline.txt"
-run cmp "$golden_dir/perf-a/serve.latency.csv" "$golden_dir/perf-b/serve.latency.csv"
-run diff -u results/quick/serve-timeline.txt "$golden_dir/perf-a/serve.timeline.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve.json "$golden_dir/perf-a/BENCH_serve.json"
+run target/release/afsysbench profile serve --quick --timeline --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile serve --quick --timeline --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_serve.json" "$profile_dir/b/BENCH_serve.json"
+run cmp "$profile_dir/a/serve.timeline.txt" "$profile_dir/b/serve.timeline.txt"
+run cmp "$profile_dir/a/serve.latency.csv" "$profile_dir/b/serve.latency.csv"
+run diff -u results/quick/serve-timeline.txt "$profile_dir/a/serve.timeline.txt"
+run target/release/afsysbench perf-diff results/BENCH_serve.json "$profile_dir/a/BENCH_serve.json"
 
 # Event-engine scale gate: serve-xl pushes a 10k-request Poisson/Zipf
 # stream (100k in full mode) through the discrete-event scheduler. Two
 # same-seed profiles must be byte-identical — one heap, one clock, no
 # hidden iteration-order dependence at scale — and the fresh profile
 # must stay within tolerance of the committed baseline.
-run target/release/afsysbench profile serve-xl --quick --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile serve-xl --quick --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_serve_xl.json" "$golden_dir/perf-b/BENCH_serve_xl.json"
-run target/release/afsysbench perf-diff results/BENCH_serve_xl.json "$golden_dir/perf-a/BENCH_serve_xl.json"
+run target/release/afsysbench profile serve-xl --quick --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile serve-xl --quick --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_serve_xl.json" "$profile_dir/b/BENCH_serve_xl.json"
+run target/release/afsysbench perf-diff results/BENCH_serve_xl.json "$profile_dir/a/BENCH_serve_xl.json"
 
 # Chaos-serving SLO gate: the fault-injection matrix must be
 # byte-deterministic across two same-seed profiles and stay within
@@ -96,11 +101,11 @@ run target/release/afsysbench perf-diff results/BENCH_serve_xl.json "$golden_dir
 # disposition counts per scenario. The strict SLO orderings themselves
 # (baseline > each chaos scenario > kitchen-sink) are asserted by the
 # chaos_serving suite above.
-run target/release/afsysbench profile serve-chaos --quick --timeline --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile serve-chaos --quick --timeline --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_serve_chaos.json" "$golden_dir/perf-b/BENCH_serve_chaos.json"
-run cmp "$golden_dir/perf-a/serve-chaos.timeline.txt" "$golden_dir/perf-b/serve-chaos.timeline.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_chaos.json "$golden_dir/perf-a/BENCH_serve_chaos.json"
+run target/release/afsysbench profile serve-chaos --quick --timeline --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile serve-chaos --quick --timeline --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_serve_chaos.json" "$profile_dir/b/BENCH_serve_chaos.json"
+run cmp "$profile_dir/a/serve-chaos.timeline.txt" "$profile_dir/b/serve-chaos.timeline.txt"
+run target/release/afsysbench perf-diff results/BENCH_serve_chaos.json "$profile_dir/a/BENCH_serve_chaos.json"
 
 # Causal-profiler gate: the what-if projection run must be
 # byte-deterministic (baseline, report, collapsed stacks and the
@@ -109,11 +114,11 @@ run target/release/afsysbench perf-diff results/BENCH_serve_chaos.json "$golden_
 # stay within tolerance of the committed baseline. The projection
 # *accuracy* gates themselves (MSA-dominant blame, GPU 2x < 1 %,
 # on-path error <= 10 pp) are asserted by crates/serve/tests/causal.rs.
-run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_serve_whatif.json" "$golden_dir/perf-b/BENCH_serve_whatif.json"
-run cmp "$golden_dir/perf-a/serve-whatif.critpath.txt" "$golden_dir/perf-b/serve-whatif.critpath.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_whatif.json "$golden_dir/perf-a/BENCH_serve_whatif.json"
+run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_serve_whatif.json" "$profile_dir/b/BENCH_serve_whatif.json"
+run cmp "$profile_dir/a/serve-whatif.critpath.txt" "$profile_dir/b/serve-whatif.critpath.txt"
+run target/release/afsysbench perf-diff results/BENCH_serve_whatif.json "$profile_dir/a/BENCH_serve_whatif.json"
 
 # Scheduler-policy gate: the policy matrix must be byte-deterministic
 # across two same-seed profiles and stay within tolerance of the
@@ -123,10 +128,10 @@ run target/release/afsysbench perf-diff results/BENCH_serve_whatif.json "$golden
 # measured makespan delta within 10 pp of the causal what-if
 # projection) — both asserted directly by crates/serve/tests/policy.rs
 # in the workspace test run above, and kept diffable here.
-run target/release/afsysbench profile serve-policy --quick --critical-path --out "$golden_dir/perf-a" > /dev/null
-run target/release/afsysbench profile serve-policy --quick --critical-path --out "$golden_dir/perf-b" > /dev/null
-run cmp "$golden_dir/perf-a/BENCH_serve_policy.json" "$golden_dir/perf-b/BENCH_serve_policy.json"
-run cmp "$golden_dir/perf-a/serve-policy.critpath.txt" "$golden_dir/perf-b/serve-policy.critpath.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$golden_dir/perf-a/BENCH_serve_policy.json"
+run target/release/afsysbench profile serve-policy --quick --critical-path --out "$profile_dir/a" > /dev/null
+run target/release/afsysbench profile serve-policy --quick --critical-path --out "$profile_dir/b" > /dev/null
+run cmp "$profile_dir/a/BENCH_serve_policy.json" "$profile_dir/b/BENCH_serve_policy.json"
+run cmp "$profile_dir/a/serve-policy.critpath.txt" "$profile_dir/b/serve-policy.critpath.txt"
+run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$profile_dir/a/BENCH_serve_policy.json"
 
 echo "==> tier-1 gate passed"

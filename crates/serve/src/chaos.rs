@@ -1,9 +1,10 @@
-//! Fault-tolerant serving: the chaos-enabled twin of
-//! [`crate::server::run_serve`].
+//! The eager serving loop: fault-free and fault-tolerant serving in one.
 //!
-//! The fault-free scheduler answers "how fast is serving when nothing
-//! breaks"; this module answers "how does it degrade when everything
-//! does". It runs the same event loop on the same [`SimEngine`], plus:
+//! [`crate::server::run_serve`] is this loop under an empty plan ("how
+//! fast is serving when nothing breaks"); with a plan armed it answers
+//! "how does it degrade when everything does". Misses are assigned
+//! eagerly on arrival to the least-loaded worker's FIFO job list, and
+//! the loop adds:
 //!
 //! - **Fault wiring** — every fault of a [`FaultPlan`] is scheduled as
 //!   an [`Event::Fault`] on the serving engine and delivered through a
@@ -26,12 +27,15 @@
 //!   request-conservation invariant checked by
 //!   [`ChaosReport::conserves_requests`].
 //!
-//! With an *empty* plan the chaos loop takes no extra branches, makes
-//! no extra engine or tracer calls and reduces bit-for-bit to
-//! [`crate::server::run_serve`] — `tests/chaos_serving.rs` pins the
-//! report, metrics text and Chrome trace byte-identically to the
-//! fault-free engine (and therefore, transitively, to the frozen seed
-//! scheduler in [`crate::reference`]).
+//! With an *empty* plan the loop takes no extra branches and makes no
+//! extra engine or tracer calls, so it reduces bit-for-bit to the
+//! frozen seed scheduler in [`crate::reference`] — `tests/equivalence.rs`
+//! pins report, outcomes, metrics text and Chrome trace byte-identical.
+//!
+//! Everything but the MSA side lives in `ServeCore`, which the lazy
+//! policy loop ([`crate::policy`]) drives too: one batch close, one
+//! report fold, one checkpoint salvage (`checkpoint_salvage`) and the
+//! shared recovery steps (retry/fail, requeue, breaker, shedding).
 //!
 //! Two modelling choices keep recovery deterministic and conservative:
 //! a killed or shed job's **slot stays reserved** (later jobs on that
@@ -46,17 +50,17 @@ use crate::server::{
     CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
     LATENCY_BOUNDS, TIMELINE_COLUMNS,
 };
-use crate::workload;
+use crate::workload::{self, Request};
 use afsb_core::report::ascii_table;
 use afsb_core::resilience::{CircuitBreaker, DegradeStep, RetryPolicy};
-use afsb_rt::fault::{FaultEvent, FaultKind, FaultPlan};
+use afsb_rt::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 use afsb_rt::obs::timeline::{SloMonitor, TimelineSampler};
 use afsb_rt::obs::{Histogram, ObsSession};
 use afsb_rt::rng::mix;
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
 use afsb_simarch::Platform;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -171,7 +175,8 @@ impl ChaosConfig {
 
     /// Whether any chaos machinery is armed. Every extra branch of the
     /// chaos loop is gated on this, which is what makes the empty-plan
-    /// run bit-identical to [`crate::server::run_serve`].
+    /// run ([`crate::server::run_serve`]) bit-identical to the frozen
+    /// seed scheduler.
     pub fn is_active(&self) -> bool {
         !self.plan.is_empty()
     }
@@ -182,8 +187,8 @@ impl ChaosConfig {
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// The base serving report (folded over *finished* requests, which
-    /// under an empty plan is every admitted request — byte-identical
-    /// to the fault-free engine's report).
+    /// under an empty plan is every admitted request — exactly the
+    /// report [`crate::server::run_serve`] returns).
     pub base: ServeReport,
     /// Whether a fault plan was armed (gates the chaos render block).
     pub chaos_active: bool,
@@ -290,1184 +295,1333 @@ struct Fill {
     load_s: f64,
 }
 
-/// Queued-not-started MSA jobs across the pool (the overload signal
-/// the degradation rung triggers on).
-fn queued_depth(worker_jobs: &[Vec<MsaJob>], now: f64) -> usize {
-    worker_jobs
-        .iter()
-        .flat_map(|jobs| jobs.iter())
-        .filter(|j| j.start_s > now)
-        .count()
+/// Checkpoint salvage for an MSA attempt stopped at `now` (a kill or a
+/// voluntary yield): durable progress floors to the `1/units` jackhmmer
+/// checkpoint grid, so a retry redoes only the non-durable tail.
+/// Updates `durable` and returns the seconds lost (spent minus
+/// salvaged).
+pub(crate) fn checkpoint_salvage(
+    durable: &mut f64,
+    start_s: f64,
+    done_s: f64,
+    now: f64,
+    units: usize,
+    msa_s: f64,
+) -> f64 {
+    let span = done_s - start_s;
+    let progress = if start_s >= now || span <= 0.0 {
+        0.0
+    } else {
+        ((now - start_s) / span).clamp(0.0, 1.0)
+    };
+    let before = *durable;
+    let overall = before + progress * (1.0 - before);
+    let units = units.max(1) as f64;
+    *durable = (overall * units).floor() / units;
+    let spent = (now - start_s).max(0.0);
+    let salvaged = (*durable - before) * msa_s;
+    (spent - salvaged).max(0.0)
 }
 
-/// Re-time one job in place: cancel and reschedule its completion,
-/// refresh the request's readiness, and retarget the in-flight map plus
-/// any coalesced waiter fills that track this producer's landing time.
-#[allow(clippy::too_many_arguments)]
-fn retime_job(
-    jobs: &mut [MsaJob],
-    i: usize,
-    w: usize,
-    new_start: f64,
-    new_done: f64,
-    engine: &mut SimEngine,
-    outcomes: &mut [RequestOutcome],
-    in_flight: &mut BTreeMap<usize, f64>,
-    fills: &mut BTreeMap<usize, Fill>,
-) {
-    let (request, entity) = (jobs[i].request, jobs[i].entity);
-    engine.cancel(jobs[i].timer);
-    {
-        // Attribution: a retime moves queue wait by the start shift and
-        // MSA service by the duration change (straggler/stall inflation).
-        let seg = &mut outcomes[request].segments;
-        seg.msa_queue_wait_s += new_start - jobs[i].start_s;
-        seg.msa_service_s += (new_done - new_start) - (jobs[i].done_s - jobs[i].start_s);
+/// The GPU batch rule of the reference scheduler: the arrival-order
+/// prefix of the sorted pool, up to `gpu_batch` requests ready by
+/// `start` (at least one).
+pub(crate) fn prefix_batch(
+    pool: &mut Vec<usize>,
+    outcomes: &[RequestOutcome],
+    start: f64,
+    gpu_batch: usize,
+) -> Vec<usize> {
+    let mut take = 1usize;
+    while take < gpu_batch && take < pool.len() && outcomes[pool[take]].ready_s <= start {
+        take += 1;
     }
-    jobs[i].start_s = new_start;
-    jobs[i].done_s = new_done;
-    jobs[i].timer = engine.schedule_tagged(
-        new_done,
-        Event::MsaDone { request, worker: w },
-        WaitEdge::WorkerBusy,
-    );
-    outcomes[request].ready_s = new_done;
-    if in_flight.contains_key(&entity) {
-        in_flight.insert(entity, new_done);
+    pool.drain(..take).collect()
+}
+
+/// The state both serving loops share: event queue, feature cache, GPU
+/// queue, per-request outcome and recovery state, and the
+/// observation-only records. The eager chaos loop below and the lazy
+/// policy loop ([`crate::policy`]) each keep only their MSA-side
+/// bookkeeping and drive everything else through these methods — one
+/// batch close ([`ServeCore::close_batch`]) and one report fold
+/// ([`ServeCore::fold`]).
+pub(crate) struct ServeCore<'a> {
+    pub(crate) config: &'a ServeConfig,
+    pub(crate) chaos: &'a ChaosConfig,
+    pub(crate) costs: &'a CostTable,
+    pub(crate) requests: Vec<Request>,
+    pub(crate) engine: SimEngine,
+    pub(crate) cache: FeatureCache,
+    /// Whether a fault plan is armed. Every recovery branch is gated on
+    /// it, which keeps the empty-plan run bit-identical to the frozen
+    /// seed scheduler.
+    pub(crate) active: bool,
+    pub(crate) injector: FaultInjector,
+    fills: BTreeMap<usize, Fill>,
+    pending_storage: Vec<FaultKind>,
+
+    // GPU side.
+    pool: Vec<usize>,
+    gpu_free: f64,
+    gpu_busy: f64,
+    batches: usize,
+    compiled: BTreeSet<SampleId>,
+    inited: bool,
+    gpu_penalty_s: f64,
+    pending_compile_factor: Option<f64>,
+
+    // Outcome + recovery state (inert while the plan is empty).
+    pub(crate) outcomes: Vec<RequestOutcome>,
+    disposition: Vec<Option<Disposition>>,
+    pub(crate) degraded_req: Vec<bool>,
+    pub(crate) durable: Vec<f64>,
+    attempts: Vec<u32>,
+    deadline_timers: Vec<Option<TimerId>>,
+    pub(crate) requeue_timers: Vec<Option<TimerId>>,
+    /// Start of each request's current admission wait (set at a kill or
+    /// breaker park, consumed by the next requeue dispatch).
+    wait_since: Vec<f64>,
+    pub(crate) parked: Vec<usize>,
+    breaker: CircuitBreaker,
+    breaker_open: bool,
+    requeues: u64,
+    breaker_opens: u64,
+    degraded_attempts: u64,
+
+    // Observation-only: gauge rows, SLO observations and causal
+    // annotations never feed back into scheduling or priced floats.
+    timeline: Option<TimelineSampler>,
+    slo_obs: Vec<(f64, bool)>,
+    splits: BTreeMap<u64, SegmentSplit>,
+    completions: Vec<Option<u64>>,
+    best_done: Option<(f64, u64)>,
+}
+
+impl<'a> ServeCore<'a> {
+    /// Validate the config, generate the stream, prewarm the cache, open
+    /// the `serve` span and queue the plan's faults ahead of the first
+    /// arrival (so a fault at an arrival's timestamp is delivered
+    /// first).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ServeConfig::validate`] error on a degenerate
+    /// config.
+    pub(crate) fn new(
+        config: &'a ServeConfig,
+        chaos: &'a ChaosConfig,
+        costs: &'a CostTable,
+        obs: &mut ObsSession,
+    ) -> ServeCore<'a> {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        let requests = workload::generate(&config.workload);
+        let n = requests.len();
+        let mut cache = FeatureCache::new(config.cache_capacity_bytes);
+        if config.prewarm_cache {
+            for entity in 0..config.workload.catalog_size {
+                let shape = costs.shape(workload::sample_for_entity(entity));
+                cache.insert(entity, shape.feature_bytes);
+            }
+        }
+        obs.tracer.begin("serve");
+        let mut engine = SimEngine::new();
+        if config.provenance {
+            engine.record_provenance();
+        }
+        let timeline = (config.telemetry.timeline_interval_s > 0.0).then(|| {
+            let mut tl =
+                TimelineSampler::new(config.telemetry.timeline_interval_s, &TIMELINE_COLUMNS);
+            tl.set_many(&[0.0, 0.0, 0.0, cache.len() as f64, 0.0, 0.0, 0.0]);
+            tl
+        });
+        let active = chaos.is_active();
+        if active {
+            for f in chaos.plan.faults() {
+                engine.schedule(f.not_before_s, Event::Fault(f.kind));
+            }
+        }
+        if let Some(first) = requests.first() {
+            engine.schedule(first.arrival_s, Event::Arrival { request: 0 });
+        }
+        ServeCore {
+            config,
+            chaos,
+            costs,
+            requests,
+            engine,
+            cache,
+            active,
+            injector: chaos.plan.injector(),
+            fills: BTreeMap::new(),
+            pending_storage: Vec::new(),
+            pool: Vec::new(),
+            gpu_free: 0.0,
+            gpu_busy: 0.0,
+            batches: 0,
+            compiled: BTreeSet::new(),
+            inited: false,
+            gpu_penalty_s: 0.0,
+            pending_compile_factor: None,
+            outcomes: Vec::with_capacity(n),
+            disposition: vec![None; n],
+            degraded_req: vec![false; n],
+            durable: vec![0.0; n],
+            attempts: vec![0; n],
+            deadline_timers: vec![None; n],
+            requeue_timers: vec![None; n],
+            wait_since: vec![0.0; n],
+            parked: Vec::new(),
+            breaker: CircuitBreaker::new(chaos.policy.breaker_threshold),
+            breaker_open: false,
+            requeues: 0,
+            breaker_opens: 0,
+            degraded_attempts: 0,
+            timeline,
+            slo_obs: Vec::new(),
+            splits: BTreeMap::new(),
+            completions: vec![None; n],
+            best_done: None,
+        }
     }
-    for (&waiter, fill) in fills.iter_mut() {
-        if fill.coalesced && fill.entity == entity {
-            engine.cancel(fill.timer);
-            let ready = new_done + fill.load_s;
-            fill.timer = engine.schedule_tagged(
+
+    /// Pop the next event, first advancing the timeline sampler to it.
+    pub(crate) fn next_event(&mut self) -> Option<(f64, Event)> {
+        let (now, event) = self.engine.pop()?;
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.advance_to(now);
+        }
+        Some((now, event))
+    }
+
+    /// Record the post-event gauge row: `msa_q()` outstanding MSA
+    /// requests (counted only when a timeline samples, plus the
+    /// breaker-parked ones) and the pool's per-worker busy-until times.
+    pub(crate) fn sample(&mut self, now: f64, msa_q: impl FnOnce() -> usize, workers: &[f64]) {
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.set_many(&[
+                (msa_q() + self.parked.len()) as f64,
+                workers.iter().filter(|&&t| t > now).count() as f64,
+                if self.gpu_free > now { 1.0 } else { 0.0 },
+                self.cache.len() as f64,
+                self.cache.hit_rate(),
+                self.fills.len() as f64,
+                if self.breaker_open { 1.0 } else { 0.0 },
+            ]);
+        }
+    }
+
+    /// Push the outcome of a rejected or MSA-bound request (ready at
+    /// arrival until an MSA attempt is dispatched).
+    pub(crate) fn push_pending(&mut self, request: usize, rejected: bool) {
+        let req = self.requests[request];
+        self.outcomes.push(RequestOutcome {
+            request: req,
+            cache_hit: false,
+            rejected,
+            ready_s: req.arrival_s,
+            done_s: 0.0,
+            deadline_missed: false,
+            finished: false,
+            segments: PhaseSegments::default(),
+        });
+    }
+
+    /// Admit `request` as a cache hit: its feature load lands `load_s`
+    /// after `from` (plus any storage fault pended with nothing in
+    /// flight), and its outcome is pushed.
+    pub(crate) fn admit_hit(&mut self, request: usize, from: f64, load_s: f64, coalesced: bool) {
+        let req = self.requests[request];
+        let mut ready = from + load_s;
+        if self.active && !self.pending_storage.is_empty() {
+            let mut delay = 0.0;
+            for kind in self.pending_storage.drain(..) {
+                delay += match kind {
+                    FaultKind::StorageStall { stall_seconds } => stall_seconds,
+                    FaultKind::StorageReadError => load_s,
+                    _ => 0.0,
+                };
+            }
+            ready += delay;
+            self.injector.charge(delay);
+        }
+        let timer = self.engine.schedule_tagged(
+            ready,
+            Event::CacheFill {
+                request,
+                entity: req.entity,
+            },
+            WaitEdge::CacheFill,
+        );
+        self.fills.insert(
+            request,
+            Fill {
+                timer,
+                entity: req.entity,
+                coalesced,
+                load_s,
+            },
+        );
+        self.outcomes.push(RequestOutcome {
+            request: req,
+            cache_hit: true,
+            rejected: false,
+            ready_s: ready,
+            done_s: 0.0,
+            deadline_missed: false,
+            finished: false,
+            segments: PhaseSegments {
+                cache_wait_s: ready - req.arrival_s,
+                ..PhaseSegments::default()
+            },
+        });
+    }
+
+    /// The tail of every arrival: arm an admitted request's deadline
+    /// timer, then chain the next arrival. Arrivals are chained lazily
+    /// so every readiness event carries a lower sequence number than any
+    /// later arrival (an MSA job finishing exactly at a future arrival's
+    /// timestamp pops first — the seed sweep's inclusive fill rule).
+    pub(crate) fn finish_arrival(&mut self, request: usize, admitted: bool) {
+        if let (true, Some(limit)) = (admitted, self.config.deadline.limit_seconds()) {
+            self.deadline_timers[request] = Some(self.engine.schedule_tagged(
+                self.requests[request].arrival_s + limit,
+                Event::DeadlineExpired { request },
+                WaitEdge::Deadline,
+            ));
+        }
+        if let Some(next) = self.requests.get(request + 1) {
+            self.engine.schedule(
+                next.arrival_s,
+                Event::Arrival {
+                    request: request + 1,
+                },
+            );
+        }
+    }
+
+    /// Record the wait/service split of an MSA worker-busy edge
+    /// (provenance runs only).
+    pub(crate) fn record_split(&mut self, timer: TimerId, wait_s: f64, service_s: f64) {
+        if self.config.provenance {
+            self.splits.insert(
+                timer.seq(),
+                SegmentSplit {
+                    wait_s,
+                    service_s,
+                    compile_s: 0.0,
+                },
+            );
+        }
+    }
+
+    /// A pool worker finished `request`'s MSA: its features enter the
+    /// cache. The seed sweep only ever committed fills that a later
+    /// arrival passed, so once the stream has drained the insert is
+    /// skipped — keeping the eviction counters bit-identical to it.
+    pub(crate) fn commit_fill(&mut self, request: usize) {
+        if self.outcomes.len() < self.requests.len() {
+            let req = &self.requests[request];
+            self.cache
+                .insert(req.entity, self.costs.shape(req.sample).feature_bytes);
+        }
+    }
+
+    /// `request`'s features are ready: queue it for the GPU and, if the
+    /// GPU is idle, close a batch (after every same-timestamp event).
+    pub(crate) fn mark_ready(&mut self, request: usize, now: f64) {
+        self.pool.push(request);
+        if now >= self.gpu_free {
+            self.engine
+                .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
+        }
+    }
+
+    /// A cached (or coalesced) feature load landed.
+    pub(crate) fn fill_landed(&mut self, request: usize, now: f64) {
+        self.fills.remove(&request);
+        self.mark_ready(request, now);
+    }
+
+    /// The GPU freed up: if anything queued meanwhile, close the next
+    /// batch immediately.
+    pub(crate) fn gpu_done(&mut self, now: f64) {
+        if !self.pool.is_empty() {
+            self.engine
+                .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
+        }
+    }
+
+    /// Step `r` down the MSA-depth degradation rung.
+    pub(crate) fn degrade(&mut self, r: usize, now: f64, depth: usize, obs: &mut ObsSession) {
+        self.degraded_req[r] = true;
+        self.degraded_attempts += 1;
+        obs.tracer.instant_at(
+            now,
+            format!("degrade:{}", DegradeStep::MsaDepthCap { depth }),
+        );
+    }
+
+    /// Whether an expiring deadline may shed `request`: shedding is
+    /// armed and the request is admitted and still unresolved.
+    pub(crate) fn may_shed(&self, request: usize) -> bool {
+        self.active
+            && self.chaos.policy.shed_expired
+            && !self.outcomes[request].rejected
+            && self.disposition[request].is_none()
+    }
+
+    /// Record `request` as shed at its deadline.
+    pub(crate) fn shed(&mut self, request: usize, now: f64, obs: &mut ObsSession) {
+        self.disposition[request] = Some(Disposition::Shed);
+        obs.tracer.instant_at(now, "shed");
+        if self.config.telemetry.slo.is_some() {
+            self.slo_obs.push((now, false));
+        }
+    }
+
+    /// Deliver a fault event through the injector; `None` when the
+    /// injector declines it.
+    pub(crate) fn fire(
+        &mut self,
+        kind: FaultKind,
+        now: f64,
+        obs: &mut ObsSession,
+    ) -> Option<FaultKind> {
+        self.injector.sync_to(now);
+        let fired = self.injector.poll(kind.site())?;
+        obs.tracer
+            .instant_at(now, format!("fault:{}", fired.label()));
+        Some(fired)
+    }
+
+    /// GPU faults. An init failure's process-level re-init drops the
+    /// in-process XLA cache: shapes recompile, and the next batch waits
+    /// out a priced re-init on top of the cold init it now pays again.
+    /// A compile stall inflates the next new shape's `xla_compile`.
+    pub(crate) fn gpu_fault(&mut self, fired: FaultKind) {
+        if let FaultKind::XlaCompileStall { factor } = fired {
+            let f = self.pending_compile_factor.unwrap_or(1.0) * factor.max(1.0);
+            self.pending_compile_factor = Some(f);
+        } else {
+            self.gpu_penalty_s += self.costs.init_s;
+            self.inited = false;
+            self.compiled.clear();
+        }
+    }
+
+    /// Push every in-flight feature load out by `stall_s` seconds
+    /// (`None`: a read error re-reads, costing each load its own
+    /// `load_s`). Returns the seconds lost.
+    pub(crate) fn delay_fills(&mut self, stall_s: Option<f64>) -> f64 {
+        let mut lost = 0.0;
+        let waiters: Vec<usize> = self.fills.keys().copied().collect();
+        for waiter in waiters {
+            let fill = self.fills[&waiter];
+            let delay = stall_s.unwrap_or(fill.load_s);
+            self.engine.cancel(fill.timer);
+            let ready = self.outcomes[waiter].ready_s + delay;
+            self.outcomes[waiter].segments.cache_wait_s += delay;
+            self.outcomes[waiter].ready_s = ready;
+            let timer = self.engine.schedule_tagged(
                 ready,
                 Event::CacheFill {
                     request: waiter,
-                    entity,
+                    entity: fill.entity,
                 },
                 WaitEdge::CacheFill,
             );
-            outcomes[waiter].segments.cache_wait_s += ready - outcomes[waiter].ready_s;
-            outcomes[waiter].ready_s = ready;
+            self.fills.get_mut(&waiter).expect("fill present").timer = timer;
+            lost += delay;
+        }
+        lost
+    }
+
+    /// A storage read error re-reads every in-flight load, or pends
+    /// until the next load when nothing is in flight.
+    pub(crate) fn storage_read_error(&mut self, fired: FaultKind) {
+        if self.fills.is_empty() {
+            self.pending_storage.push(fired);
+        } else {
+            let lost = self.delay_fills(None);
+            self.injector.charge(lost);
         }
     }
-}
 
-/// Push a worker's queued jobs back behind a predecessor that just grew
-/// (straggler inflation or a storage stall). Durations are preserved;
-/// the cascade stops at the first job the shift no longer reaches.
-#[allow(clippy::too_many_arguments)]
-fn reflow_tail(
-    jobs: &mut [MsaJob],
-    from: usize,
-    w: usize,
-    engine: &mut SimEngine,
-    outcomes: &mut [RequestOutcome],
-    in_flight: &mut BTreeMap<usize, f64>,
-    fills: &mut BTreeMap<usize, Fill>,
-) {
-    for i in from.max(1)..jobs.len() {
-        let prev_done = jobs[i - 1].done_s;
-        if prev_done <= jobs[i].start_s {
-            break;
+    /// Charge a storage stall's `lost` seconds, or pend it until the
+    /// next load when it reached nothing.
+    pub(crate) fn settle_stall(&mut self, fired: FaultKind, lost: f64) {
+        if lost > 0.0 {
+            self.injector.charge(lost);
+        } else {
+            self.pending_storage.push(fired);
         }
-        let duration = jobs[i].done_s - jobs[i].start_s;
-        retime_job(
-            jobs,
-            i,
-            w,
-            prev_done,
-            prev_done + duration,
-            engine,
-            outcomes,
-            in_flight,
-            fills,
+    }
+
+    /// Terminally fail `r`.
+    fn fail(&mut self, r: usize, now: f64, obs: &mut ObsSession) {
+        self.disposition[r] = Some(Disposition::Failed);
+        obs.tracer.instant_at(now, "failed");
+        if self.config.telemetry.slo.is_some() {
+            self.slo_obs.push((now, false));
+        }
+        if let Some(timer) = self.deadline_timers[r].take() {
+            self.engine.cancel(timer);
+        }
+    }
+
+    /// After a kill of `r`'s MSA attempt: fail it once the attempt
+    /// budget is spent (returns `true`), else requeue it after a jittered
+    /// backoff and count the failure against the circuit breaker.
+    pub(crate) fn retry_or_fail(&mut self, r: usize, now: f64, obs: &mut ObsSession) -> bool {
+        let policy = &self.chaos.policy;
+        self.wait_since[r] = now;
+        self.attempts[r] += 1;
+        if self.attempts[r] >= policy.max_attempts.max(1) {
+            self.fail(r, now, obs);
+            return true;
+        }
+        let backoff = policy.retry.backoff_seconds(
+            self.attempts[r],
+            mix(self.config.workload.seed, BACKOFF_SALT ^ r as u64),
         );
+        self.requeue_timers[r] = Some(self.engine.schedule_tagged(
+            now + backoff,
+            Event::Requeue { request: r },
+            WaitEdge::Admission,
+        ));
+        if self.breaker.record_failure() && !self.breaker_open {
+            self.breaker_open = true;
+            self.breaker_opens += 1;
+            obs.tracer.instant_at(now, "circuit-open");
+            self.engine.schedule_tagged(
+                now + policy.breaker_cooldown_s,
+                Event::BreakerClose,
+                WaitEdge::Admission,
+            );
+        }
+        false
+    }
+
+    /// A requeue timer fired. Returns whether the request should be
+    /// dispatched now (`false` when it already resolved, or the open
+    /// circuit parked it).
+    pub(crate) fn requeue(&mut self, request: usize, now: f64, obs: &mut ObsSession) -> bool {
+        self.requeue_timers[request] = None;
+        if self.disposition[request].is_some() {
+            return false;
+        }
+        self.requeues += 1;
+        obs.tracer.instant_at(now, "requeue");
+        self.outcomes[request].segments.admission_wait_s += now - self.wait_since[request];
+        if self.breaker_open {
+            self.wait_since[request] = now;
+            self.parked.push(request);
+            return false;
+        }
+        true
+    }
+
+    /// The circuit half-closes: re-dispatch every parked request.
+    pub(crate) fn close_breaker(&mut self, now: f64, obs: &mut ObsSession) {
+        self.breaker.record_success();
+        self.breaker_open = false;
+        obs.tracer.instant_at(now, "circuit-closed");
+        for r in self.parked.drain(..) {
+            self.requeue_timers[r] = Some(self.engine.schedule_tagged(
+                now,
+                Event::Requeue { request: r },
+                WaitEdge::Admission,
+            ));
+        }
+    }
+
+    /// Close one GPU batch: sort the ready pool, fix the batch start,
+    /// let `pick` choose the members (given the pool, outcomes, start
+    /// and `gpu_batch`), then price the batch — re-init and compile-stall
+    /// charges included — lay the `gpu_batch` span tree, close each
+    /// member's outcome, segments and disposition, and record the
+    /// provenance split. Returns `false` when nothing closed: a close
+    /// always pops after every same-timestamp readiness event, so the
+    /// pool is complete, and duplicate closes fall through the guard.
+    pub(crate) fn close_batch(
+        &mut self,
+        now: f64,
+        obs: &mut ObsSession,
+        pick: impl FnOnce(&mut Vec<usize>, &[RequestOutcome], f64, usize) -> Vec<usize>,
+    ) -> bool {
+        if self.pool.is_empty() || now < self.gpu_free {
+            return false;
+        }
+        self.pool.sort_by(|&a, &b| {
+            self.outcomes[a]
+                .ready_s
+                .partial_cmp(&self.outcomes[b].ready_s)
+                .unwrap()
+                .then(
+                    self.outcomes[a]
+                        .request
+                        .id
+                        .cmp(&self.outcomes[b].request.id),
+                )
+        });
+        let start = self.gpu_free.max(self.outcomes[self.pool[0]].ready_s);
+        let batch = pick(&mut self.pool, &self.outcomes, start, self.config.gpu_batch);
+
+        // Price the batch first so the enclosing span carries its full
+        // duration when created, then lay the child spans end to end.
+        let costs = self.costs;
+        let pay_init = !self.inited;
+        let new_shapes: Vec<SampleId> = batch
+            .iter()
+            .map(|&idx| self.outcomes[idx].request.sample)
+            .filter(|&s| self.compiled.insert(s))
+            .collect();
+        let compile_factor = if self.active && !new_shapes.is_empty() {
+            self.pending_compile_factor.take().unwrap_or(1.0)
+        } else {
+            1.0
+        };
+        let reinit_s = if self.active {
+            std::mem::take(&mut self.gpu_penalty_s)
+        } else {
+            0.0
+        };
+        let mut service = if pay_init { costs.init_s } else { 0.0 }
+            + costs.dispatch_s
+            + new_shapes
+                .iter()
+                .map(|&s| costs.shape(s).compile_s * compile_factor)
+                .sum::<f64>()
+            + batch
+                .iter()
+                .map(|&idx| costs.shape(self.outcomes[idx].request.sample).compute_s)
+                .sum::<f64>();
+        if reinit_s > 0.0 {
+            service += reinit_s;
+            self.injector.charge(reinit_s);
+        }
+        if compile_factor > 1.0 {
+            let base_compile: f64 = new_shapes.iter().map(|&s| costs.shape(s).compile_s).sum();
+            self.injector
+                .charge(base_compile * compile_factor - base_compile);
+        }
+        let done = start + service;
+
+        let batch_span = obs.tracer.closed_span("gpu_batch", start, service);
+        let mut at = start;
+        if reinit_s > 0.0 {
+            obs.tracer
+                .child_span(batch_span, "gpu_reinit", at, reinit_s);
+            at += reinit_s;
+        }
+        if pay_init {
+            self.inited = true;
+            obs.tracer.child_span(batch_span, "init", at, costs.init_s);
+            at += costs.init_s;
+        }
+        obs.tracer
+            .child_span(batch_span, "dispatch", at, costs.dispatch_s);
+        at += costs.dispatch_s;
+        let compile_begin = at;
+        for &s in &new_shapes {
+            let compile_s = costs.shape(s).compile_s * compile_factor;
+            obs.tracer
+                .child_span(batch_span, "xla_compile", at, compile_s);
+            at += compile_s;
+        }
+        let compile_total = at - compile_begin;
+        for &idx in &batch {
+            let shape = costs.shape(self.outcomes[idx].request.sample);
+            obs.tracer
+                .child_span(batch_span, "gpu_compute", at, shape.compute_s);
+            at += shape.compute_s;
+        }
+        debug_assert!((at - done).abs() < 1e-9);
+        for &idx in &batch {
+            let o = &mut self.outcomes[idx];
+            o.done_s = done;
+            o.finished = true;
+            o.segments.batch_wait_s += start - o.ready_s;
+            o.segments.xla_compile_s += compile_total;
+            o.segments.close(o.done_s - o.request.arrival_s);
+            o.deadline_missed = self.config.deadline.exceeded(o.latency_s());
+            let on_time = !o.deadline_missed;
+            // A met deadline disarms its timer; a missed one is left to
+            // fire (redundant but harmless).
+            if on_time {
+                if let Some(timer) = self.deadline_timers[idx].take() {
+                    self.engine.cancel(timer);
+                }
+            }
+            self.disposition[idx] = Some(if self.degraded_req[idx] {
+                Disposition::Degraded
+            } else {
+                Disposition::Completed
+            });
+            if self.config.telemetry.slo.is_some() {
+                self.slo_obs
+                    .push((done, on_time && !self.degraded_req[idx]));
+            }
+        }
+        self.gpu_busy += done - start;
+        self.gpu_free = done;
+        self.batches += 1;
+        let timer = self.engine.schedule_tagged(
+            done,
+            Event::GpuDone {
+                batch: self.batches,
+            },
+            WaitEdge::GpuBusy,
+        );
+        if self.config.provenance {
+            // The gpu-busy edge spans from this close to the dispatch
+            // completing: queueing behind the previous batch, then
+            // service, of which the one-time compiles are separable.
+            self.splits.insert(
+                timer.seq(),
+                SegmentSplit {
+                    wait_s: start - now,
+                    service_s: (done - start) - compile_total,
+                    compile_s: compile_total,
+                },
+            );
+            for &idx in &batch {
+                self.completions[idx] = Some(timer.seq());
+            }
+            if self.best_done.is_none_or(|(t, _)| done >= t) {
+                self.best_done = Some((done, timer.seq()));
+            }
+        }
+        true
+    }
+
+    /// Fold the run into the report + metrics. The base report covers
+    /// *finished* requests — under an empty plan that is every admitted
+    /// request, so the fold (and its bits) coincide with the frozen seed
+    /// scheduler's.
+    pub(crate) fn fold(mut self, obs: &mut ObsSession) -> ChaosReport {
+        // Every admitted request must have terminated in a disposition.
+        for (i, o) in self.outcomes.iter().enumerate() {
+            if !o.rejected && self.disposition[i].is_none() {
+                debug_assert!(false, "request {i} escaped without a disposition");
+                self.disposition[i] = Some(Disposition::Failed);
+            }
+        }
+        let outcomes = self.outcomes;
+        let disposition = self.disposition;
+        let count = |d: Disposition| disposition.iter().filter(|&&x| x == Some(d)).count();
+        let finished = |i: usize| {
+            matches!(
+                disposition[i],
+                Some(Disposition::Completed) | Some(Disposition::Degraded)
+            )
+        };
+        let last_arrival = self.requests.last().map_or(0.0, |r| r.arrival_s);
+        let makespan_s = outcomes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| finished(i))
+            .map(|(_, o)| o.done_s)
+            .fold(last_arrival, f64::max);
+        let served = (0..outcomes.len()).filter(|&i| finished(i)).count();
+        let rejected = outcomes.iter().filter(|o| o.rejected).count();
+        let deadline_missed = outcomes.iter().filter(|o| o.deadline_missed).count();
+        let throughput_qph = if makespan_s > 0.0 {
+            served as f64 / makespan_s * 3600.0
+        } else {
+            0.0
+        };
+        let gpu_occupancy = if makespan_s > 0.0 {
+            self.gpu_busy / makespan_s
+        } else {
+            0.0
+        };
+
+        let mut latency_hist = Histogram::new(&LATENCY_BOUNDS);
+        for (i, o) in outcomes.iter().enumerate() {
+            if finished(i) {
+                latency_hist.observe(o.latency_s());
+                obs.metrics
+                    .observe("serve.latency_s", o.latency_s(), &LATENCY_BOUNDS);
+            }
+        }
+
+        obs.tracer.advance(makespan_s);
+        obs.tracer.end();
+
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.finish(makespan_s);
+        }
+        let slo = self.config.telemetry.slo.map(|slo_config| {
+            let mut monitor = SloMonitor::new(slo_config);
+            for &(t, good) in &self.slo_obs {
+                monitor.observe(t, good);
+            }
+            let outcome = monitor.evaluate();
+            for tr in &outcome.transitions {
+                obs.tracer
+                    .instant_at(tr.at_s, if tr.firing { "slo:burn" } else { "slo:clear" });
+                obs.tracer.instant_attr("burn", tr.burn);
+            }
+            let m = &mut obs.metrics;
+            m.inc("slo.burn_events", outcome.burn_events);
+            m.inc("slo.clear_events", outcome.clear_events);
+            m.set_gauge("slo.max_burn", outcome.max_burn);
+            m.set_gauge("slo.alert_seconds", outcome.alert_seconds);
+            outcome
+        });
+
+        let completed = count(Disposition::Completed);
+        let degraded = count(Disposition::Degraded);
+        let shed = count(Disposition::Shed);
+        let failed = count(Disposition::Failed);
+        let admitted = outcomes.len() - rejected;
+        let of_admitted = |x: usize| {
+            if admitted > 0 {
+                x as f64 / admitted as f64
+            } else {
+                1.0
+            }
+        };
+        let availability = of_admitted(completed + degraded);
+        let on_time = (0..outcomes.len())
+            .filter(|&i| {
+                disposition[i] == Some(Disposition::Completed) && !outcomes[i].deadline_missed
+            })
+            .count();
+        let goodput = of_admitted(on_time);
+        // An empty-iterator f64 sum is -0.0 on current rustc; pin the
+        // zero's sign so the fault-free row renders `0`, not `-0`.
+        let lost_seconds = self.injector.total_lost_seconds();
+        let lost_seconds = if lost_seconds == 0.0 {
+            0.0
+        } else {
+            lost_seconds
+        };
+
+        let cache = &self.cache;
+        let m = &mut obs.metrics;
+        m.inc("serve.requests", self.requests.len() as u64);
+        m.inc("serve.served", served as u64);
+        m.inc("serve.rejected", rejected as u64);
+        m.inc("serve.deadline_missed", deadline_missed as u64);
+        m.inc("serve.cache.hits", cache.hits());
+        m.inc("serve.cache.misses", cache.misses());
+        m.inc("serve.cache.evictions", cache.evictions());
+        if self.config.coalesce_misses {
+            m.inc("serve.cache.coalesced", cache.coalesced());
+        }
+        m.inc("serve.gpu.batches", self.batches as u64);
+        m.inc("serve.gpu.compiled_shapes", self.compiled.len() as u64);
+        m.set_gauge("serve.throughput_qph", throughput_qph);
+        m.set_gauge("serve.makespan_s", makespan_s);
+        m.set_gauge("serve.gpu.occupancy", gpu_occupancy);
+        m.set_gauge("serve.cache.hit_rate", cache.hit_rate());
+        if self.active {
+            m.inc("serve.chaos.completed", completed as u64);
+            m.inc("serve.chaos.degraded", degraded as u64);
+            m.inc("serve.chaos.shed", shed as u64);
+            m.inc("serve.chaos.failed", failed as u64);
+            m.inc("serve.chaos.degraded_attempts", self.degraded_attempts);
+            m.inc("serve.chaos.requeues", self.requeues);
+            m.inc("serve.chaos.breaker_opens", self.breaker_opens);
+            m.inc("serve.chaos.faults", self.injector.events().len() as u64);
+            m.set_gauge("serve.chaos.availability", availability);
+            m.set_gauge("serve.chaos.goodput", goodput);
+            m.set_gauge("serve.chaos.lost_s", lost_seconds);
+        }
+
+        let causal = self.config.provenance.then(|| CausalLog {
+            edges: self.engine.provenance().to_vec(),
+            makespan_event: self.best_done.map(|(_, seq)| seq),
+            completions: self.completions,
+            splits: self.splits,
+        });
+        let base = ServeReport {
+            config: *self.config,
+            served,
+            rejected,
+            deadline_missed,
+            makespan_s,
+            throughput_qph,
+            gpu_busy_s: self.gpu_busy,
+            gpu_occupancy,
+            batches: self.batches,
+            compiled_shapes: self.compiled.len(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_evictions: cache.evictions(),
+            cache_hit_rate: cache.hit_rate(),
+            cache_coalesced: cache.coalesced(),
+            latency: latency_hist.summary(),
+            timeline: self.timeline,
+            slo,
+            causal,
+            outcomes,
+        };
+        ChaosReport {
+            base,
+            chaos_active: self.active,
+            dispositions: disposition,
+            admitted,
+            completed,
+            degraded,
+            shed,
+            failed,
+            degraded_attempts: self.degraded_attempts,
+            requeues: self.requeues,
+            breaker_opens: self.breaker_opens,
+            fault_events: self.injector.events().to_vec(),
+            lost_seconds,
+            availability,
+            goodput,
+        }
     }
 }
 
-/// Run the chaos-enabled serving simulation.
+/// The eager MSA side of the chaos loop: a miss is assigned on arrival
+/// to the least-loaded worker's FIFO job list.
+struct EagerPool {
+    /// Per-worker time its last queued job finishes.
+    workers: Vec<f64>,
+    /// Per-worker queued and running jobs, in start order (a deque:
+    /// completions pop the front).
+    jobs: Vec<VecDeque<MsaJob>>,
+    /// Fills still being computed: entity → MSA done time. Read only
+    /// when coalescing is on.
+    in_flight: BTreeMap<usize, f64>,
+    /// Coalesced waiters orphaned by a killed producer, per entity.
+    orphans: BTreeMap<usize, Vec<usize>>,
+}
+
+impl EagerPool {
+    /// Queued-not-started MSA jobs across the pool (the overload signal
+    /// the degradation rung triggers on).
+    fn queued_depth(&self, now: f64) -> usize {
+        self.jobs
+            .iter()
+            .flat_map(|jobs| jobs.iter())
+            .filter(|j| j.start_s > now)
+            .count()
+    }
+
+    /// The job running on worker `w` at `now`, if any.
+    fn running(&self, w: usize, now: f64) -> Option<usize> {
+        self.jobs[w]
+            .iter()
+            .position(|j| j.start_s <= now && j.done_s > now)
+    }
+
+    /// Reset worker `w`'s free time to its last queued job's end.
+    fn refresh(&mut self, w: usize, now: f64) {
+        self.workers[w] = self.jobs[w].back().map_or(now, |j| j.done_s);
+    }
+
+    /// Start an MSA attempt for `request`, ready from `from`: the
+    /// non-durable remainder of its search, stepped down the degradation
+    /// rung when the queue is past the recovery policy's depth.
+    fn attempt(
+        &mut self,
+        core: &mut ServeCore,
+        request: usize,
+        from: f64,
+        now: f64,
+        obs: &mut ObsSession,
+    ) {
+        let policy = &core.chaos.policy;
+        let mut msa_s = (1.0 - core.durable[request]).max(0.0)
+            * core.costs.shape(core.requests[request].sample).msa_s;
+        if core.active
+            && policy.degrade_queue_depth > 0
+            && !core.degraded_req[request]
+            && self.queued_depth(now) + core.parked.len() >= policy.degrade_queue_depth
+        {
+            core.degrade(request, now, policy.degraded_msa_depth, obs);
+        }
+        if core.degraded_req[request] {
+            msa_s *= policy.degrade_msa_factor;
+        }
+        self.dispatch(core, request, from, msa_s);
+    }
+
+    /// Queue `request`'s `msa_s`-second attempt, ready from `from`, on
+    /// the earliest-free worker (lowest index breaks ties).
+    fn dispatch(&mut self, core: &mut ServeCore, request: usize, from: f64, msa_s: f64) {
+        let w = self
+            .workers
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+            .map(|(i, _)| i)
+            .expect("worker pool is non-empty");
+        let start = self.workers[w].max(from);
+        let done = start + msa_s;
+        self.workers[w] = done;
+        let entity = core.requests[request].entity;
+        self.in_flight.insert(entity, done);
+        let timer = core.engine.schedule_tagged(
+            done,
+            Event::MsaDone { request, worker: w },
+            WaitEdge::WorkerBusy,
+        );
+        core.record_split(timer, start - from, done - start);
+        self.jobs[w].push_back(MsaJob {
+            request,
+            entity,
+            start_s: start,
+            done_s: done,
+            timer,
+        });
+        let o = &mut core.outcomes[request];
+        o.segments.msa_queue_wait_s += start - from;
+        o.segments.msa_service_s += done - start;
+        o.ready_s = done;
+    }
+
+    /// Re-time job `i` of worker `w` in place: reschedule its
+    /// completion, refresh the request's readiness, and retarget the
+    /// in-flight map plus any coalesced waiter fills that track this
+    /// producer's landing time.
+    fn retime(&mut self, core: &mut ServeCore, w: usize, i: usize, new_start: f64, new_done: f64) {
+        let job = &mut self.jobs[w][i];
+        let (request, entity) = (job.request, job.entity);
+        core.engine.cancel(job.timer);
+        // Attribution: a retime moves queue wait by the start shift and
+        // MSA service by the duration change (straggler/stall inflation).
+        let seg = &mut core.outcomes[request].segments;
+        seg.msa_queue_wait_s += new_start - job.start_s;
+        seg.msa_service_s += (new_done - new_start) - (job.done_s - job.start_s);
+        job.start_s = new_start;
+        job.done_s = new_done;
+        job.timer = core.engine.schedule_tagged(
+            new_done,
+            Event::MsaDone { request, worker: w },
+            WaitEdge::WorkerBusy,
+        );
+        core.outcomes[request].ready_s = new_done;
+        if self.in_flight.contains_key(&entity) {
+            self.in_flight.insert(entity, new_done);
+        }
+        for (&waiter, fill) in core.fills.iter_mut() {
+            if fill.coalesced && fill.entity == entity {
+                core.engine.cancel(fill.timer);
+                let ready = new_done + fill.load_s;
+                fill.timer = core.engine.schedule_tagged(
+                    ready,
+                    Event::CacheFill {
+                        request: waiter,
+                        entity,
+                    },
+                    WaitEdge::CacheFill,
+                );
+                let o = &mut core.outcomes[waiter];
+                o.segments.cache_wait_s += ready - o.ready_s;
+                o.ready_s = ready;
+            }
+        }
+    }
+
+    /// Stretch worker `w`'s running job `i` to `new_done` (straggler or
+    /// storage stall), then push its queued successors back behind it —
+    /// durations preserved, stopping at the first job the shift no
+    /// longer reaches.
+    fn stretch(&mut self, core: &mut ServeCore, w: usize, i: usize, new_done: f64, now: f64) {
+        let start = self.jobs[w][i].start_s;
+        self.retime(core, w, i, start, new_done);
+        for k in i + 1..self.jobs[w].len() {
+            let prev_done = self.jobs[w][k - 1].done_s;
+            if prev_done <= self.jobs[w][k].start_s {
+                break;
+            }
+            let duration = self.jobs[w][k].done_s - self.jobs[w][k].start_s;
+            self.retime(core, w, k, prev_done, prev_done + duration);
+        }
+        self.refresh(w, now);
+    }
+
+    /// Deadline shedding for a request still queued: drop its unstarted
+    /// MSA job (the slot stays reserved — capacity is not compacted), its
+    /// breaker park, its pending requeue, or its orphaned wait. Producers
+    /// that coalesced waiters depend on are never shed. Returns whether
+    /// anything was dropped.
+    fn shed(&mut self, core: &mut ServeCore, request: usize, now: f64) -> bool {
+        let entity = core.requests[request].entity;
+        let depended = self.orphans.get(&entity).is_some_and(|v| !v.is_empty())
+            || core
+                .fills
+                .values()
+                .any(|f| f.coalesced && f.entity == entity);
+        if !depended {
+            for w in 0..self.jobs.len() {
+                if let Some(i) = self.jobs[w].iter().position(|j| j.request == request) {
+                    if self.jobs[w][i].start_s > now {
+                        let job = self.jobs[w].remove(i).expect("job present");
+                        core.engine.cancel(job.timer);
+                        self.refresh(w, now);
+                        self.in_flight.remove(&entity);
+                        return true;
+                    }
+                    break;
+                }
+            }
+            if let Some(pos) = core.parked.iter().position(|&r| r == request) {
+                core.parked.remove(pos);
+                return true;
+            }
+            if let Some(timer) = core.requeue_timers[request].take() {
+                core.engine.cancel(timer);
+                return true;
+            }
+        }
+        if let Some(waiters) = self.orphans.get_mut(&entity) {
+            if let Some(pos) = waiters.iter().position(|&r| r == request) {
+                waiters.remove(pos);
+                if waiters.is_empty() {
+                    self.orphans.remove(&entity);
+                }
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Kill the in-flight MSA job on one busy worker (chosen by
+    /// `at_fraction`): its un-run tail is dropped, coalesced waiters
+    /// become orphans woken by the entity's next completion, checkpointed
+    /// progress is salvaged and the request retries or fails (its
+    /// orphans sharing that fate). Returns `false` when no worker was
+    /// busy.
+    fn kill(
+        &mut self,
+        core: &mut ServeCore,
+        at_fraction: f64,
+        now: f64,
+        obs: &mut ObsSession,
+    ) -> bool {
+        let busy: Vec<usize> = (0..self.jobs.len())
+            .filter(|&w| self.jobs[w].iter().any(|j| j.done_s > now))
+            .collect();
+        if busy.is_empty() {
+            return false;
+        }
+        let frac = at_fraction.clamp(0.0, 1.0);
+        let w = busy[((frac * busy.len() as f64) as usize).min(busy.len() - 1)];
+        let i = self.jobs[w]
+            .iter()
+            .position(|j| j.done_s > now)
+            .expect("busy worker has an unfinished job");
+        let job = self.jobs[w].remove(i).expect("job present");
+        core.engine.cancel(job.timer);
+        let (r, entity) = (job.request, job.entity);
+        // Attribution: drop the killed attempt's un-run tail; a
+        // never-started job instead converts its queue wait to the
+        // actual wait accrued up to the kill.
+        let seg = &mut core.outcomes[r].segments;
+        if job.start_s > now {
+            seg.msa_queue_wait_s += now - job.start_s;
+            seg.msa_service_s -= job.done_s - job.start_s;
+        } else {
+            seg.msa_service_s -= job.done_s - now;
+        }
+        let mut moved = Vec::new();
+        let engine = &mut core.engine;
+        core.fills.retain(|&waiter, f| {
+            if f.coalesced && f.entity == entity {
+                engine.cancel(f.timer);
+                moved.push(waiter);
+                false
+            } else {
+                true
+            }
+        });
+        if !moved.is_empty() {
+            self.orphans.entry(entity).or_default().extend(moved);
+        }
+        self.in_flight.remove(&entity);
+        self.refresh(w, now);
+        let lost = checkpoint_salvage(
+            &mut core.durable[r],
+            job.start_s,
+            job.done_s,
+            now,
+            core.chaos.policy.checkpoint_units,
+            core.costs.shape(core.requests[r].sample).msa_s,
+        );
+        core.injector.charge(lost);
+        if core.retry_or_fail(r, now, obs) {
+            for waiter in self.orphans.remove(&entity).unwrap_or_default() {
+                core.fail(waiter, now, obs);
+            }
+        }
+        true
+    }
+}
+
+/// Run the eager serving loop under a fault plan.
 ///
-/// Identical contract to [`crate::server::run_serve`], plus a
-/// [`ChaosConfig`]. A fresh [`FaultInjector`] is built from the plan
+/// Identical contract to [`crate::server::run_serve`] (which is this
+/// call under [`ChaosConfig::none`]), plus a [`ChaosConfig`]. A fresh [`FaultInjector`] is built from the plan
 /// *inside this call* (one injector per run — see
 /// [`FaultPlan::injector`]), so a long-lived `ChaosConfig` can drive
 /// any number of runs without double-firing.
 ///
-/// [`FaultInjector`]: afsb_rt::fault::FaultInjector
+/// # Panics
+///
+/// Panics with the [`ServeConfig::validate`] error on a degenerate
+/// config.
 pub fn run_serve_chaos(
     config: &ServeConfig,
     chaos: &ChaosConfig,
     costs: &CostTable,
     obs: &mut ObsSession,
 ) -> ChaosReport {
-    assert!(config.cpu_workers > 0, "need at least one CPU worker");
-    assert!(config.gpu_batch > 0, "need a GPU batch size of at least 1");
-
-    let active = chaos.is_active();
-    let policy = &chaos.policy;
-    let mut injector = chaos.plan.injector();
-
-    let requests = workload::generate(&config.workload);
-    let mut cache = FeatureCache::new(config.cache_capacity_bytes);
-    if config.prewarm_cache {
-        for entity in 0..config.workload.catalog_size {
-            let shape = costs.shape(workload::sample_for_entity(entity));
-            cache.insert(entity, shape.feature_bytes);
-        }
-    }
-
-    obs.tracer.begin("serve");
-
-    let mut engine = SimEngine::new();
-    if config.provenance {
-        engine.record_provenance();
-    }
-    // Causal bookkeeping (observation-only, see `crate::server`):
-    // wait/service splits per provenance edge, each request's completing
-    // GpuDone, and the completion that terminates the makespan.
-    let mut splits: BTreeMap<u64, SegmentSplit> = BTreeMap::new();
-    let mut completions: Vec<Option<u64>> = vec![None; requests.len()];
-    let mut best_done: Option<(f64, u64)> = None;
-    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len());
-    let mut workers = vec![0.0f64; config.cpu_workers];
-    let mut worker_jobs: Vec<Vec<MsaJob>> = vec![Vec::new(); config.cpu_workers];
-    let mut in_flight: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut fills: BTreeMap<usize, Fill> = BTreeMap::new();
-    let mut pool: Vec<usize> = Vec::new();
-    let mut deadline_timers: Vec<Option<TimerId>> = vec![None; requests.len()];
-    let mut gpu_free = 0.0f64;
-    let mut gpu_busy = 0.0f64;
-    let mut batches = 0usize;
-    let mut compiled: BTreeSet<SampleId> = BTreeSet::new();
-    let mut inited = false;
-
-    // Recovery-layer state (inert while the plan is empty).
-    let mut disposition: Vec<Option<Disposition>> = vec![None; requests.len()];
-    let mut degraded_req: Vec<bool> = vec![false; requests.len()];
-    let mut attempts: Vec<u32> = vec![0; requests.len()];
-    let mut durable: Vec<f64> = vec![0.0; requests.len()];
-    let mut requeue_timers: Vec<Option<TimerId>> = vec![None; requests.len()];
-    let mut orphans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut parked: Vec<usize> = Vec::new();
-    let mut pending_storage: Vec<FaultKind> = Vec::new();
-    let mut pending_compile_factor: Option<f64> = None;
-    let mut gpu_penalty_s = 0.0f64;
-    let mut breaker = CircuitBreaker::new(policy.breaker_threshold);
-    let mut breaker_open = false;
-    let mut requeues = 0u64;
-    let mut breaker_opens = 0u64;
-    let mut degraded_attempts = 0u64;
-
-    // Observation-only telemetry (see `crate::server`): gauge counters
-    // and SLO observations never feed back into scheduling or floats.
-    let mut timeline = if config.telemetry.timeline_interval_s > 0.0 {
-        Some(TimelineSampler::new(
-            config.telemetry.timeline_interval_s,
-            &TIMELINE_COLUMNS,
-        ))
-    } else {
-        None
+    let mut core = ServeCore::new(config, chaos, costs, obs);
+    let mut msa = EagerPool {
+        workers: vec![0.0; config.cpu_workers],
+        jobs: vec![VecDeque::new(); config.cpu_workers],
+        in_flight: BTreeMap::new(),
+        orphans: BTreeMap::new(),
     };
-    let mut slo_obs: Vec<(f64, bool)> = Vec::new();
-    // Per-request start of the current admission wait (set at a kill or
-    // breaker park, consumed by the next requeue dispatch).
-    let mut wait_since: Vec<f64> = vec![0.0; requests.len()];
-    if let Some(tl) = timeline.as_mut() {
-        tl.set_many(&[0.0, 0.0, 0.0, cache.len() as f64, 0.0, 0.0, 0.0]);
-    }
 
-    // Faults enter the shared queue before the first arrival so a fault
-    // scheduled exactly at an arrival's timestamp is delivered first.
-    if active {
-        for f in chaos.plan.faults() {
-            engine.schedule(f.not_before_s, Event::Fault(f.kind));
-        }
-    }
-    if let Some(first) = requests.first() {
-        engine.schedule(first.arrival_s, Event::Arrival { request: 0 });
-    }
-
-    while let Some((now, event)) = engine.pop() {
-        if let Some(tl) = timeline.as_mut() {
-            tl.advance_to(now);
-        }
+    // Handlers that change nothing `continue` past the gauge row.
+    while let Some((now, event)) = core.next_event() {
         match event {
+            // Admission, cache lookup (or coalescing onto an in-flight
+            // fill) and eager CPU dispatch.
             Event::Arrival { request } => {
-                let req = &requests[request];
+                let req = core.requests[request];
                 let shape = costs.shape(req.sample);
                 if !shape.admitted {
-                    outcomes.push(RequestOutcome {
-                        request: *req,
-                        cache_hit: false,
-                        rejected: true,
-                        ready_s: req.arrival_s,
-                        done_s: 0.0,
-                        deadline_missed: false,
-                        finished: false,
-                        segments: PhaseSegments::default(),
-                    });
+                    core.push_pending(request, true);
+                } else if config.coalesce_misses
+                    && !core.cache.contains(req.entity)
+                    && msa.in_flight.contains_key(&req.entity)
+                {
+                    // Piggyback on the in-flight fill instead of
+                    // duplicating the MSA search.
+                    core.cache.coalesced_hit();
+                    let from = msa.in_flight[&req.entity];
+                    core.admit_hit(request, from, shape.feature_load_s, true);
+                } else if core.cache.lookup(req.entity) {
+                    core.admit_hit(request, req.arrival_s, shape.feature_load_s, false);
                 } else {
-                    let mut segments = PhaseSegments::default();
-                    let coalesce = config.coalesce_misses
-                        && !cache.contains(req.entity)
-                        && in_flight.contains_key(&req.entity);
-                    let (cache_hit, ready_s) = if coalesce {
-                        cache.coalesced_hit();
-                        let mut ready = in_flight[&req.entity] + shape.feature_load_s;
-                        if active && !pending_storage.is_empty() {
-                            let delay =
-                                drain_pending_storage(&mut pending_storage, shape.feature_load_s);
-                            ready += delay;
-                            injector.charge(delay);
-                        }
-                        let timer = engine.schedule_tagged(
-                            ready,
-                            Event::CacheFill {
-                                request,
-                                entity: req.entity,
-                            },
-                            WaitEdge::CacheFill,
-                        );
-                        fills.insert(
-                            request,
-                            Fill {
-                                timer,
-                                entity: req.entity,
-                                coalesced: true,
-                                load_s: shape.feature_load_s,
-                            },
-                        );
-                        segments.cache_wait_s = ready - req.arrival_s;
-                        (true, ready)
-                    } else if cache.lookup(req.entity) {
-                        let mut ready = req.arrival_s + shape.feature_load_s;
-                        if active && !pending_storage.is_empty() {
-                            let delay =
-                                drain_pending_storage(&mut pending_storage, shape.feature_load_s);
-                            ready += delay;
-                            injector.charge(delay);
-                        }
-                        let timer = engine.schedule_tagged(
-                            ready,
-                            Event::CacheFill {
-                                request,
-                                entity: req.entity,
-                            },
-                            WaitEdge::CacheFill,
-                        );
-                        fills.insert(
-                            request,
-                            Fill {
-                                timer,
-                                entity: req.entity,
-                                coalesced: false,
-                                load_s: shape.feature_load_s,
-                            },
-                        );
-                        segments.cache_wait_s = ready - req.arrival_s;
-                        (true, ready)
-                    } else {
-                        let mut msa_s = shape.msa_s;
-                        if active
-                            && policy.degrade_queue_depth > 0
-                            && queued_depth(&worker_jobs, now) + parked.len()
-                                >= policy.degrade_queue_depth
-                        {
-                            degraded_req[request] = true;
-                            msa_s *= policy.degrade_msa_factor;
-                            degraded_attempts += 1;
-                            obs.tracer.instant_at(
-                                now,
-                                format!(
-                                    "degrade:{}",
-                                    DegradeStep::MsaDepthCap {
-                                        depth: policy.degraded_msa_depth
-                                    }
-                                ),
-                            );
-                        }
-                        let w = workers
-                            .iter()
-                            .enumerate()
-                            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-                            .map(|(i, _)| i)
-                            .expect("worker pool is non-empty");
-                        let start = workers[w].max(req.arrival_s);
-                        let done = start + msa_s;
-                        workers[w] = done;
-                        in_flight.insert(req.entity, done);
-                        let timer = engine.schedule_tagged(
-                            done,
-                            Event::MsaDone { request, worker: w },
-                            WaitEdge::WorkerBusy,
-                        );
-                        if config.provenance {
-                            splits.insert(
-                                timer.seq(),
-                                SegmentSplit {
-                                    wait_s: start - req.arrival_s,
-                                    service_s: done - start,
-                                    compile_s: 0.0,
-                                },
-                            );
-                        }
-                        worker_jobs[w].push(MsaJob {
-                            request,
-                            entity: req.entity,
-                            start_s: start,
-                            done_s: done,
-                            timer,
-                        });
-                        segments.msa_queue_wait_s = start - req.arrival_s;
-                        segments.msa_service_s = done - start;
-                        (false, done)
-                    };
-                    outcomes.push(RequestOutcome {
-                        request: *req,
-                        cache_hit,
-                        rejected: false,
-                        ready_s,
-                        done_s: 0.0,
-                        deadline_missed: false,
-                        finished: false,
-                        segments,
-                    });
-                    if let Some(limit) = config.deadline.limit_seconds() {
-                        deadline_timers[request] = Some(engine.schedule_tagged(
-                            req.arrival_s + limit,
-                            Event::DeadlineExpired { request },
-                            WaitEdge::Deadline,
-                        ));
-                    }
+                    core.push_pending(request, false);
+                    msa.attempt(&mut core, request, req.arrival_s, now, obs);
                 }
-                if request + 1 < requests.len() {
-                    engine.schedule(
-                        requests[request + 1].arrival_s,
-                        Event::Arrival {
-                            request: request + 1,
+                core.finish_arrival(request, shape.admitted);
+            }
+
+            // A pool worker finished: the features enter the cache, the
+            // request becomes GPU-ready, and any waiters orphaned by an
+            // earlier kill of this entity's producer wake exactly once.
+            Event::MsaDone { request, worker } => {
+                if let Some(i) = msa.jobs[worker].iter().position(|j| j.request == request) {
+                    msa.jobs[worker].remove(i);
+                }
+                core.commit_fill(request);
+                let entity = core.requests[request].entity;
+                msa.in_flight.remove(&entity);
+                for waiter in msa.orphans.remove(&entity).unwrap_or_default() {
+                    let load_s = costs.shape(core.requests[waiter].sample).feature_load_s;
+                    let ready = now + load_s;
+                    let o = &mut core.outcomes[waiter];
+                    o.segments.cache_wait_s += ready - o.ready_s;
+                    o.ready_s = ready;
+                    let timer = core.engine.schedule_tagged(
+                        ready,
+                        Event::CacheFill {
+                            request: waiter,
+                            entity,
+                        },
+                        WaitEdge::CacheFill,
+                    );
+                    core.fills.insert(
+                        waiter,
+                        Fill {
+                            timer,
+                            entity,
+                            coalesced: true,
+                            load_s,
                         },
                     );
                 }
+                core.mark_ready(request, now);
             }
 
-            Event::MsaDone { request, worker } => {
-                let req = &requests[request];
-                if let Some(i) = worker_jobs[worker]
-                    .iter()
-                    .position(|j| j.request == request)
-                {
-                    worker_jobs[worker].remove(i);
-                }
-                if outcomes.len() < requests.len() {
-                    cache.insert(req.entity, costs.shape(req.sample).feature_bytes);
-                }
-                in_flight.remove(&req.entity);
-                if active {
-                    // Wake every waiter orphaned by an earlier kill of
-                    // this entity's producer — exactly once.
-                    if let Some(waiters) = orphans.remove(&req.entity) {
-                        for waiter in waiters {
-                            let load_s = costs.shape(requests[waiter].sample).feature_load_s;
-                            let ready = now + load_s;
-                            outcomes[waiter].segments.cache_wait_s +=
-                                ready - outcomes[waiter].ready_s;
-                            outcomes[waiter].ready_s = ready;
-                            let timer = engine.schedule_tagged(
-                                ready,
-                                Event::CacheFill {
-                                    request: waiter,
-                                    entity: req.entity,
-                                },
-                                WaitEdge::CacheFill,
-                            );
-                            fills.insert(
-                                waiter,
-                                Fill {
-                                    timer,
-                                    entity: req.entity,
-                                    coalesced: true,
-                                    load_s,
-                                },
-                            );
-                        }
-                    }
-                }
-                pool.push(request);
-                if now >= gpu_free {
-                    engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-                }
-            }
-
-            Event::CacheFill { request, .. } => {
-                fills.remove(&request);
-                pool.push(request);
-                if now >= gpu_free {
-                    engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-                }
-            }
+            Event::CacheFill { request, .. } => core.fill_landed(request, now),
 
             Event::BatchClose => {
-                if pool.is_empty() || now < gpu_free {
+                if !core.close_batch(now, obs, prefix_batch) {
                     continue;
                 }
-                pool.sort_by(|&a, &b| {
-                    outcomes[a]
-                        .ready_s
-                        .partial_cmp(&outcomes[b].ready_s)
-                        .unwrap()
-                        .then(outcomes[a].request.id.cmp(&outcomes[b].request.id))
-                });
-                let start = gpu_free.max(outcomes[pool[0]].ready_s);
-                let mut take = 1usize;
-                while take < config.gpu_batch
-                    && take < pool.len()
-                    && outcomes[pool[take]].ready_s <= start
-                {
-                    take += 1;
-                }
-                let batch: Vec<usize> = pool.drain(..take).collect();
-
-                let pay_init = !inited;
-                let new_shapes: Vec<SampleId> = batch
-                    .iter()
-                    .map(|&idx| outcomes[idx].request.sample)
-                    .filter(|&s| compiled.insert(s))
-                    .collect();
-                let compile_factor = if active && !new_shapes.is_empty() {
-                    pending_compile_factor.take().unwrap_or(1.0)
-                } else {
-                    1.0
-                };
-                let reinit_s = if active {
-                    std::mem::take(&mut gpu_penalty_s)
-                } else {
-                    0.0
-                };
-                let mut service = if pay_init { costs.init_s } else { 0.0 }
-                    + costs.dispatch_s
-                    + new_shapes
-                        .iter()
-                        .map(|&s| costs.shape(s).compile_s * compile_factor)
-                        .sum::<f64>()
-                    + batch
-                        .iter()
-                        .map(|&idx| costs.shape(outcomes[idx].request.sample).compute_s)
-                        .sum::<f64>();
-                if reinit_s > 0.0 {
-                    service += reinit_s;
-                    injector.charge(reinit_s);
-                }
-                if compile_factor > 1.0 {
-                    let base_compile: f64 =
-                        new_shapes.iter().map(|&s| costs.shape(s).compile_s).sum();
-                    injector.charge(base_compile * compile_factor - base_compile);
-                }
-                let done = start + service;
-
-                let batch_span = obs.tracer.closed_span("gpu_batch", start, service);
-                let mut at = start;
-                if reinit_s > 0.0 {
-                    obs.tracer
-                        .child_span(batch_span, "gpu_reinit", at, reinit_s);
-                    at += reinit_s;
-                }
-                if pay_init {
-                    inited = true;
-                    obs.tracer.child_span(batch_span, "init", at, costs.init_s);
-                    at += costs.init_s;
-                }
-                obs.tracer
-                    .child_span(batch_span, "dispatch", at, costs.dispatch_s);
-                at += costs.dispatch_s;
-                let compile_begin = at;
-                for &s in &new_shapes {
-                    let compile_s = costs.shape(s).compile_s * compile_factor;
-                    obs.tracer
-                        .child_span(batch_span, "xla_compile", at, compile_s);
-                    at += compile_s;
-                }
-                let compile_end = at;
-                for &idx in &batch {
-                    let shape = costs.shape(outcomes[idx].request.sample);
-                    obs.tracer
-                        .child_span(batch_span, "gpu_compute", at, shape.compute_s);
-                    at += shape.compute_s;
-                }
-                debug_assert!((at - done).abs() < 1e-9);
-                for &idx in &batch {
-                    outcomes[idx].done_s = done;
-                    outcomes[idx].finished = true;
-                    let o = &mut outcomes[idx];
-                    o.segments.batch_wait_s += start - o.ready_s;
-                    o.segments.xla_compile_s += compile_end - compile_begin;
-                    o.segments.close(o.done_s - o.request.arrival_s);
-                    outcomes[idx].deadline_missed =
-                        config.deadline.exceeded(outcomes[idx].latency_s());
-                    if !outcomes[idx].deadline_missed {
-                        if let Some(timer) = deadline_timers[idx].take() {
-                            engine.cancel(timer);
-                        }
-                    }
-                    disposition[idx] = Some(if degraded_req[idx] {
-                        Disposition::Degraded
-                    } else {
-                        Disposition::Completed
-                    });
-                    if config.telemetry.slo.is_some() {
-                        slo_obs.push((done, !outcomes[idx].deadline_missed && !degraded_req[idx]));
-                    }
-                }
-                gpu_busy += done - start;
-                gpu_free = done;
-                batches += 1;
-                let timer = engine.schedule_tagged(
-                    done,
-                    Event::GpuDone { batch: batches },
-                    WaitEdge::GpuBusy,
-                );
-                if config.provenance {
-                    let compile_total = compile_end - compile_begin;
-                    splits.insert(
-                        timer.seq(),
-                        SegmentSplit {
-                            wait_s: start - now,
-                            service_s: (done - start) - compile_total,
-                            compile_s: compile_total,
-                        },
-                    );
-                    for &idx in &batch {
-                        completions[idx] = Some(timer.seq());
-                    }
-                    if best_done.is_none_or(|(t, _)| done >= t) {
-                        best_done = Some((done, timer.seq()));
-                    }
-                }
             }
 
-            Event::GpuDone { .. } => {
-                if !pool.is_empty() {
-                    engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-                }
-            }
+            Event::GpuDone { .. } => core.gpu_done(now),
 
             Event::DeadlineExpired { request } => {
-                if active
-                    && policy.shed_expired
-                    && !outcomes[request].rejected
-                    && disposition[request].is_none()
-                {
-                    let entity = requests[request].entity;
-                    let depended = orphans.get(&entity).is_some_and(|v| !v.is_empty())
-                        || fills.values().any(|f| f.coalesced && f.entity == entity);
-                    let mut shed = false;
-                    // Queued-not-started MSA job: drop it (the slot
-                    // stays reserved — capacity is not compacted).
-                    for w in 0..worker_jobs.len() {
-                        if let Some(i) = worker_jobs[w].iter().position(|j| j.request == request) {
-                            if worker_jobs[w][i].start_s > now && !depended {
-                                let job = worker_jobs[w].remove(i);
-                                engine.cancel(job.timer);
-                                workers[w] = worker_jobs[w].last().map_or(now, |j| j.done_s);
-                                in_flight.remove(&entity);
-                                shed = true;
-                            }
-                            break;
-                        }
-                    }
-                    if !shed && !depended {
-                        if let Some(pos) = parked.iter().position(|&r| r == request) {
-                            parked.remove(pos);
-                            shed = true;
-                        }
-                    }
-                    if !shed && !depended {
-                        if let Some(timer) = requeue_timers[request].take() {
-                            engine.cancel(timer);
-                            shed = true;
-                        }
-                    }
-                    if !shed {
-                        if let Some(waiters) = orphans.get_mut(&entity) {
-                            if let Some(pos) = waiters.iter().position(|&r| r == request) {
-                                waiters.remove(pos);
-                                if waiters.is_empty() {
-                                    orphans.remove(&entity);
-                                }
-                                shed = true;
-                            }
-                        }
-                    }
-                    if shed {
-                        disposition[request] = Some(Disposition::Shed);
-                        obs.tracer.instant_at(now, "shed");
-                        if config.telemetry.slo.is_some() {
-                            slo_obs.push((now, false));
-                        }
-                    }
+                if core.may_shed(request) && msa.shed(&mut core, request, now) {
+                    core.shed(request, now, obs);
                 }
-                outcomes[request].deadline_missed = true;
+                core.outcomes[request].deadline_missed = true;
             }
 
             Event::Fault(kind) => {
-                injector.sync_to(now);
-                let Some(fired) = injector.poll(kind.site()) else {
+                let Some(fired) = core.fire(kind, now, obs) else {
                     continue;
                 };
-                obs.tracer
-                    .instant_at(now, format!("fault:{}", fired.label()));
                 match fired {
                     FaultKind::OomKill { at_fraction } | FaultKind::WorkerCrash { at_fraction } => {
-                        let busy: Vec<usize> = (0..worker_jobs.len())
-                            .filter(|&w| worker_jobs[w].iter().any(|j| j.done_s > now))
-                            .collect();
-                        if busy.is_empty() {
+                        if !msa.kill(&mut core, at_fraction, now, obs) {
                             continue;
-                        }
-                        let frac = at_fraction.clamp(0.0, 1.0);
-                        let w = busy[((frac * busy.len() as f64) as usize).min(busy.len() - 1)];
-                        let i = worker_jobs[w]
-                            .iter()
-                            .position(|j| j.done_s > now)
-                            .expect("busy worker has an unfinished job");
-                        let job = worker_jobs[w].remove(i);
-                        engine.cancel(job.timer);
-                        let r = job.request;
-                        let entity = job.entity;
-                        {
-                            // Attribution: drop the killed attempt's
-                            // un-run tail; a never-started job instead
-                            // converts its queue wait to the actual wait
-                            // accrued up to the kill.
-                            let seg = &mut outcomes[r].segments;
-                            if job.start_s > now {
-                                seg.msa_queue_wait_s += now - job.start_s;
-                                seg.msa_service_s -= job.done_s - job.start_s;
-                            } else {
-                                seg.msa_service_s -= job.done_s - now;
-                            }
-                        }
-                        wait_since[r] = now;
-                        // Waiters piggybacked on this producer become
-                        // orphans, woken exactly once by the entity's
-                        // next MSA completion.
-                        let mut moved = Vec::new();
-                        fills.retain(|&waiter, f| {
-                            if f.coalesced && f.entity == entity {
-                                engine.cancel(f.timer);
-                                moved.push(waiter);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        if !moved.is_empty() {
-                            orphans.entry(entity).or_default().extend(moved);
-                        }
-                        in_flight.remove(&entity);
-                        workers[w] = worker_jobs[w].last().map_or(now, |j| j.done_s);
-                        // Checkpoint salvage: durable progress floors to
-                        // the checkpoint grid, the rest is redone.
-                        let span = job.done_s - job.start_s;
-                        let progress = if job.start_s >= now || span <= 0.0 {
-                            0.0
-                        } else {
-                            ((now - job.start_s) / span).clamp(0.0, 1.0)
-                        };
-                        let before = durable[r];
-                        let overall = before + progress * (1.0 - before);
-                        let units = policy.checkpoint_units.max(1) as f64;
-                        durable[r] = (overall * units).floor() / units;
-                        let spent = (now - job.start_s).max(0.0);
-                        let salvaged =
-                            (durable[r] - before) * costs.shape(requests[r].sample).msa_s;
-                        injector.charge((spent - salvaged).max(0.0));
-                        attempts[r] += 1;
-                        if attempts[r] >= policy.max_attempts.max(1) {
-                            disposition[r] = Some(Disposition::Failed);
-                            obs.tracer.instant_at(now, "failed");
-                            if config.telemetry.slo.is_some() {
-                                slo_obs.push((now, false));
-                            }
-                            if let Some(timer) = deadline_timers[r].take() {
-                                engine.cancel(timer);
-                            }
-                            // Shared fate: waiters on a terminally
-                            // failed producer fail with it.
-                            if let Some(waiters) = orphans.remove(&entity) {
-                                for waiter in waiters {
-                                    disposition[waiter] = Some(Disposition::Failed);
-                                    obs.tracer.instant_at(now, "failed");
-                                    if config.telemetry.slo.is_some() {
-                                        slo_obs.push((now, false));
-                                    }
-                                    if let Some(timer) = deadline_timers[waiter].take() {
-                                        engine.cancel(timer);
-                                    }
-                                }
-                            }
-                        } else {
-                            let backoff = policy.retry.backoff_seconds(
-                                attempts[r],
-                                mix(config.workload.seed, BACKOFF_SALT ^ r as u64),
-                            );
-                            requeue_timers[r] = Some(engine.schedule_tagged(
-                                now + backoff,
-                                Event::Requeue { request: r },
-                                WaitEdge::Admission,
-                            ));
-                            if breaker.record_failure() && !breaker_open {
-                                breaker_open = true;
-                                breaker_opens += 1;
-                                obs.tracer.instant_at(now, "circuit-open");
-                                engine.schedule_tagged(
-                                    now + policy.breaker_cooldown_s,
-                                    Event::BreakerClose,
-                                    WaitEdge::Admission,
-                                );
-                            }
                         }
                     }
                     FaultKind::Straggler { factor } => {
-                        for w in 0..worker_jobs.len() {
-                            if let Some(i) = worker_jobs[w]
-                                .iter()
-                                .position(|j| j.start_s <= now && j.done_s > now)
-                            {
-                                let old_done = worker_jobs[w][i].done_s;
+                        for w in 0..msa.jobs.len() {
+                            if let Some(i) = msa.running(w, now) {
+                                let old_done = msa.jobs[w][i].done_s;
                                 let new_done = now + (old_done - now) * factor.max(1.0);
-                                let start = worker_jobs[w][i].start_s;
-                                retime_job(
-                                    &mut worker_jobs[w],
-                                    i,
-                                    w,
-                                    start,
-                                    new_done,
-                                    &mut engine,
-                                    &mut outcomes,
-                                    &mut in_flight,
-                                    &mut fills,
-                                );
-                                reflow_tail(
-                                    &mut worker_jobs[w],
-                                    i + 1,
-                                    w,
-                                    &mut engine,
-                                    &mut outcomes,
-                                    &mut in_flight,
-                                    &mut fills,
-                                );
-                                workers[w] = worker_jobs[w].last().map_or(now, |j| j.done_s);
-                                injector.charge(new_done - old_done);
+                                msa.stretch(&mut core, w, i, new_done, now);
+                                core.injector.charge(new_done - old_done);
                                 break;
                             }
                         }
                     }
-                    FaultKind::StorageReadError => {
-                        if fills.is_empty() {
-                            pending_storage.push(fired);
-                        } else {
-                            let mut lost = 0.0;
-                            let waiters: Vec<usize> = fills.keys().copied().collect();
-                            for waiter in waiters {
-                                let fill = fills[&waiter];
-                                engine.cancel(fill.timer);
-                                let ready = outcomes[waiter].ready_s + fill.load_s;
-                                outcomes[waiter].segments.cache_wait_s += fill.load_s;
-                                outcomes[waiter].ready_s = ready;
-                                let timer = engine.schedule_tagged(
-                                    ready,
-                                    Event::CacheFill {
-                                        request: waiter,
-                                        entity: fill.entity,
-                                    },
-                                    WaitEdge::CacheFill,
-                                );
-                                fills.get_mut(&waiter).expect("fill present").timer = timer;
-                                lost += fill.load_s;
-                            }
-                            injector.charge(lost);
-                        }
-                    }
+                    FaultKind::StorageReadError => core.storage_read_error(fired),
                     FaultKind::StorageStall { stall_seconds } => {
-                        let mut lost = 0.0;
-                        let waiters: Vec<usize> = fills.keys().copied().collect();
-                        for waiter in &waiters {
-                            let fill = fills[waiter];
-                            engine.cancel(fill.timer);
-                            let ready = outcomes[*waiter].ready_s + stall_seconds;
-                            outcomes[*waiter].segments.cache_wait_s += stall_seconds;
-                            outcomes[*waiter].ready_s = ready;
-                            let timer = engine.schedule_tagged(
-                                ready,
-                                Event::CacheFill {
-                                    request: *waiter,
-                                    entity: fill.entity,
-                                },
-                                WaitEdge::CacheFill,
-                            );
-                            fills.get_mut(waiter).expect("fill present").timer = timer;
-                            lost += stall_seconds;
-                        }
+                        let mut lost = core.delay_fills(Some(stall_seconds));
                         // A device stall also reaches the database scans
                         // of every running MSA job.
-                        for w in 0..worker_jobs.len() {
-                            if let Some(i) = worker_jobs[w]
-                                .iter()
-                                .position(|j| j.start_s <= now && j.done_s > now)
-                            {
-                                let start = worker_jobs[w][i].start_s;
-                                let done = worker_jobs[w][i].done_s;
-                                retime_job(
-                                    &mut worker_jobs[w],
-                                    i,
-                                    w,
-                                    start,
-                                    done + stall_seconds,
-                                    &mut engine,
-                                    &mut outcomes,
-                                    &mut in_flight,
-                                    &mut fills,
-                                );
-                                reflow_tail(
-                                    &mut worker_jobs[w],
-                                    i + 1,
-                                    w,
-                                    &mut engine,
-                                    &mut outcomes,
-                                    &mut in_flight,
-                                    &mut fills,
-                                );
-                                workers[w] = worker_jobs[w].last().map_or(now, |j| j.done_s);
+                        for w in 0..msa.jobs.len() {
+                            if let Some(i) = msa.running(w, now) {
+                                let done = msa.jobs[w][i].done_s;
+                                msa.stretch(&mut core, w, i, done + stall_seconds, now);
                                 lost += stall_seconds;
                             }
                         }
-                        if lost > 0.0 {
-                            injector.charge(lost);
-                        } else {
-                            pending_storage.push(fired);
-                        }
+                        core.settle_stall(fired, lost);
                     }
-                    FaultKind::GpuInitFailure => {
-                        // The process-level re-init drops the in-process
-                        // XLA cache: shapes recompile, and the next batch
-                        // waits out a priced re-init on top of the cold
-                        // init it now pays again.
-                        gpu_penalty_s += costs.init_s;
-                        inited = false;
-                        compiled.clear();
-                    }
-                    FaultKind::XlaCompileStall { factor } => {
-                        let f = pending_compile_factor.unwrap_or(1.0) * factor.max(1.0);
-                        pending_compile_factor = Some(f);
+                    FaultKind::GpuInitFailure | FaultKind::XlaCompileStall { .. } => {
+                        core.gpu_fault(fired)
                     }
                 }
             }
 
             Event::Requeue { request } => {
-                requeue_timers[request] = None;
-                if disposition[request].is_some() {
+                if !core.requeue(request, now, obs) {
                     continue;
                 }
-                requeues += 1;
-                obs.tracer.instant_at(now, "requeue");
-                outcomes[request].segments.admission_wait_s += now - wait_since[request];
-                if breaker_open {
-                    wait_since[request] = now;
-                    parked.push(request);
-                    continue;
-                }
-                let req = &requests[request];
-                let shape = costs.shape(req.sample);
-                let mut msa_s = (1.0 - durable[request]).max(0.0) * shape.msa_s;
-                if policy.degrade_queue_depth > 0
-                    && !degraded_req[request]
-                    && queued_depth(&worker_jobs, now) + parked.len() >= policy.degrade_queue_depth
-                {
-                    degraded_req[request] = true;
-                    degraded_attempts += 1;
-                    obs.tracer.instant_at(
-                        now,
-                        format!(
-                            "degrade:{}",
-                            DegradeStep::MsaDepthCap {
-                                depth: policy.degraded_msa_depth
-                            }
-                        ),
-                    );
-                }
-                if degraded_req[request] {
-                    msa_s *= policy.degrade_msa_factor;
-                }
-                let w = workers
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-                    .map(|(i, _)| i)
-                    .expect("worker pool is non-empty");
-                let start = workers[w].max(now);
-                let done = start + msa_s;
-                workers[w] = done;
-                in_flight.insert(req.entity, done);
-                let timer = engine.schedule_tagged(
-                    done,
-                    Event::MsaDone { request, worker: w },
-                    WaitEdge::WorkerBusy,
-                );
-                if config.provenance {
-                    splits.insert(
-                        timer.seq(),
-                        SegmentSplit {
-                            wait_s: start - now,
-                            service_s: done - start,
-                            compile_s: 0.0,
-                        },
-                    );
-                }
-                worker_jobs[w].push(MsaJob {
-                    request,
-                    entity: req.entity,
-                    start_s: start,
-                    done_s: done,
-                    timer,
-                });
-                outcomes[request].segments.msa_queue_wait_s += start - now;
-                outcomes[request].segments.msa_service_s += done - start;
-                outcomes[request].ready_s = done;
+                msa.attempt(&mut core, request, now, now, obs);
             }
 
-            Event::BreakerClose => {
-                breaker.record_success();
-                breaker_open = false;
-                obs.tracer.instant_at(now, "circuit-closed");
-                for r in parked.drain(..) {
-                    requeue_timers[r] = Some(engine.schedule_tagged(
-                        now,
-                        Event::Requeue { request: r },
-                        WaitEdge::Admission,
-                    ));
-                }
-            }
+            Event::BreakerClose => core.close_breaker(now, obs),
         }
-        if let Some(tl) = timeline.as_mut() {
-            tl.set_many(&[
-                (worker_jobs.iter().map(|jobs| jobs.len()).sum::<usize>() + parked.len()) as f64,
-                workers.iter().filter(|&&t| t > now).count() as f64,
-                if gpu_free > now { 1.0 } else { 0.0 },
-                cache.len() as f64,
-                cache.hit_rate(),
-                fills.len() as f64,
-                if breaker_open { 1.0 } else { 0.0 },
-            ]);
-        }
+        let queued = || msa.jobs.iter().map(VecDeque::len).sum();
+        core.sample(now, queued, &msa.workers);
     }
-
-    // Every admitted request must have terminated in a disposition.
-    for (i, o) in outcomes.iter().enumerate() {
-        if !o.rejected && disposition[i].is_none() {
-            debug_assert!(false, "request {i} escaped without a disposition");
-            disposition[i] = Some(Disposition::Failed);
-        }
-    }
-
-    // Fold into the report + metrics. The base report covers *finished*
-    // requests — under an empty plan that is every admitted request, so
-    // the fold (and its bits) coincide with the fault-free engine's.
-    let finished = |i: usize| {
-        matches!(
-            disposition[i],
-            Some(Disposition::Completed) | Some(Disposition::Degraded)
-        )
-    };
-    let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
-    let makespan_s = outcomes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| finished(i))
-        .map(|(_, o)| o.done_s)
-        .fold(last_arrival, f64::max);
-    let served = (0..outcomes.len()).filter(|&i| finished(i)).count();
-    let rejected = outcomes.iter().filter(|o| o.rejected).count();
-    let deadline_missed = outcomes.iter().filter(|o| o.deadline_missed).count();
-    let throughput_qph = if makespan_s > 0.0 {
-        served as f64 / makespan_s * 3600.0
-    } else {
-        0.0
-    };
-    let gpu_occupancy = if makespan_s > 0.0 {
-        gpu_busy / makespan_s
-    } else {
-        0.0
-    };
-
-    let mut latency_hist = Histogram::new(&LATENCY_BOUNDS);
-    for (i, o) in outcomes.iter().enumerate() {
-        if finished(i) {
-            latency_hist.observe(o.latency_s());
-            obs.metrics
-                .observe("serve.latency_s", o.latency_s(), &LATENCY_BOUNDS);
-        }
-    }
-
-    obs.tracer.advance(makespan_s);
-    obs.tracer.end();
-
-    if let Some(tl) = timeline.as_mut() {
-        tl.finish(makespan_s);
-    }
-    let slo = config.telemetry.slo.map(|slo_config| {
-        let mut monitor = SloMonitor::new(slo_config);
-        for &(t, good) in &slo_obs {
-            monitor.observe(t, good);
-        }
-        let outcome = monitor.evaluate();
-        for tr in &outcome.transitions {
-            obs.tracer
-                .instant_at(tr.at_s, if tr.firing { "slo:burn" } else { "slo:clear" });
-            obs.tracer.instant_attr("burn", tr.burn);
-        }
-        let m = &mut obs.metrics;
-        m.inc("slo.burn_events", outcome.burn_events);
-        m.inc("slo.clear_events", outcome.clear_events);
-        m.set_gauge("slo.max_burn", outcome.max_burn);
-        m.set_gauge("slo.alert_seconds", outcome.alert_seconds);
-        outcome
-    });
-
-    let completed = disposition
-        .iter()
-        .filter(|d| **d == Some(Disposition::Completed))
-        .count();
-    let degraded = disposition
-        .iter()
-        .filter(|d| **d == Some(Disposition::Degraded))
-        .count();
-    let shed = disposition
-        .iter()
-        .filter(|d| **d == Some(Disposition::Shed))
-        .count();
-    let failed = disposition
-        .iter()
-        .filter(|d| **d == Some(Disposition::Failed))
-        .count();
-    let admitted = outcomes.len() - rejected;
-    let availability = if admitted > 0 {
-        (completed + degraded) as f64 / admitted as f64
-    } else {
-        1.0
-    };
-    let on_time = (0..outcomes.len())
-        .filter(|&i| disposition[i] == Some(Disposition::Completed) && !outcomes[i].deadline_missed)
-        .count();
-    let goodput = if admitted > 0 {
-        on_time as f64 / admitted as f64
-    } else {
-        1.0
-    };
-    // An empty-iterator f64 sum is -0.0 on current rustc; pin the
-    // zero's sign so the fault-free row renders `0`, not `-0`.
-    let lost_seconds = injector.total_lost_seconds();
-    let lost_seconds = if lost_seconds == 0.0 {
-        0.0
-    } else {
-        lost_seconds
-    };
-
-    let m = &mut obs.metrics;
-    m.inc("serve.requests", requests.len() as u64);
-    m.inc("serve.served", served as u64);
-    m.inc("serve.rejected", rejected as u64);
-    m.inc("serve.deadline_missed", deadline_missed as u64);
-    m.inc("serve.cache.hits", cache.hits());
-    m.inc("serve.cache.misses", cache.misses());
-    m.inc("serve.cache.evictions", cache.evictions());
-    if config.coalesce_misses {
-        m.inc("serve.cache.coalesced", cache.coalesced());
-    }
-    m.inc("serve.gpu.batches", batches as u64);
-    m.inc("serve.gpu.compiled_shapes", compiled.len() as u64);
-    m.set_gauge("serve.throughput_qph", throughput_qph);
-    m.set_gauge("serve.makespan_s", makespan_s);
-    m.set_gauge("serve.gpu.occupancy", gpu_occupancy);
-    m.set_gauge("serve.cache.hit_rate", cache.hit_rate());
-    if active {
-        m.inc("serve.chaos.completed", completed as u64);
-        m.inc("serve.chaos.degraded", degraded as u64);
-        m.inc("serve.chaos.shed", shed as u64);
-        m.inc("serve.chaos.failed", failed as u64);
-        m.inc("serve.chaos.degraded_attempts", degraded_attempts);
-        m.inc("serve.chaos.requeues", requeues);
-        m.inc("serve.chaos.breaker_opens", breaker_opens);
-        m.inc("serve.chaos.faults", injector.events().len() as u64);
-        m.set_gauge("serve.chaos.availability", availability);
-        m.set_gauge("serve.chaos.goodput", goodput);
-        m.set_gauge("serve.chaos.lost_s", lost_seconds);
-    }
-
-    let causal = if config.provenance {
-        Some(CausalLog {
-            edges: engine.provenance().to_vec(),
-            makespan_event: best_done.map(|(_, seq)| seq),
-            completions,
-            splits,
-        })
-    } else {
-        None
-    };
-    let base = ServeReport {
-        config: *config,
-        served,
-        rejected,
-        deadline_missed,
-        makespan_s,
-        throughput_qph,
-        gpu_busy_s: gpu_busy,
-        gpu_occupancy,
-        batches,
-        compiled_shapes: compiled.len(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        cache_evictions: cache.evictions(),
-        cache_hit_rate: cache.hit_rate(),
-        cache_coalesced: cache.coalesced(),
-        latency: latency_hist.summary(),
-        timeline,
-        slo,
-        causal,
-        outcomes,
-    };
-    ChaosReport {
-        base,
-        chaos_active: active,
-        dispositions: disposition,
-        admitted,
-        completed,
-        degraded,
-        shed,
-        failed,
-        degraded_attempts,
-        requeues,
-        breaker_opens,
-        fault_events: injector.events().to_vec(),
-        lost_seconds,
-        availability,
-        goodput,
-    }
-}
-
-/// Apply (and clear) storage faults that fired with nothing in flight
-/// to the fill being scheduled now; returns the added delay. Shared
-/// with the policy loop in [`crate::policy`].
-pub(crate) fn drain_pending_storage(pending: &mut Vec<FaultKind>, load_s: f64) -> f64 {
-    let mut delay = 0.0;
-    for kind in pending.drain(..) {
-        delay += match kind {
-            FaultKind::StorageStall { stall_seconds } => stall_seconds,
-            FaultKind::StorageReadError => load_s,
-            _ => 0.0,
-        };
-    }
-    delay
+    core.fold(obs)
 }
 
 /// A named chaos serving scenario.

@@ -14,34 +14,37 @@
 //! - [`cache`]: a content-addressed, capacity-bounded LRU cache of MSA
 //!   feature files — a hit skips the entire CPU phase and charges only
 //!   a storage-priced feature load,
-//! - [`server`]: the phase-decoupled scheduler — a CPU worker pool
-//!   drains MSA jobs while the GPU queue forms inference batches of
-//!   size B, paying `xla_compile` once per shape and runtime init once
-//!   per process (reusing `gpu::runtime`'s cold/warm split), with
-//!   per-request [`afsb_core::resilience::Deadline`]s and the §VI
-//!   admission check,
+//! - [`server`]: the phase-decoupled scheduler's types and its
+//!   fault-free entry point [`run_serve`] — a CPU worker pool drains MSA
+//!   jobs while the GPU queue forms inference batches of size B, paying
+//!   `xla_compile` once per shape and runtime init once per process
+//!   (reusing `gpu::runtime`'s cold/warm split), with per-request
+//!   [`afsb_core::resilience::Deadline`]s and the §VI admission check,
 //! - [`scenario`]: the canonical scenario set behind `afsysbench
 //!   serve` and the `profile serve` baseline,
-//! - [`reference`]: the frozen seed step-scan scheduler, kept verbatim
-//!   as the byte-equivalence oracle for the event-driven [`server`],
-//! - [`chaos`]: the fault-tolerant twin of the server — `rt::fault`
-//!   plans delivered into the serving event loop, answered by a
-//!   recovery policy (requeue with backoff, circuit breaker, deadline
-//!   shedding, overload degradation), every admitted request ending in
-//!   exactly one disposition; with an empty plan it is byte-identical
-//!   to [`server`],
+//! - [`reference`](mod@reference): the frozen seed step-scan
+//!   scheduler, kept verbatim as the byte-equivalence oracle,
+//! - [`chaos`]: the eager serving loop — [`run_serve`] is it under an
+//!   empty plan; armed, `rt::fault` plans are delivered into the event
+//!   loop and answered by a recovery policy (requeue with backoff,
+//!   circuit breaker, deadline shedding, overload degradation), every
+//!   admitted request ending in exactly one disposition,
 //! - [`whatif`]: the causal profiler's projection engine — virtual
 //!   speedups (MSA ×k, GPU ×k, XLA ×k, +N workers, infinite cache)
 //!   replayed Coz-style over the provenance DAG the engine recorded,
 //!   each prediction validated against a ground-truth re-run with
 //!   scaled cost tables (`rt::obs::causal` extracts the critical path
 //!   and blame shares the projections are built on),
-//! - [`policy`]: pluggable scheduling policies over the same event
-//!   loop — FIFO (byte-identical baseline), predicted-cost SJF, EDF,
+//! - [`policy`]: the lazy serving loop with pluggable scheduling
+//!   policies — FIFO (byte-identical baseline), predicted-cost SJF, EDF,
 //!   shape-bucketed GPU batching, checkpoint-yield preemption and
 //!   speculative MSA-depth degradation — run as a matrix and validated
 //!   against the [`whatif`] projections.
 //!
+//! There are two serving loops, eager ([`chaos`]) and lazy
+//! ([`policy`]). They differ only in MSA dispatch and share one batch
+//! close, one report fold and one checkpoint salvage. The tests pin the
+//! chain reference ≡ chaos(empty plan) ≡ policy-FIFO byte for byte.
 //! Everything runs on the simulated clock: the same seed yields
 //! byte-identical reports, metrics and traces.
 

@@ -3,9 +3,11 @@
 //! `BENCH_serve.json` shows the paper's phase imbalance live in the
 //! simulator: ~3% GPU occupancy with p50 latency pinned at the deadline
 //! cap, because the CPU MSA phase starves the GPU. The causal profiler
-//! (PR 9) measured the levers; this module pulls them. It reruns the
-//! same deterministic event loop as [`crate::server`] /
-//! [`crate::chaos`] with the scheduling decisions factored into a
+//! measured the levers; this module pulls them. It is the second of
+//! the two serving loops: the lazy one. Everything but the MSA side —
+//! cache, GPU batch close, recovery steps and the report fold — is the
+//! shared `ServeCore` the eager loop in [`crate::chaos`]
+//! drives too; the scheduling decisions are factored into a
 //! [`PolicyConfig`]:
 //!
 //! - **queue discipline** — which queued MSA request a freed pool
@@ -24,14 +26,15 @@
 //!   re-queues; only the non-durable tail is ever redone,
 //! - **speculative admission** — when queue depth crosses a threshold,
 //!   new dispatches step down the `core::resilience`
-//!   [`DegradeStep::MsaDepthCap`] rung (shallower, faster searches at
+//!   `DegradeStep::MsaDepthCap` rung (shallower, faster searches at
 //!   lower quality), trading goodput for latency under overload.
 //!
 //! **FIFO stays reference-equivalent.** The policy loop dispatches
 //! lazily — a request waits in a central queue until a worker actually
-//! frees — while [`crate::server`] assigns arrivals eagerly to the
-//! least-loaded worker. For FIFO the two are the same schedule: the
-//! worker that frees first *is* the least-loaded worker, and at
+//! frees — while the eager loop in [`crate::chaos`] assigns arrivals to
+//! the least-loaded worker on arrival. For FIFO the two are the same
+//! schedule: the worker that frees first *is* the least-loaded worker,
+//! and at
 //! dispatch time `start = max(worker_free, enqueue_time)` reproduces
 //! the eager `max(workers[w], arrival)` bit for bit (when the job
 //! waited, the dispatch fires exactly at `worker_free`; when a worker
@@ -48,33 +51,25 @@
 //! invariant ([`ChaosReport::conserves_requests`]) is testable across
 //! the whole matrix. One deliberate divergence from [`crate::chaos`]:
 //! a kill immediately frees the worker for the next queued request
-//! (the policy layer is work-conserving), where the chaos twin keeps
+//! (the policy layer is work-conserving), where the eager loop keeps
 //! the killed slot reserved to preserve later start times.
+//!
+//! The lazy loop cannot yet replace the eager one. Its FIFO queue scan
+//! is O(queue) per dispatch, it implements no miss coalescing, and its
+//! work-conserving kills shift the chaos matrix's availability
+//! ordering — see ROADMAP item 1.
 
-use crate::cache::FeatureCache;
-use crate::chaos::{drain_pending_storage, ChaosConfig, ChaosReport, Disposition};
+use crate::chaos::{checkpoint_salvage, prefix_batch, ChaosConfig, ChaosReport, ServeCore};
 use crate::scenario::SERVE_SEED;
-use crate::server::{
-    CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
-    LATENCY_BOUNDS, TIMELINE_COLUMNS,
-};
+use crate::server::{CostTable, RequestOutcome, ServeConfig};
 use crate::whatif::{predict_makespan, WhatIf};
-use crate::workload::{self, Request};
 use afsb_core::report::ascii_table;
-use afsb_core::resilience::{CircuitBreaker, DegradeStep};
-use afsb_rt::fault::{FaultInjector, FaultKind};
-use afsb_rt::obs::timeline::{SloMonitor, TimelineSampler};
-use afsb_rt::obs::{Histogram, ObsSession};
-use afsb_rt::rng::mix;
-use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
+use afsb_rt::fault::FaultKind;
+use afsb_rt::obs::ObsSession;
+use afsb_rt::sim::{Event, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
 use afsb_simarch::Platform;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-
-/// Salt for the per-request retry-backoff jitter stream (same stream as
-/// the chaos twin, so recovery timing is comparable across loops).
-const BACKOFF_SALT: u64 = 0xC4A05;
 
 /// Which queued MSA request a freed pool worker takes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +128,7 @@ pub struct PolicyConfig {
     /// MSA duration multiplier under the degraded rung (< 1).
     pub degrade_msa_factor: f64,
     /// MSA depth cap reported for the rung's
-    /// [`DegradeStep::MsaDepthCap`].
+    /// [`afsb_core::resilience::DegradeStep::MsaDepthCap`].
     pub degraded_msa_depth: usize,
 }
 
@@ -240,7 +235,7 @@ impl Default for PolicyConfig {
 }
 
 /// Everything one policy run produced: the chaos-shaped report (which
-/// wraps the base [`ServeReport`] and the disposition accounting) plus
+/// wraps the base [`crate::server::ServeReport`] and the disposition accounting) plus
 /// the policy layer's own counters.
 #[derive(Debug, Clone)]
 pub struct PolicyReport {
@@ -296,28 +291,12 @@ struct Running {
     timer: TimerId,
 }
 
-/// One in-flight cache-hit feature load.
-#[derive(Debug, Clone, Copy)]
-struct Fill {
-    timer: TimerId,
-    entity: usize,
-    load_s: f64,
-}
-
-/// All mutable state of one policy run, so event handlers and the
-/// dispatch/preempt helpers can share it without 15-argument
-/// signatures.
+/// The lazy MSA side of one policy run over the shared [`ServeCore`]:
+/// a central queue plus one running job per worker.
 struct PolicyLoop<'a> {
-    config: &'a ServeConfig,
-    pol: &'a PolicyConfig,
-    chaos: &'a ChaosConfig,
-    costs: &'a CostTable,
+    core: ServeCore<'a>,
     obs: &'a mut ObsSession,
-    requests: Vec<Request>,
-    engine: SimEngine,
-    cache: FeatureCache,
-    active: bool,
-    injector: FaultInjector,
+    pol: &'a PolicyConfig,
 
     // Degradation knobs resolved once: speculation's own threshold wins,
     // else the chaos recovery policy's (when a plan is armed), else off.
@@ -325,71 +304,36 @@ struct PolicyLoop<'a> {
     deg_factor: f64,
     deg_rung_depth: usize,
 
-    // MSA side: the central queue plus one running job per worker.
     msa_queue: Vec<usize>,
     enqueued_at: Vec<f64>,
     running: Vec<Option<Running>>,
     workers: Vec<f64>,
-    fills: BTreeMap<usize, Fill>,
-    pending_storage: Vec<FaultKind>,
-
-    // GPU side.
-    pool: Vec<usize>,
-    gpu_free: f64,
-    gpu_busy: f64,
-    batches: usize,
-    compiled: BTreeSet<SampleId>,
-    inited: bool,
-    gpu_penalty_s: f64,
-    pending_compile_factor: Option<f64>,
-
-    // Outcome + recovery state.
-    outcomes: Vec<RequestOutcome>,
-    disposition: Vec<Option<Disposition>>,
-    degraded_req: Vec<bool>,
-    attempts: Vec<u32>,
-    durable: Vec<f64>,
     preempt_count: Vec<u32>,
-    deadline_timers: Vec<Option<TimerId>>,
-    requeue_timers: Vec<Option<TimerId>>,
-    wait_since: Vec<f64>,
-    parked: Vec<usize>,
-    breaker: CircuitBreaker,
-    breaker_open: bool,
-    requeues: u64,
-    breaker_opens: u64,
-    degraded_attempts: u64,
     preemptions: u64,
     preempt_lost_s: f64,
-
-    // Observation-only.
-    timeline: Option<TimelineSampler>,
-    slo_obs: Vec<(f64, bool)>,
-    splits: BTreeMap<u64, SegmentSplit>,
-    completions: Vec<Option<u64>>,
-    best_done: Option<(f64, u64)>,
 }
 
 impl PolicyLoop<'_> {
     /// The overload signal speculation triggers on: queued-not-running
     /// MSA requests plus breaker-parked ones.
     fn queue_pressure(&self) -> usize {
-        self.msa_queue.len() + self.parked.len()
+        self.msa_queue.len() + self.core.parked.len()
     }
 
     /// The discipline's priority key for a queued request (lower is
     /// better; the request id breaks every tie deterministically).
     fn queue_key(&self, r: usize) -> f64 {
+        let core = &self.core;
         match self.pol.queue {
             QueueDiscipline::Fifo => self.enqueued_at[r],
             QueueDiscipline::Sjf => {
-                (1.0 - self.durable[r]).max(0.0) * self.costs.shape(self.requests[r].sample).msa_s
+                (1.0 - core.durable[r]).max(0.0) * core.costs.shape(core.requests[r].sample).msa_s
             }
-            QueueDiscipline::Edf => self
+            QueueDiscipline::Edf => core
                 .config
                 .deadline
                 .limit_seconds()
-                .map_or(f64::INFINITY, |l| self.requests[r].arrival_s + l),
+                .map_or(f64::INFINITY, |l| core.requests[r].arrival_s + l),
         }
     }
 
@@ -397,10 +341,7 @@ impl PolicyLoop<'_> {
     /// runs out. For FIFO this reproduces the eager engine's schedule
     /// exactly (see the module docs).
     fn dispatch_ready(&mut self, now: f64) {
-        loop {
-            if self.msa_queue.is_empty() {
-                break;
-            }
+        while !self.msa_queue.is_empty() {
             let Some(w) = (0..self.workers.len())
                 .filter(|&w| self.running[w].is_none())
                 .min_by(|&a, &b| self.workers[a].total_cmp(&self.workers[b]).then(a.cmp(&b)))
@@ -422,29 +363,22 @@ impl PolicyLoop<'_> {
 
     /// Start request `r`'s MSA attempt on worker `w`.
     fn dispatch(&mut self, w: usize, r: usize, now: f64) {
-        let req = &self.requests[r];
-        let shape = self.costs.shape(req.sample);
-        if self.deg_depth > 0 && !self.degraded_req[r] && self.queue_pressure() >= self.deg_depth {
-            self.degraded_req[r] = true;
-            self.degraded_attempts += 1;
-            self.obs.tracer.instant_at(
-                now,
-                format!(
-                    "degrade:{}",
-                    DegradeStep::MsaDepthCap {
-                        depth: self.deg_rung_depth
-                    }
-                ),
-            );
+        if self.deg_depth > 0
+            && !self.core.degraded_req[r]
+            && self.queue_pressure() >= self.deg_depth
+        {
+            self.core.degrade(r, now, self.deg_rung_depth, self.obs);
         }
-        let mut msa_s = (1.0 - self.durable[r]).max(0.0) * shape.msa_s;
-        if self.degraded_req[r] {
+        let core = &mut self.core;
+        let mut msa_s =
+            (1.0 - core.durable[r]).max(0.0) * core.costs.shape(core.requests[r].sample).msa_s;
+        if core.degraded_req[r] {
             msa_s *= self.deg_factor;
         }
         let start = self.workers[w].max(self.enqueued_at[r]);
         let done = start + msa_s;
         self.workers[w] = done;
-        let timer = self.engine.schedule_tagged(
+        let timer = core.engine.schedule_tagged(
             done,
             Event::MsaDone {
                 request: r,
@@ -452,44 +386,51 @@ impl PolicyLoop<'_> {
             },
             WaitEdge::WorkerBusy,
         );
-        if self.config.provenance {
-            // Lazy dispatch means this edge's parent is the event that
-            // freed the worker (or the arrival itself), so the queue
-            // wait is already embodied in the parent chain — the edge
-            // carries service only. `wait_s + service_s` must equal the
-            // recorded edge duration (`done - now`) for the what-if
-            // replay to telescope exactly at scale 1.
-            self.splits.insert(
-                timer.seq(),
-                SegmentSplit {
-                    wait_s: start - now,
-                    service_s: done - start,
-                    compile_s: 0.0,
-                },
-            );
-        }
+        // Lazy dispatch means this edge's parent is the event that freed
+        // the worker (or the arrival itself), so the queue wait is
+        // already embodied in the parent chain: `wait_s + service_s`
+        // equals the recorded edge duration (`done - now`), which the
+        // what-if replay needs to telescope exactly at scale 1.
+        core.record_split(timer, start - now, done - start);
         self.running[w] = Some(Running {
             request: r,
             start_s: start,
             done_s: done,
             timer,
         });
-        let seg = &mut self.outcomes[r].segments;
-        seg.msa_queue_wait_s += start - self.enqueued_at[r];
-        seg.msa_service_s += done - start;
-        self.outcomes[r].ready_s = done;
+        let o = &mut core.outcomes[r];
+        o.segments.msa_queue_wait_s += start - self.enqueued_at[r];
+        o.segments.msa_service_s += done - start;
+        o.ready_s = done;
+    }
+
+    /// Take worker `w`'s running job off the pool at `now`: cancel its
+    /// completion, drop its un-run tail from the attribution (a
+    /// redispatch adds its own segments), free the worker and salvage
+    /// checkpointed progress on a grid of `units`. Returns the request
+    /// and the seconds lost.
+    fn stop_running(&mut self, w: usize, now: f64, units: usize) -> (usize, f64) {
+        let j = self.running[w].take().expect("worker is running");
+        let core = &mut self.core;
+        core.engine.cancel(j.timer);
+        let r = j.request;
+        core.outcomes[r].segments.msa_service_s -= j.done_s - now;
+        self.workers[w] = now;
+        let msa_s = core.costs.shape(core.requests[r].sample).msa_s;
+        let lost = checkpoint_salvage(&mut core.durable[r], j.start_s, j.done_s, now, units, msa_s);
+        (r, lost)
     }
 
     /// Checkpoint-yield: park the running job with the most remaining
     /// work if an arriving job of `incoming_msa_s` full seconds is
     /// enough shorter. Returns whether a worker was freed.
     fn maybe_preempt(&mut self, incoming_msa_s: f64, now: f64) -> bool {
-        if (0..self.workers.len()).any(|w| self.running[w].is_none()) {
+        if self.running.iter().any(Option::is_none) {
             return false;
         }
         let mut victim: Option<(f64, usize)> = None;
-        for w in 0..self.workers.len() {
-            if let Some(j) = &self.running[w] {
+        for (w, j) in self.running.iter().enumerate() {
+            if let Some(j) = j {
                 let rem = j.done_s - now;
                 if victim.is_none_or(|(best, _)| rem > best) {
                     victim = Some((rem, w));
@@ -499,94 +440,72 @@ impl PolicyLoop<'_> {
         let Some((rem, w)) = victim else {
             return false;
         };
-        let j = self.running[w].expect("victim worker is running");
+        let r = self.running[w].expect("victim worker is running").request;
         if rem <= incoming_msa_s * self.pol.preempt_min_ratio
-            || self.preempt_count[j.request] >= self.pol.max_preemptions
+            || self.preempt_count[r] >= self.pol.max_preemptions
         {
             return false;
         }
-        self.engine.cancel(j.timer);
-        let r = j.request;
-        // Drop the un-run tail from the attribution; the redispatch adds
-        // its own queue-wait and service segments.
-        self.outcomes[r].segments.msa_service_s -= j.done_s - now;
-        // Durable progress floors to the jackhmmer checkpoint grid —
-        // identical salvage math to a chaos kill, but voluntary.
-        let span = j.done_s - j.start_s;
-        let progress = if span <= 0.0 {
-            0.0
-        } else {
-            ((now - j.start_s) / span).clamp(0.0, 1.0)
-        };
-        let before = self.durable[r];
-        let overall = before + progress * (1.0 - before);
-        let units = self.pol.checkpoint_units.max(1) as f64;
-        self.durable[r] = (overall * units).floor() / units;
-        let spent = (now - j.start_s).max(0.0);
-        let salvaged = (self.durable[r] - before) * self.costs.shape(self.requests[r].sample).msa_s;
-        self.preempt_lost_s += (spent - salvaged).max(0.0);
+        // Identical salvage to a chaos kill, but voluntary.
+        let (r, lost) = self.stop_running(w, now, self.pol.checkpoint_units);
+        self.preempt_lost_s += lost;
         self.preemptions += 1;
         self.preempt_count[r] += 1;
-        self.workers[w] = now;
-        self.running[w] = None;
         self.enqueued_at[r] = now;
         self.msa_queue.push(r);
         self.obs.tracer.instant_at(now, "preempt:checkpoint-yield");
         true
     }
+}
 
-    /// Pick the GPU batch once the pool is sorted and the batch start
-    /// time fixed: either the arrival-order eligible prefix (the
-    /// reference rule) or the dominant shape bucket of the eligible set.
-    fn pick_batch(&mut self, start: f64) -> Vec<usize> {
-        if !self.pol.shape_batching {
-            let mut take = 1usize;
-            while take < self.config.gpu_batch
-                && take < self.pool.len()
-                && self.outcomes[self.pool[take]].ready_s <= start
-            {
-                take += 1;
-            }
-            return self.pool.drain(..take).collect();
-        }
-        let eligible = self
-            .pool
-            .iter()
-            .take_while(|&&i| self.outcomes[i].ready_s <= start)
-            .count()
-            .max(1);
-        // Dominant shape of the whole eligible window (not just the
-        // first B): max count, earliest first appearance breaking ties.
-        let mut counts: Vec<(SampleId, usize)> = Vec::new();
-        for &i in &self.pool[..eligible] {
-            let s = self.outcomes[i].request.sample;
-            match counts.iter_mut().find(|(cs, _)| *cs == s) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((s, 1)),
-            }
-        }
-        let mut dom = counts[0].0;
-        let mut dom_count = counts[0].1;
-        for &(s, c) in &counts[1..] {
-            if c > dom_count {
-                dom = s;
-                dom_count = c;
-            }
-        }
-        let mut taken = Vec::new();
-        let mut rest = Vec::new();
-        for &i in &self.pool[..eligible] {
-            if self.outcomes[i].request.sample == dom && taken.len() < self.config.gpu_batch {
-                taken.push(i);
-            } else {
-                rest.push(i);
-            }
-        }
-        let tail: Vec<usize> = self.pool[eligible..].to_vec();
-        self.pool = rest;
-        self.pool.extend(tail);
-        taken
+/// Pick a GPU batch from the sorted pool: the arrival-order prefix
+/// (the reference rule), or with `shape_batching` the dominant shape
+/// bucket of everything ready by `start`.
+fn pick_batch(
+    pool: &mut Vec<usize>,
+    outcomes: &[RequestOutcome],
+    start: f64,
+    gpu_batch: usize,
+    shape_batching: bool,
+) -> Vec<usize> {
+    if !shape_batching {
+        return prefix_batch(pool, outcomes, start, gpu_batch);
     }
+    let eligible = pool
+        .iter()
+        .take_while(|&&i| outcomes[i].ready_s <= start)
+        .count()
+        .max(1);
+    // Dominant shape of the whole eligible window (not just the first
+    // B): max count, earliest first appearance breaking ties.
+    let mut counts: Vec<(SampleId, usize)> = Vec::new();
+    for &i in &pool[..eligible] {
+        let s = outcomes[i].request.sample;
+        match counts.iter_mut().find(|(cs, _)| *cs == s) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((s, 1)),
+        }
+    }
+    let mut dom = counts[0].0;
+    let mut dom_count = counts[0].1;
+    for &(s, c) in &counts[1..] {
+        if c > dom_count {
+            dom = s;
+            dom_count = c;
+        }
+    }
+    let mut taken = Vec::new();
+    let mut rest = Vec::new();
+    for &i in &pool[..eligible] {
+        if outcomes[i].request.sample == dom && taken.len() < gpu_batch {
+            taken.push(i);
+        } else {
+            rest.push(i);
+        }
+    }
+    rest.extend_from_slice(&pool[eligible..]);
+    *pool = rest;
+    taken
 }
 
 /// Run the serving simulation under a scheduling policy, optionally
@@ -598,9 +517,11 @@ impl PolicyLoop<'_> {
 ///
 /// # Panics
 ///
-/// Panics when `config.coalesce_misses` is set — the policy loop keeps
-/// one running job per worker and no coalesced-waiter bookkeeping; the
-/// canonical scenarios it serves all have coalescing off.
+/// Panics with the [`ServeConfig::validate`] error on a degenerate
+/// config, and when `config.coalesce_misses` is set — the policy loop
+/// keeps one running job per worker and no coalesced-waiter
+/// bookkeeping; the canonical scenarios it serves all have coalescing
+/// off.
 pub fn run_serve_policy(
     config: &ServeConfig,
     pol: &PolicyConfig,
@@ -608,45 +529,19 @@ pub fn run_serve_policy(
     costs: &CostTable,
     obs: &mut ObsSession,
 ) -> PolicyReport {
-    assert!(config.cpu_workers > 0, "need at least one CPU worker");
-    assert!(config.gpu_batch > 0, "need a GPU batch size of at least 1");
     assert!(
         !config.coalesce_misses,
         "the policy loop does not implement miss coalescing"
     );
-
-    let active = chaos.is_active();
-    let requests = workload::generate(&config.workload);
-    let n = requests.len();
-    let mut cache = FeatureCache::new(config.cache_capacity_bytes);
-    if config.prewarm_cache {
-        for entity in 0..config.workload.catalog_size {
-            let shape = costs.shape(workload::sample_for_entity(entity));
-            cache.insert(entity, shape.feature_bytes);
-        }
-    }
-
-    obs.tracer.begin("serve");
-
-    let mut engine = SimEngine::new();
-    if config.provenance {
-        engine.record_provenance();
-    }
-    let timeline = if config.telemetry.timeline_interval_s > 0.0 {
-        let mut tl = TimelineSampler::new(config.telemetry.timeline_interval_s, &TIMELINE_COLUMNS);
-        tl.set_many(&[0.0, 0.0, 0.0, cache.len() as f64, 0.0, 0.0, 0.0]);
-        Some(tl)
-    } else {
-        None
-    };
-
+    let core = ServeCore::new(config, chaos, costs, obs);
+    let n = core.requests.len();
     let (deg_depth, deg_factor, deg_rung_depth) = if pol.speculate_queue_depth > 0 {
         (
             pol.speculate_queue_depth,
             pol.degrade_msa_factor,
             pol.degraded_msa_depth,
         )
-    } else if active {
+    } else if core.active {
         (
             chaos.policy.degrade_queue_depth,
             chaos.policy.degrade_msa_factor,
@@ -655,17 +550,10 @@ pub fn run_serve_policy(
     } else {
         (0, 1.0, 0)
     };
-
     let mut lp = PolicyLoop {
-        config,
-        pol,
-        chaos,
-        costs,
+        core,
         obs,
-        engine,
-        cache,
-        active,
-        injector: chaos.plan.injector(),
+        pol,
         deg_depth,
         deg_factor,
         deg_rung_depth,
@@ -673,413 +561,115 @@ pub fn run_serve_policy(
         enqueued_at: vec![0.0; n],
         running: vec![None; config.cpu_workers],
         workers: vec![0.0; config.cpu_workers],
-        fills: BTreeMap::new(),
-        pending_storage: Vec::new(),
-        pool: Vec::new(),
-        gpu_free: 0.0,
-        gpu_busy: 0.0,
-        batches: 0,
-        compiled: BTreeSet::new(),
-        inited: false,
-        gpu_penalty_s: 0.0,
-        pending_compile_factor: None,
-        outcomes: Vec::with_capacity(n),
-        disposition: vec![None; n],
-        degraded_req: vec![false; n],
-        attempts: vec![0; n],
-        durable: vec![0.0; n],
         preempt_count: vec![0; n],
-        deadline_timers: vec![None; n],
-        requeue_timers: vec![None; n],
-        wait_since: vec![0.0; n],
-        parked: Vec::new(),
-        breaker: CircuitBreaker::new(chaos.policy.breaker_threshold),
-        breaker_open: false,
-        requeues: 0,
-        breaker_opens: 0,
-        degraded_attempts: 0,
         preemptions: 0,
         preempt_lost_s: 0.0,
-        timeline,
-        slo_obs: Vec::new(),
-        splits: BTreeMap::new(),
-        completions: vec![None; n],
-        best_done: None,
-        requests,
     };
 
-    if lp.active {
-        for f in lp.chaos.plan.faults() {
-            lp.engine.schedule(f.not_before_s, Event::Fault(f.kind));
-        }
-    }
-    if let Some(first) = lp.requests.first() {
-        let at = first.arrival_s;
-        lp.engine.schedule(at, Event::Arrival { request: 0 });
-    }
-
-    while let Some((now, event)) = lp.engine.pop() {
-        if let Some(tl) = lp.timeline.as_mut() {
-            tl.advance_to(now);
-        }
+    while let Some((now, event)) = lp.core.next_event() {
         match event {
             Event::Arrival { request } => lp.on_arrival(request, now),
-            Event::MsaDone { request, worker } => lp.on_msa_done(request, worker, now),
-            Event::CacheFill { request, .. } => lp.on_cache_fill(request, now),
-            Event::BatchClose => lp.on_batch_close(now),
-            Event::GpuDone { .. } => {
-                if !lp.pool.is_empty() {
-                    lp.engine
-                        .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
+            Event::MsaDone { request, worker } => {
+                if lp.running[worker].is_some_and(|j| j.request == request) {
+                    lp.running[worker] = None;
                 }
+                lp.core.commit_fill(request);
+                lp.core.mark_ready(request, now);
+                lp.dispatch_ready(now);
             }
+            Event::CacheFill { request, .. } => lp.core.fill_landed(request, now),
+            Event::BatchClose => {
+                let shape_batching = pol.shape_batching;
+                lp.core
+                    .close_batch(now, lp.obs, |pool, outcomes, start, cap| {
+                        pick_batch(pool, outcomes, start, cap, shape_batching)
+                    });
+            }
+            Event::GpuDone { .. } => lp.core.gpu_done(now),
             Event::DeadlineExpired { request } => lp.on_deadline(request, now),
             Event::Fault(kind) => lp.on_fault(kind, now),
-            Event::Requeue { request } => lp.on_requeue(request, now),
-            Event::BreakerClose => lp.on_breaker_close(now),
+            Event::Requeue { request } => {
+                if lp.core.requeue(request, now, lp.obs) {
+                    lp.enqueued_at[request] = now;
+                    lp.msa_queue.push(request);
+                    lp.dispatch_ready(now);
+                }
+            }
+            Event::BreakerClose => lp.core.close_breaker(now, lp.obs),
         }
-        if let Some(tl) = lp.timeline.as_mut() {
-            tl.set_many(&[
-                (lp.msa_queue.len() + lp.running.iter().flatten().count() + lp.parked.len()) as f64,
-                lp.workers.iter().filter(|&&t| t > now).count() as f64,
-                if lp.gpu_free > now { 1.0 } else { 0.0 },
-                lp.cache.len() as f64,
-                lp.cache.hit_rate(),
-                lp.fills.len() as f64,
-                if lp.breaker_open { 1.0 } else { 0.0 },
-            ]);
-        }
+        let queued = || lp.msa_queue.len() + lp.running.iter().flatten().count();
+        lp.core.sample(now, queued, &lp.workers);
     }
 
-    lp.fold()
+    // The shared fold, plus the policy layer's own metrics when a
+    // non-baseline mechanism is armed.
+    let report = lp.core.fold(lp.obs);
+    if !pol.is_plain_fifo() {
+        let m = &mut lp.obs.metrics;
+        m.inc("serve.policy.preemptions", lp.preemptions);
+        m.inc("serve.policy.degraded_attempts", report.degraded_attempts);
+        m.set_gauge("serve.policy.preempt_lost_s", lp.preempt_lost_s);
+    }
+    PolicyReport {
+        chaos: report,
+        policy: *pol,
+        preemptions: lp.preemptions,
+        preempt_lost_s: lp.preempt_lost_s,
+    }
 }
 
 impl PolicyLoop<'_> {
     fn on_arrival(&mut self, request: usize, now: f64) {
-        let req = self.requests[request];
-        let shape = *self.costs.shape(req.sample);
+        let req = self.core.requests[request];
+        let shape = *self.core.costs.shape(req.sample);
         if !shape.admitted {
-            self.outcomes.push(RequestOutcome {
-                request: req,
-                cache_hit: false,
-                rejected: true,
-                ready_s: req.arrival_s,
-                done_s: 0.0,
-                deadline_missed: false,
-                finished: false,
-                segments: PhaseSegments::default(),
-            });
+            self.core.push_pending(request, true);
+        } else if self.core.cache.lookup(req.entity) {
+            self.core
+                .admit_hit(request, req.arrival_s, shape.feature_load_s, false);
         } else {
-            let mut segments = PhaseSegments::default();
-            let cache_hit = self.cache.lookup(req.entity);
-            if cache_hit {
-                let mut ready = req.arrival_s + shape.feature_load_s;
-                if self.active && !self.pending_storage.is_empty() {
-                    let delay =
-                        drain_pending_storage(&mut self.pending_storage, shape.feature_load_s);
-                    ready += delay;
-                    self.injector.charge(delay);
-                }
-                let timer = self.engine.schedule_tagged(
-                    ready,
-                    Event::CacheFill {
-                        request,
-                        entity: req.entity,
-                    },
-                    WaitEdge::CacheFill,
-                );
-                self.fills.insert(
-                    request,
-                    Fill {
-                        timer,
-                        entity: req.entity,
-                        load_s: shape.feature_load_s,
-                    },
-                );
-                segments.cache_wait_s = ready - req.arrival_s;
-                self.outcomes.push(RequestOutcome {
-                    request: req,
-                    cache_hit: true,
-                    rejected: false,
-                    ready_s: ready,
-                    done_s: 0.0,
-                    deadline_missed: false,
-                    finished: false,
-                    segments,
-                });
-            } else {
-                // Miss: enqueue, optionally yield a long-running job,
-                // then let the dispatcher fill free workers. For plain
-                // FIFO with a free worker this schedules the MsaDone
-                // timer at exactly the point the eager loop would, so
-                // event seq numbers (and thus same-timestamp ordering)
-                // are preserved.
-                self.outcomes.push(RequestOutcome {
-                    request: req,
-                    cache_hit: false,
-                    rejected: false,
-                    ready_s: req.arrival_s,
-                    done_s: 0.0,
-                    deadline_missed: false,
-                    finished: false,
-                    segments,
-                });
-                self.enqueued_at[request] = req.arrival_s;
-                self.msa_queue.push(request);
-                if self.pol.preempt {
-                    self.maybe_preempt(shape.msa_s, now);
-                }
-                self.dispatch_ready(now);
+            // Miss: enqueue, optionally yield a long-running job, then
+            // let the dispatcher fill free workers. For plain FIFO with a
+            // free worker this schedules the MsaDone timer at exactly the
+            // point the eager loop would, so event seq numbers (and thus
+            // same-timestamp ordering) are preserved.
+            self.core.push_pending(request, false);
+            self.enqueued_at[request] = req.arrival_s;
+            self.msa_queue.push(request);
+            if self.pol.preempt {
+                self.maybe_preempt(shape.msa_s, now);
             }
-            if let Some(limit) = self.config.deadline.limit_seconds() {
-                self.deadline_timers[request] = Some(self.engine.schedule_tagged(
-                    req.arrival_s + limit,
-                    Event::DeadlineExpired { request },
-                    WaitEdge::Deadline,
-                ));
-            }
+            self.dispatch_ready(now);
         }
-        if request + 1 < self.requests.len() {
-            let at = self.requests[request + 1].arrival_s;
-            self.engine.schedule(
-                at,
-                Event::Arrival {
-                    request: request + 1,
-                },
-            );
-        }
-    }
-
-    fn on_msa_done(&mut self, request: usize, worker: usize, now: f64) {
-        let req = self.requests[request];
-        if self.running[worker]
-            .as_ref()
-            .is_some_and(|j| j.request == request)
-        {
-            self.running[worker] = None;
-        }
-        // Inserts stop once every arrival has landed (same guard as the
-        // eager loops: late completions don't shuffle the LRU order the
-        // canonical runs pinned).
-        if self.outcomes.len() < self.requests.len() {
-            self.cache
-                .insert(req.entity, self.costs.shape(req.sample).feature_bytes);
-        }
-        self.pool.push(request);
-        if now >= self.gpu_free {
-            self.engine
-                .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-        }
-        self.dispatch_ready(now);
-    }
-
-    fn on_cache_fill(&mut self, request: usize, now: f64) {
-        self.fills.remove(&request);
-        self.pool.push(request);
-        if now >= self.gpu_free {
-            self.engine
-                .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-        }
-    }
-
-    fn on_batch_close(&mut self, now: f64) {
-        if self.pool.is_empty() || now < self.gpu_free {
-            return;
-        }
-        self.pool.sort_by(|&a, &b| {
-            self.outcomes[a]
-                .ready_s
-                .partial_cmp(&self.outcomes[b].ready_s)
-                .unwrap()
-                .then(
-                    self.outcomes[a]
-                        .request
-                        .id
-                        .cmp(&self.outcomes[b].request.id),
-                )
-        });
-        let start = self.gpu_free.max(self.outcomes[self.pool[0]].ready_s);
-        let batch = self.pick_batch(start);
-
-        let pay_init = !self.inited;
-        let new_shapes: Vec<SampleId> = batch
-            .iter()
-            .map(|&idx| self.outcomes[idx].request.sample)
-            .filter(|&s| self.compiled.insert(s))
-            .collect();
-        let compile_factor = if self.active && !new_shapes.is_empty() {
-            self.pending_compile_factor.take().unwrap_or(1.0)
-        } else {
-            1.0
-        };
-        let reinit_s = if self.active {
-            std::mem::take(&mut self.gpu_penalty_s)
-        } else {
-            0.0
-        };
-        let mut service = if pay_init { self.costs.init_s } else { 0.0 }
-            + self.costs.dispatch_s
-            + new_shapes
-                .iter()
-                .map(|&s| self.costs.shape(s).compile_s * compile_factor)
-                .sum::<f64>()
-            + batch
-                .iter()
-                .map(|&idx| {
-                    self.costs
-                        .shape(self.outcomes[idx].request.sample)
-                        .compute_s
-                })
-                .sum::<f64>();
-        if reinit_s > 0.0 {
-            service += reinit_s;
-            self.injector.charge(reinit_s);
-        }
-        if compile_factor > 1.0 {
-            let base_compile: f64 = new_shapes
-                .iter()
-                .map(|&s| self.costs.shape(s).compile_s)
-                .sum();
-            self.injector
-                .charge(base_compile * compile_factor - base_compile);
-        }
-        let done = start + service;
-
-        let batch_span = self.obs.tracer.closed_span("gpu_batch", start, service);
-        let mut at = start;
-        if reinit_s > 0.0 {
-            self.obs
-                .tracer
-                .child_span(batch_span, "gpu_reinit", at, reinit_s);
-            at += reinit_s;
-        }
-        if pay_init {
-            self.inited = true;
-            self.obs
-                .tracer
-                .child_span(batch_span, "init", at, self.costs.init_s);
-            at += self.costs.init_s;
-        }
-        self.obs
-            .tracer
-            .child_span(batch_span, "dispatch", at, self.costs.dispatch_s);
-        at += self.costs.dispatch_s;
-        let compile_begin = at;
-        for &s in &new_shapes {
-            let compile_s = self.costs.shape(s).compile_s * compile_factor;
-            self.obs
-                .tracer
-                .child_span(batch_span, "xla_compile", at, compile_s);
-            at += compile_s;
-        }
-        let compile_end = at;
-        for &idx in &batch {
-            let shape = self.costs.shape(self.outcomes[idx].request.sample);
-            self.obs
-                .tracer
-                .child_span(batch_span, "gpu_compute", at, shape.compute_s);
-            at += shape.compute_s;
-        }
-        debug_assert!((at - done).abs() < 1e-9);
-        for &idx in &batch {
-            self.outcomes[idx].done_s = done;
-            self.outcomes[idx].finished = true;
-            let o = &mut self.outcomes[idx];
-            o.segments.batch_wait_s += start - o.ready_s;
-            o.segments.xla_compile_s += compile_end - compile_begin;
-            o.segments.close(o.done_s - o.request.arrival_s);
-            self.outcomes[idx].deadline_missed = self
-                .config
-                .deadline
-                .exceeded(self.outcomes[idx].latency_s());
-            if !self.outcomes[idx].deadline_missed {
-                if let Some(timer) = self.deadline_timers[idx].take() {
-                    self.engine.cancel(timer);
-                }
-            }
-            self.disposition[idx] = Some(if self.degraded_req[idx] {
-                Disposition::Degraded
-            } else {
-                Disposition::Completed
-            });
-            if self.config.telemetry.slo.is_some() {
-                self.slo_obs.push((
-                    done,
-                    !self.outcomes[idx].deadline_missed && !self.degraded_req[idx],
-                ));
-            }
-        }
-        self.gpu_busy += done - start;
-        self.gpu_free = done;
-        self.batches += 1;
-        let timer = self.engine.schedule_tagged(
-            done,
-            Event::GpuDone {
-                batch: self.batches,
-            },
-            WaitEdge::GpuBusy,
-        );
-        if self.config.provenance {
-            let compile_total = compile_end - compile_begin;
-            self.splits.insert(
-                timer.seq(),
-                SegmentSplit {
-                    wait_s: start - now,
-                    service_s: (done - start) - compile_total,
-                    compile_s: compile_total,
-                },
-            );
-            for &idx in &batch {
-                self.completions[idx] = Some(timer.seq());
-            }
-            if self.best_done.is_none_or(|(t, _)| done >= t) {
-                self.best_done = Some((done, timer.seq()));
-            }
-        }
+        self.core.finish_arrival(request, shape.admitted);
     }
 
     fn on_deadline(&mut self, request: usize, now: f64) {
-        if self.active
-            && self.chaos.policy.shed_expired
-            && !self.outcomes[request].rejected
-            && self.disposition[request].is_none()
-        {
-            let mut shed = false;
-            if let Some(pos) = self.msa_queue.iter().position(|&r| r == request) {
+        if self.core.may_shed(request) {
+            let core = &mut self.core;
+            let shed = if let Some(pos) = self.msa_queue.iter().position(|&r| r == request) {
                 self.msa_queue.remove(pos);
-                shed = true;
-            }
-            if !shed {
-                if let Some(pos) = self.parked.iter().position(|&r| r == request) {
-                    self.parked.remove(pos);
-                    shed = true;
-                }
-            }
-            if !shed {
-                if let Some(timer) = self.requeue_timers[request].take() {
-                    self.engine.cancel(timer);
-                    shed = true;
-                }
-            }
+                true
+            } else if let Some(pos) = core.parked.iter().position(|&r| r == request) {
+                core.parked.remove(pos);
+                true
+            } else if let Some(timer) = core.requeue_timers[request].take() {
+                core.engine.cancel(timer);
+                true
+            } else {
+                false
+            };
             if shed {
-                self.disposition[request] = Some(Disposition::Shed);
-                self.obs.tracer.instant_at(now, "shed");
-                if self.config.telemetry.slo.is_some() {
-                    self.slo_obs.push((now, false));
-                }
+                core.shed(request, now, self.obs);
             }
         }
-        self.outcomes[request].deadline_missed = true;
+        self.core.outcomes[request].deadline_missed = true;
     }
 
     fn on_fault(&mut self, kind: FaultKind, now: f64) {
-        self.injector.sync_to(now);
-        let Some(fired) = self.injector.poll(kind.site()) else {
+        let Some(fired) = self.core.fire(kind, now, self.obs) else {
             return;
         };
-        self.obs
-            .tracer
-            .instant_at(now, format!("fault:{}", fired.label()));
         match fired {
             FaultKind::OomKill { at_fraction } | FaultKind::WorkerCrash { at_fraction } => {
                 let busy: Vec<usize> = (0..self.workers.len())
@@ -1090,94 +680,26 @@ impl PolicyLoop<'_> {
                 }
                 let frac = at_fraction.clamp(0.0, 1.0);
                 let w = busy[((frac * busy.len() as f64) as usize).min(busy.len() - 1)];
-                let j = self.running[w].take().expect("busy worker is running");
-                self.engine.cancel(j.timer);
-                let r = j.request;
-                self.outcomes[r].segments.msa_service_s -= j.done_s - now;
-                self.wait_since[r] = now;
-                // Work-conserving divergence from the chaos twin: the
+                // Work-conserving divergence from the chaos loop: the
                 // slot frees immediately, the next queued request takes
                 // it (see the module docs).
-                self.workers[w] = now;
-                let span = j.done_s - j.start_s;
-                let progress = if span <= 0.0 {
-                    0.0
-                } else {
-                    ((now - j.start_s) / span).clamp(0.0, 1.0)
-                };
-                let before = self.durable[r];
-                let overall = before + progress * (1.0 - before);
-                let units = self.chaos.policy.checkpoint_units.max(1) as f64;
-                self.durable[r] = (overall * units).floor() / units;
-                let spent = (now - j.start_s).max(0.0);
-                let salvaged =
-                    (self.durable[r] - before) * self.costs.shape(self.requests[r].sample).msa_s;
-                self.injector.charge((spent - salvaged).max(0.0));
-                self.attempts[r] += 1;
-                if self.attempts[r] >= self.chaos.policy.max_attempts.max(1) {
-                    self.disposition[r] = Some(Disposition::Failed);
-                    self.obs.tracer.instant_at(now, "failed");
-                    if self.config.telemetry.slo.is_some() {
-                        self.slo_obs.push((now, false));
-                    }
-                    if let Some(timer) = self.deadline_timers[r].take() {
-                        self.engine.cancel(timer);
-                    }
-                } else {
-                    let backoff = self.chaos.policy.retry.backoff_seconds(
-                        self.attempts[r],
-                        mix(self.config.workload.seed, BACKOFF_SALT ^ r as u64),
-                    );
-                    self.requeue_timers[r] = Some(self.engine.schedule_tagged(
-                        now + backoff,
-                        Event::Requeue { request: r },
-                        WaitEdge::Admission,
-                    ));
-                    if self.breaker.record_failure() && !self.breaker_open {
-                        self.breaker_open = true;
-                        self.breaker_opens += 1;
-                        self.obs.tracer.instant_at(now, "circuit-open");
-                        self.engine.schedule_tagged(
-                            now + self.chaos.policy.breaker_cooldown_s,
-                            Event::BreakerClose,
-                            WaitEdge::Admission,
-                        );
-                    }
-                }
+                let units = self.core.chaos.policy.checkpoint_units;
+                let (r, lost) = self.stop_running(w, now, units);
+                self.core.injector.charge(lost);
+                self.core.retry_or_fail(r, now, self.obs);
                 self.dispatch_ready(now);
             }
             FaultKind::Straggler { factor } => {
-                for w in 0..self.workers.len() {
-                    if let Some(j) = self.running[w] {
-                        let new_done = now + (j.done_s - now) * factor.max(1.0);
-                        self.retime_running(w, new_done);
-                        self.injector.charge(new_done - j.done_s);
-                        break;
-                    }
+                if let Some(w) = self.running.iter().position(Option::is_some) {
+                    let old_done = self.running[w].expect("worker is running").done_s;
+                    let new_done = now + (old_done - now) * factor.max(1.0);
+                    self.retime_running(w, new_done);
+                    self.core.injector.charge(new_done - old_done);
                 }
             }
-            FaultKind::StorageReadError => {
-                if self.fills.is_empty() {
-                    self.pending_storage.push(fired);
-                } else {
-                    let mut lost = 0.0;
-                    let waiters: Vec<usize> = self.fills.keys().copied().collect();
-                    for waiter in waiters {
-                        let fill = self.fills[&waiter];
-                        self.redo_fill(waiter, fill, fill.load_s);
-                        lost += fill.load_s;
-                    }
-                    self.injector.charge(lost);
-                }
-            }
+            FaultKind::StorageReadError => self.core.storage_read_error(fired),
             FaultKind::StorageStall { stall_seconds } => {
-                let mut lost = 0.0;
-                let waiters: Vec<usize> = self.fills.keys().copied().collect();
-                for waiter in waiters {
-                    let fill = self.fills[&waiter];
-                    self.redo_fill(waiter, fill, stall_seconds);
-                    lost += stall_seconds;
-                }
+                let mut lost = self.core.delay_fills(Some(stall_seconds));
                 // The device stall also reaches the database scans of
                 // every running MSA job.
                 for w in 0..self.workers.len() {
@@ -1186,20 +708,10 @@ impl PolicyLoop<'_> {
                         lost += stall_seconds;
                     }
                 }
-                if lost > 0.0 {
-                    self.injector.charge(lost);
-                } else {
-                    self.pending_storage.push(fired);
-                }
+                self.core.settle_stall(fired, lost);
             }
-            FaultKind::GpuInitFailure => {
-                self.gpu_penalty_s += self.costs.init_s;
-                self.inited = false;
-                self.compiled.clear();
-            }
-            FaultKind::XlaCompileStall { factor } => {
-                let f = self.pending_compile_factor.unwrap_or(1.0) * factor.max(1.0);
-                self.pending_compile_factor = Some(f);
+            FaultKind::GpuInitFailure | FaultKind::XlaCompileStall { .. } => {
+                self.core.gpu_fault(fired)
             }
         }
     }
@@ -1208,10 +720,11 @@ impl PolicyLoop<'_> {
     /// storage-stall inflation), preserving its start.
     fn retime_running(&mut self, w: usize, new_done: f64) {
         let j = self.running[w].expect("worker is running");
-        self.engine.cancel(j.timer);
+        let core = &mut self.core;
+        core.engine.cancel(j.timer);
         let r = j.request;
-        self.outcomes[r].segments.msa_service_s += new_done - j.done_s;
-        let timer = self.engine.schedule_tagged(
+        core.outcomes[r].segments.msa_service_s += new_done - j.done_s;
+        let timer = core.engine.schedule_tagged(
             new_done,
             Event::MsaDone {
                 request: r,
@@ -1225,262 +738,7 @@ impl PolicyLoop<'_> {
             ..j
         });
         self.workers[w] = new_done;
-        self.outcomes[r].ready_s = new_done;
-    }
-
-    /// Push a cache fill's landing time out by `delay` seconds.
-    fn redo_fill(&mut self, waiter: usize, fill: Fill, delay: f64) {
-        self.engine.cancel(fill.timer);
-        let ready = self.outcomes[waiter].ready_s + delay;
-        self.outcomes[waiter].segments.cache_wait_s += delay;
-        self.outcomes[waiter].ready_s = ready;
-        let timer = self.engine.schedule_tagged(
-            ready,
-            Event::CacheFill {
-                request: waiter,
-                entity: fill.entity,
-            },
-            WaitEdge::CacheFill,
-        );
-        self.fills.get_mut(&waiter).expect("fill present").timer = timer;
-    }
-
-    fn on_requeue(&mut self, request: usize, now: f64) {
-        self.requeue_timers[request] = None;
-        if self.disposition[request].is_some() {
-            return;
-        }
-        self.requeues += 1;
-        self.obs.tracer.instant_at(now, "requeue");
-        self.outcomes[request].segments.admission_wait_s += now - self.wait_since[request];
-        if self.breaker_open {
-            self.wait_since[request] = now;
-            self.parked.push(request);
-            return;
-        }
-        self.enqueued_at[request] = now;
-        self.msa_queue.push(request);
-        self.dispatch_ready(now);
-    }
-
-    fn on_breaker_close(&mut self, now: f64) {
-        self.breaker.record_success();
-        self.breaker_open = false;
-        self.obs.tracer.instant_at(now, "circuit-closed");
-        for r in self.parked.drain(..) {
-            self.requeue_timers[r] = Some(self.engine.schedule_tagged(
-                now,
-                Event::Requeue { request: r },
-                WaitEdge::Admission,
-            ));
-        }
-    }
-
-    /// Fold the run into the report + metrics — the same fold as the
-    /// chaos twin, plus `serve.policy.*` metrics when a non-baseline
-    /// mechanism is armed.
-    fn fold(mut self) -> PolicyReport {
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if !o.rejected && self.disposition[i].is_none() {
-                debug_assert!(false, "request {i} escaped without a disposition");
-                self.disposition[i] = Some(Disposition::Failed);
-            }
-        }
-        let finished = |i: usize| {
-            matches!(
-                self.disposition[i],
-                Some(Disposition::Completed) | Some(Disposition::Degraded)
-            )
-        };
-        let last_arrival = self.requests.last().map_or(0.0, |r| r.arrival_s);
-        let makespan_s = self
-            .outcomes
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| finished(i))
-            .map(|(_, o)| o.done_s)
-            .fold(last_arrival, f64::max);
-        let served = (0..self.outcomes.len()).filter(|&i| finished(i)).count();
-        let rejected = self.outcomes.iter().filter(|o| o.rejected).count();
-        let deadline_missed = self.outcomes.iter().filter(|o| o.deadline_missed).count();
-        let throughput_qph = if makespan_s > 0.0 {
-            served as f64 / makespan_s * 3600.0
-        } else {
-            0.0
-        };
-        let gpu_occupancy = if makespan_s > 0.0 {
-            self.gpu_busy / makespan_s
-        } else {
-            0.0
-        };
-
-        let mut latency_hist = Histogram::new(&LATENCY_BOUNDS);
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if finished(i) {
-                latency_hist.observe(o.latency_s());
-                self.obs
-                    .metrics
-                    .observe("serve.latency_s", o.latency_s(), &LATENCY_BOUNDS);
-            }
-        }
-
-        self.obs.tracer.advance(makespan_s);
-        self.obs.tracer.end();
-
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.finish(makespan_s);
-        }
-        let slo = self.config.telemetry.slo.map(|slo_config| {
-            let mut monitor = SloMonitor::new(slo_config);
-            for &(t, good) in &self.slo_obs {
-                monitor.observe(t, good);
-            }
-            let outcome = monitor.evaluate();
-            for tr in &outcome.transitions {
-                self.obs
-                    .tracer
-                    .instant_at(tr.at_s, if tr.firing { "slo:burn" } else { "slo:clear" });
-                self.obs.tracer.instant_attr("burn", tr.burn);
-            }
-            let m = &mut self.obs.metrics;
-            m.inc("slo.burn_events", outcome.burn_events);
-            m.inc("slo.clear_events", outcome.clear_events);
-            m.set_gauge("slo.max_burn", outcome.max_burn);
-            m.set_gauge("slo.alert_seconds", outcome.alert_seconds);
-            outcome
-        });
-
-        let completed = self
-            .disposition
-            .iter()
-            .filter(|d| **d == Some(Disposition::Completed))
-            .count();
-        let degraded = self
-            .disposition
-            .iter()
-            .filter(|d| **d == Some(Disposition::Degraded))
-            .count();
-        let shed = self
-            .disposition
-            .iter()
-            .filter(|d| **d == Some(Disposition::Shed))
-            .count();
-        let failed = self
-            .disposition
-            .iter()
-            .filter(|d| **d == Some(Disposition::Failed))
-            .count();
-        let admitted = self.outcomes.len() - rejected;
-        let availability = if admitted > 0 {
-            (completed + degraded) as f64 / admitted as f64
-        } else {
-            1.0
-        };
-        let on_time = (0..self.outcomes.len())
-            .filter(|&i| {
-                self.disposition[i] == Some(Disposition::Completed)
-                    && !self.outcomes[i].deadline_missed
-            })
-            .count();
-        let goodput = if admitted > 0 {
-            on_time as f64 / admitted as f64
-        } else {
-            1.0
-        };
-        let lost_seconds = self.injector.total_lost_seconds();
-        let lost_seconds = if lost_seconds == 0.0 {
-            0.0
-        } else {
-            lost_seconds
-        };
-
-        let m = &mut self.obs.metrics;
-        m.inc("serve.requests", self.requests.len() as u64);
-        m.inc("serve.served", served as u64);
-        m.inc("serve.rejected", rejected as u64);
-        m.inc("serve.deadline_missed", deadline_missed as u64);
-        m.inc("serve.cache.hits", self.cache.hits());
-        m.inc("serve.cache.misses", self.cache.misses());
-        m.inc("serve.cache.evictions", self.cache.evictions());
-        m.inc("serve.gpu.batches", self.batches as u64);
-        m.inc("serve.gpu.compiled_shapes", self.compiled.len() as u64);
-        m.set_gauge("serve.throughput_qph", throughput_qph);
-        m.set_gauge("serve.makespan_s", makespan_s);
-        m.set_gauge("serve.gpu.occupancy", gpu_occupancy);
-        m.set_gauge("serve.cache.hit_rate", self.cache.hit_rate());
-        if self.active {
-            m.inc("serve.chaos.completed", completed as u64);
-            m.inc("serve.chaos.degraded", degraded as u64);
-            m.inc("serve.chaos.shed", shed as u64);
-            m.inc("serve.chaos.failed", failed as u64);
-            m.inc("serve.chaos.degraded_attempts", self.degraded_attempts);
-            m.inc("serve.chaos.requeues", self.requeues);
-            m.inc("serve.chaos.breaker_opens", self.breaker_opens);
-            m.inc("serve.chaos.faults", self.injector.events().len() as u64);
-            m.set_gauge("serve.chaos.availability", availability);
-            m.set_gauge("serve.chaos.goodput", goodput);
-            m.set_gauge("serve.chaos.lost_s", lost_seconds);
-        }
-        if !self.pol.is_plain_fifo() {
-            m.inc("serve.policy.preemptions", self.preemptions);
-            m.inc("serve.policy.degraded_attempts", self.degraded_attempts);
-            m.set_gauge("serve.policy.preempt_lost_s", self.preempt_lost_s);
-        }
-
-        let causal = if self.config.provenance {
-            Some(CausalLog {
-                edges: self.engine.provenance().to_vec(),
-                makespan_event: self.best_done.map(|(_, seq)| seq),
-                completions: self.completions,
-                splits: self.splits,
-            })
-        } else {
-            None
-        };
-        let base = ServeReport {
-            config: *self.config,
-            served,
-            rejected,
-            deadline_missed,
-            makespan_s,
-            throughput_qph,
-            gpu_busy_s: self.gpu_busy,
-            gpu_occupancy,
-            batches: self.batches,
-            compiled_shapes: self.compiled.len(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_evictions: self.cache.evictions(),
-            cache_hit_rate: self.cache.hit_rate(),
-            cache_coalesced: self.cache.coalesced(),
-            latency: latency_hist.summary(),
-            timeline: self.timeline,
-            slo,
-            causal,
-            outcomes: self.outcomes,
-        };
-        PolicyReport {
-            chaos: ChaosReport {
-                base,
-                chaos_active: self.active,
-                dispositions: self.disposition,
-                admitted,
-                completed,
-                degraded,
-                shed,
-                failed,
-                degraded_attempts: self.degraded_attempts,
-                requeues: self.requeues,
-                breaker_opens: self.breaker_opens,
-                fault_events: self.injector.events().to_vec(),
-                lost_seconds,
-                availability,
-                goodput,
-            },
-            policy: *self.pol,
-            preemptions: self.preemptions,
-            preempt_lost_s: self.preempt_lost_s,
-        }
+        core.outcomes[r].ready_s = new_done;
     }
 }
 

@@ -21,16 +21,19 @@
 //!   (reusing [`CapacityModel`]), and every served request is checked
 //!   against a per-request [`Deadline`].
 //!
-//! The simulation runs on the shared discrete-event engine
-//! ([`afsb_rt::sim::SimEngine`]): one `(time, seq)`-ordered queue
-//! carries arrivals, MSA completions, cache fills, GPU batch closes
-//! and deadline timers, costing O(events · log n) instead of a
-//! per-step rescan. Same seed, same config, byte-identical report —
-//! and bit-identical to the frozen seed scheduler kept in
-//! [`crate::reference`] (enforced by `tests/equivalence.rs`).
+//! This module holds the shared types — configuration, cost table,
+//! outcomes, report — and [`run_serve`], a thin wrapper over the eager
+//! event loop in [`crate::chaos`] under an empty fault plan. That loop
+//! runs on the shared discrete-event engine ([`afsb_rt::sim`]):
+//! one `(time, seq)`-ordered queue carries arrivals, MSA completions,
+//! cache fills, GPU batch closes and deadline timers, costing
+//! O(events · log n) instead of a per-step rescan. Same seed, same
+//! config, byte-identical report — and bit-identical to the frozen seed
+//! scheduler kept in [`crate::reference`] (enforced by
+//! `tests/equivalence.rs`).
 
-use crate::cache::FeatureCache;
-use crate::workload::{self, Request, WorkloadConfig};
+use crate::chaos::{run_serve_chaos, ChaosConfig};
+use crate::workload::{Request, WorkloadConfig};
 use afsb_core::calib;
 use afsb_core::context::{BenchContext, ContextConfig};
 use afsb_core::inference_phase::gpu_for;
@@ -38,14 +41,14 @@ use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
 use afsb_core::resilience::Deadline;
 use afsb_gpu::runtime::{GpuRuntime, HostCpuModel};
 use afsb_model::{run_inference, ModelConfig};
-use afsb_rt::obs::timeline::{SloConfig, SloMonitor, SloOutcome, TimelineSampler};
-use afsb_rt::obs::{Histogram, HistogramSummary, ObsSession};
-use afsb_rt::sim::{Event, ProvenanceEdge, SimEngine, TimerId, WaitEdge};
+use afsb_rt::obs::timeline::{SloConfig, SloOutcome, TimelineSampler};
+use afsb_rt::obs::{HistogramSummary, ObsSession};
+use afsb_rt::sim::ProvenanceEdge;
 use afsb_seq::samples::SampleId;
 use afsb_simarch::config::GIB;
 use afsb_simarch::memory::CapacityModel;
 use afsb_simarch::Platform;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Latency histogram bucket bounds (simulated seconds): sub-minute for
@@ -149,6 +152,30 @@ impl Default for ServeConfig {
             telemetry: TelemetryConfig::default(),
             provenance: false,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Check the config for degenerate values up front, returning an
+    /// error that names the offending field instead of running a
+    /// degenerate simulation (a NaN deadline, say, silently flags no
+    /// request late, because `spent > NaN` is always false).
+    pub fn validate(&self) -> Result<(), String> {
+        self.workload.validate()?;
+        if self.cpu_workers == 0 {
+            return Err("serve: cpu_workers must be at least 1".to_owned());
+        }
+        if self.gpu_batch == 0 {
+            return Err("serve: gpu_batch must be at least 1".to_owned());
+        }
+        if let Some(limit) = self.deadline.limit_seconds() {
+            if !(limit > 0.0 && limit.is_finite()) {
+                return Err(format!(
+                    "serve: deadline limit must be positive and finite, got {limit}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -700,495 +727,20 @@ impl ServeReport {
     }
 }
 
-/// Run the serving simulation. The tracer in `obs` must be fresh (the
-/// run lays its spans from simulated second 0); counters, gauges and
-/// the latency histogram are published into `obs.metrics`.
+/// Run the fault-free serving simulation: the eager loop of
+/// [`crate::chaos::run_serve_chaos`] under an empty fault plan, which
+/// reduces bit-for-bit to the frozen seed scheduler in
+/// [`crate::reference`] (`tests/equivalence.rs` enforces this). The
+/// tracer in `obs` must be fresh (the run lays its spans from simulated
+/// second 0); counters, gauges and the latency histogram are published
+/// into `obs.metrics`.
 ///
-/// Since the `rt::sim` refactor the scheduler is event-driven: one
-/// [`SimEngine`] queue carries `Arrival` → (`MsaDone` | `CacheFill`) →
-/// `BatchClose` → `GpuDone` chains plus cancellable `DeadlineExpired`
-/// timers, so a run costs O(events · log n) instead of a per-step
-/// rescan. Every arithmetic expression, comparator and span-creation
-/// order is kept identical to the seed step-scan loop (frozen in
-/// [`crate::reference`]), so same-seed runs are byte-identical to it —
-/// `tests/equivalence.rs` enforces this on the canonical scenarios.
-/// See DESIGN.md ("Event engine") for the event taxonomy and the
-/// tie-breaking argument.
+/// # Panics
+///
+/// Panics with the [`ServeConfig::validate`] error on a degenerate
+/// config.
 pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) -> ServeReport {
-    assert!(config.cpu_workers > 0, "need at least one CPU worker");
-    assert!(config.gpu_batch > 0, "need a GPU batch size of at least 1");
-
-    let requests = workload::generate(&config.workload);
-    let mut cache = FeatureCache::new(config.cache_capacity_bytes);
-    if config.prewarm_cache {
-        for entity in 0..config.workload.catalog_size {
-            let shape = costs.shape(workload::sample_for_entity(entity));
-            cache.insert(entity, shape.feature_bytes);
-        }
-    }
-
-    obs.tracer.begin("serve");
-
-    let mut engine = SimEngine::new();
-    if config.provenance {
-        engine.record_provenance();
-    }
-    // Serve-side causal annotations (populated only under provenance):
-    // wait/service splits per edge, per-request completion events and
-    // the completion that terminates the makespan.
-    let mut splits: BTreeMap<u64, SegmentSplit> = BTreeMap::new();
-    let mut completions: Vec<Option<u64>> = vec![None; requests.len()];
-    let mut best_done: Option<(f64, u64)> = None;
-    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len());
-    let mut workers = vec![0.0f64; config.cpu_workers];
-    // Fills still being computed by a pool worker: entity → MSA done
-    // time. Read only when coalescing is on.
-    let mut in_flight: BTreeMap<usize, f64> = BTreeMap::new();
-    // Ready-but-unserved outcome indices (outcome index == request id).
-    let mut pool: Vec<usize> = Vec::new();
-    let mut deadline_timers: Vec<Option<TimerId>> = vec![None; requests.len()];
-    let mut gpu_free = 0.0f64;
-    let mut gpu_busy = 0.0f64;
-    let mut batches = 0usize;
-    let mut compiled: BTreeSet<SampleId> = BTreeSet::new();
-    let mut inited = false;
-
-    // Observation-only telemetry: gauge counters cost integer ops and
-    // never feed back into any scheduling decision or priced float.
-    let mut timeline = if config.telemetry.timeline_interval_s > 0.0 {
-        Some(TimelineSampler::new(
-            config.telemetry.timeline_interval_s,
-            &TIMELINE_COLUMNS,
-        ))
-    } else {
-        None
-    };
-    let mut msa_outstanding = 0u64;
-    let mut fills_outstanding = 0u64;
-    let mut slo_obs: Vec<(f64, bool)> = Vec::new();
-    if let Some(tl) = timeline.as_mut() {
-        tl.set_many(&[0.0, 0.0, 0.0, cache.len() as f64, 0.0, 0.0, 0.0]);
-    }
-
-    if let Some(first) = requests.first() {
-        engine.schedule(first.arrival_s, Event::Arrival { request: 0 });
-    }
-
-    while let Some((now, event)) = engine.pop() {
-        if let Some(tl) = timeline.as_mut() {
-            tl.advance_to(now);
-        }
-        match event {
-            // Admission, cache lookup and CPU dispatch — the seed
-            // scheduler's per-arrival sweep body. Arrivals are chained
-            // lazily (each handler schedules the next) so every
-            // readiness event carries a lower sequence number than any
-            // later arrival: an MSA job finishing exactly at a future
-            // arrival's timestamp pops first, reproducing the sweep's
-            // inclusive `done <= arrival` fill-commit rule.
-            Event::Arrival { request } => {
-                let req = &requests[request];
-                let shape = costs.shape(req.sample);
-                if !shape.admitted {
-                    outcomes.push(RequestOutcome {
-                        request: *req,
-                        cache_hit: false,
-                        rejected: true,
-                        ready_s: req.arrival_s,
-                        done_s: 0.0,
-                        deadline_missed: false,
-                        finished: false,
-                        segments: PhaseSegments::default(),
-                    });
-                } else {
-                    let mut segments = PhaseSegments::default();
-                    let coalesce = config.coalesce_misses
-                        && !cache.contains(req.entity)
-                        && in_flight.contains_key(&req.entity);
-                    let (cache_hit, ready_s) = if coalesce {
-                        // Piggyback on the in-flight fill instead of
-                        // duplicating the MSA search: ready when the
-                        // fill lands plus one storage-priced load.
-                        cache.coalesced_hit();
-                        let ready = in_flight[&req.entity] + shape.feature_load_s;
-                        engine.schedule_tagged(
-                            ready,
-                            Event::CacheFill {
-                                request,
-                                entity: req.entity,
-                            },
-                            WaitEdge::CacheFill,
-                        );
-                        fills_outstanding += 1;
-                        segments.cache_wait_s = ready - req.arrival_s;
-                        (true, ready)
-                    } else if cache.lookup(req.entity) {
-                        let ready = req.arrival_s + shape.feature_load_s;
-                        engine.schedule_tagged(
-                            ready,
-                            Event::CacheFill {
-                                request,
-                                entity: req.entity,
-                            },
-                            WaitEdge::CacheFill,
-                        );
-                        fills_outstanding += 1;
-                        segments.cache_wait_s = ready - req.arrival_s;
-                        (true, ready)
-                    } else {
-                        let w = workers
-                            .iter()
-                            .enumerate()
-                            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-                            .map(|(i, _)| i)
-                            .expect("worker pool is non-empty");
-                        let start = workers[w].max(req.arrival_s);
-                        let done = start + shape.msa_s;
-                        workers[w] = done;
-                        in_flight.insert(req.entity, done);
-                        let timer = engine.schedule_tagged(
-                            done,
-                            Event::MsaDone { request, worker: w },
-                            WaitEdge::WorkerBusy,
-                        );
-                        if config.provenance {
-                            splits.insert(
-                                timer.seq(),
-                                SegmentSplit {
-                                    wait_s: start - req.arrival_s,
-                                    service_s: done - start,
-                                    compile_s: 0.0,
-                                },
-                            );
-                        }
-                        msa_outstanding += 1;
-                        segments.msa_queue_wait_s = start - req.arrival_s;
-                        segments.msa_service_s = done - start;
-                        (false, done)
-                    };
-                    outcomes.push(RequestOutcome {
-                        request: *req,
-                        cache_hit,
-                        rejected: false,
-                        ready_s,
-                        done_s: 0.0,
-                        deadline_missed: false,
-                        finished: false,
-                        segments,
-                    });
-                    if let Some(limit) = config.deadline.limit_seconds() {
-                        deadline_timers[request] = Some(engine.schedule_tagged(
-                            req.arrival_s + limit,
-                            Event::DeadlineExpired { request },
-                            WaitEdge::Deadline,
-                        ));
-                    }
-                }
-                if request + 1 < requests.len() {
-                    engine.schedule(
-                        requests[request + 1].arrival_s,
-                        Event::Arrival {
-                            request: request + 1,
-                        },
-                    );
-                }
-            }
-
-            // A pool worker finished: the features enter the cache and
-            // the request becomes GPU-ready. The seed sweep only ever
-            // committed fills that a later arrival passed, so once the
-            // stream has drained (`outcomes` holds every request) the
-            // insert is skipped — keeping the eviction counters
-            // bit-identical to it.
-            Event::MsaDone { request, .. } => {
-                let req = &requests[request];
-                if outcomes.len() < requests.len() {
-                    cache.insert(req.entity, costs.shape(req.sample).feature_bytes);
-                }
-                in_flight.remove(&req.entity);
-                msa_outstanding -= 1;
-                pool.push(request);
-                if now >= gpu_free {
-                    engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-                }
-            }
-
-            // A cached (or coalesced) feature load finished — the
-            // request becomes GPU-ready.
-            Event::CacheFill { request, .. } => {
-                fills_outstanding -= 1;
-                pool.push(request);
-                if now >= gpu_free {
-                    engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-                }
-            }
-
-            // The GPU takes everything ready by `now`, up to B — the
-            // seed scheduler's greedy batch body, priced and traced
-            // with the identical expressions so floats and span order
-            // match bit-for-bit. A close always pops after every
-            // same-timestamp readiness event (higher sequence number),
-            // so the pool is complete; duplicate closes fall through
-            // the guard.
-            Event::BatchClose => {
-                if pool.is_empty() || now < gpu_free {
-                    continue;
-                }
-                pool.sort_by(|&a, &b| {
-                    outcomes[a]
-                        .ready_s
-                        .partial_cmp(&outcomes[b].ready_s)
-                        .unwrap()
-                        .then(outcomes[a].request.id.cmp(&outcomes[b].request.id))
-                });
-                let start = gpu_free.max(outcomes[pool[0]].ready_s);
-                let mut take = 1usize;
-                while take < config.gpu_batch
-                    && take < pool.len()
-                    && outcomes[pool[take]].ready_s <= start
-                {
-                    take += 1;
-                }
-                let batch: Vec<usize> = pool.drain(..take).collect();
-
-                // Price the batch first so the enclosing span carries
-                // its full duration when created, then lay the child
-                // spans end to end.
-                let pay_init = !inited;
-                let new_shapes: Vec<SampleId> = batch
-                    .iter()
-                    .map(|&idx| outcomes[idx].request.sample)
-                    .filter(|&s| compiled.insert(s))
-                    .collect();
-                let service = if pay_init { costs.init_s } else { 0.0 }
-                    + costs.dispatch_s
-                    + new_shapes
-                        .iter()
-                        .map(|&s| costs.shape(s).compile_s)
-                        .sum::<f64>()
-                    + batch
-                        .iter()
-                        .map(|&idx| costs.shape(outcomes[idx].request.sample).compute_s)
-                        .sum::<f64>();
-                let done = start + service;
-
-                let batch_span = obs.tracer.closed_span("gpu_batch", start, service);
-                let mut at = start;
-                if pay_init {
-                    inited = true;
-                    obs.tracer.child_span(batch_span, "init", at, costs.init_s);
-                    at += costs.init_s;
-                }
-                obs.tracer
-                    .child_span(batch_span, "dispatch", at, costs.dispatch_s);
-                at += costs.dispatch_s;
-                let compile_begin = at;
-                for &s in &new_shapes {
-                    obs.tracer
-                        .child_span(batch_span, "xla_compile", at, costs.shape(s).compile_s);
-                    at += costs.shape(s).compile_s;
-                }
-                let compile_end = at;
-                for &idx in &batch {
-                    let shape = costs.shape(outcomes[idx].request.sample);
-                    obs.tracer
-                        .child_span(batch_span, "gpu_compute", at, shape.compute_s);
-                    at += shape.compute_s;
-                }
-                debug_assert!((at - done).abs() < 1e-9);
-                for &idx in &batch {
-                    outcomes[idx].done_s = done;
-                    outcomes[idx].finished = true;
-                    let o = &mut outcomes[idx];
-                    o.segments.batch_wait_s += start - o.ready_s;
-                    o.segments.xla_compile_s += compile_end - compile_begin;
-                    o.segments.close(o.done_s - o.request.arrival_s);
-                    outcomes[idx].deadline_missed =
-                        config.deadline.exceeded(outcomes[idx].latency_s());
-                    if config.telemetry.slo.is_some() {
-                        slo_obs.push((done, !outcomes[idx].deadline_missed));
-                    }
-                    // A met deadline disarms its timer; a missed one is
-                    // left to fire (the completion already re-derived
-                    // the flag with the seed expression, so the timer
-                    // is redundant but harmless).
-                    if !outcomes[idx].deadline_missed {
-                        if let Some(timer) = deadline_timers[idx].take() {
-                            engine.cancel(timer);
-                        }
-                    }
-                }
-                gpu_busy += done - start;
-                gpu_free = done;
-                batches += 1;
-                let timer = engine.schedule_tagged(
-                    done,
-                    Event::GpuDone { batch: batches },
-                    WaitEdge::GpuBusy,
-                );
-                if config.provenance {
-                    // The gpu-busy edge spans from this batch close to
-                    // the dispatch completing: queueing behind the
-                    // previous batch, then service, of which the
-                    // one-time compiles are separable.
-                    let compile_total = compile_end - compile_begin;
-                    splits.insert(
-                        timer.seq(),
-                        SegmentSplit {
-                            wait_s: start - now,
-                            service_s: (done - start) - compile_total,
-                            compile_s: compile_total,
-                        },
-                    );
-                    for &idx in &batch {
-                        completions[idx] = Some(timer.seq());
-                    }
-                    if best_done.is_none_or(|(t, _)| done >= t) {
-                        best_done = Some((done, timer.seq()));
-                    }
-                }
-            }
-
-            // The GPU freed up: if anything queued meanwhile, close the
-            // next batch immediately.
-            Event::GpuDone { .. } if !pool.is_empty() => {
-                engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
-            }
-
-            // An armed deadline elapsed without being cancelled. For
-            // requests still queued the completion handler later
-            // re-derives the flag; for ones already served past their
-            // budget this confirms the same value.
-            Event::DeadlineExpired { request } => {
-                outcomes[request].deadline_missed = true;
-            }
-
-            // Defense in depth: the fault-free server schedules none of
-            // the remaining vocabulary (`Fault`, `Requeue`,
-            // `BreakerClose`), but an unknown event must never abort a
-            // simulation — it is ignored, exactly like the frozen seed
-            // scheduler ([`crate::reference`]) which never sees events
-            // at all. The chaos-enabled loop ([`crate::chaos`]) handles
-            // these for real.
-            _ => {}
-        }
-        if let Some(tl) = timeline.as_mut() {
-            tl.set_many(&[
-                msa_outstanding as f64,
-                workers.iter().filter(|&&t| t > now).count() as f64,
-                if gpu_free > now { 1.0 } else { 0.0 },
-                cache.len() as f64,
-                cache.hit_rate(),
-                fills_outstanding as f64,
-                0.0,
-            ]);
-        }
-    }
-
-    // Fold the outcomes into the report + metrics.
-    let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
-    let makespan_s = outcomes
-        .iter()
-        .filter(|o| !o.rejected)
-        .map(|o| o.done_s)
-        .fold(last_arrival, f64::max);
-    let served = outcomes.iter().filter(|o| !o.rejected).count();
-    let rejected = outcomes.len() - served;
-    let deadline_missed = outcomes.iter().filter(|o| o.deadline_missed).count();
-    let throughput_qph = if makespan_s > 0.0 {
-        served as f64 / makespan_s * 3600.0
-    } else {
-        0.0
-    };
-    let gpu_occupancy = if makespan_s > 0.0 {
-        gpu_busy / makespan_s
-    } else {
-        0.0
-    };
-
-    let mut latency_hist = Histogram::new(&LATENCY_BOUNDS);
-    for o in outcomes.iter().filter(|o| !o.rejected) {
-        latency_hist.observe(o.latency_s());
-        obs.metrics
-            .observe("serve.latency_s", o.latency_s(), &LATENCY_BOUNDS);
-    }
-
-    obs.tracer.advance(makespan_s);
-    obs.tracer.end();
-
-    if let Some(tl) = timeline.as_mut() {
-        tl.finish(makespan_s);
-    }
-    let slo = config.telemetry.slo.map(|slo_config| {
-        let mut monitor = SloMonitor::new(slo_config);
-        for &(t, good) in &slo_obs {
-            monitor.observe(t, good);
-        }
-        let outcome = monitor.evaluate();
-        for tr in &outcome.transitions {
-            obs.tracer
-                .instant_at(tr.at_s, if tr.firing { "slo:burn" } else { "slo:clear" });
-            obs.tracer.instant_attr("burn", tr.burn);
-        }
-        let m = &mut obs.metrics;
-        m.inc("slo.burn_events", outcome.burn_events);
-        m.inc("slo.clear_events", outcome.clear_events);
-        m.set_gauge("slo.max_burn", outcome.max_burn);
-        m.set_gauge("slo.alert_seconds", outcome.alert_seconds);
-        outcome
-    });
-
-    let m = &mut obs.metrics;
-    m.inc("serve.requests", requests.len() as u64);
-    m.inc("serve.served", served as u64);
-    m.inc("serve.rejected", rejected as u64);
-    m.inc("serve.deadline_missed", deadline_missed as u64);
-    m.inc("serve.cache.hits", cache.hits());
-    m.inc("serve.cache.misses", cache.misses());
-    m.inc("serve.cache.evictions", cache.evictions());
-    if config.coalesce_misses {
-        m.inc("serve.cache.coalesced", cache.coalesced());
-    }
-    m.inc("serve.gpu.batches", batches as u64);
-    m.inc("serve.gpu.compiled_shapes", compiled.len() as u64);
-    m.set_gauge("serve.throughput_qph", throughput_qph);
-    m.set_gauge("serve.makespan_s", makespan_s);
-    m.set_gauge("serve.gpu.occupancy", gpu_occupancy);
-    m.set_gauge("serve.cache.hit_rate", cache.hit_rate());
-
-    let causal = if config.provenance {
-        Some(CausalLog {
-            edges: engine.provenance().to_vec(),
-            makespan_event: best_done.map(|(_, seq)| seq),
-            completions,
-            splits,
-        })
-    } else {
-        None
-    };
-
-    ServeReport {
-        config: *config,
-        served,
-        rejected,
-        deadline_missed,
-        makespan_s,
-        throughput_qph,
-        gpu_busy_s: gpu_busy,
-        gpu_occupancy,
-        batches,
-        compiled_shapes: compiled.len(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        cache_evictions: cache.evictions(),
-        cache_hit_rate: cache.hit_rate(),
-        cache_coalesced: cache.coalesced(),
-        latency: latency_hist.summary(),
-        timeline,
-        slo,
-        causal,
-        outcomes,
-    }
+    run_serve_chaos(config, &ChaosConfig::none(), costs, obs).base
 }
 
 #[cfg(test)]
@@ -1408,6 +960,67 @@ mod tests {
             ..base_config()
         });
         assert_eq!(loose.deadline_missed, 0);
+    }
+
+    #[test]
+    fn validate_accepts_a_sane_config() {
+        assert_eq!(base_config().validate(), Ok(()));
+        let unbounded = ServeConfig {
+            deadline: Deadline::new(None),
+            ..base_config()
+        };
+        assert_eq!(unbounded.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_each_degenerate_field() {
+        let cases = [
+            (
+                ServeConfig {
+                    cpu_workers: 0,
+                    ..base_config()
+                },
+                "cpu_workers",
+            ),
+            (
+                ServeConfig {
+                    gpu_batch: 0,
+                    ..base_config()
+                },
+                "gpu_batch",
+            ),
+            (
+                ServeConfig {
+                    workload: WorkloadConfig {
+                        catalog_size: 0,
+                        ..base_config().workload
+                    },
+                    ..base_config()
+                },
+                "catalog_size",
+            ),
+        ];
+        for (config, field) in cases {
+            let err = config.validate().expect_err(field);
+            assert!(err.contains(field), "error names {field}: {err}");
+        }
+        for limit in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let config = ServeConfig {
+                deadline: Deadline::new(Some(limit)),
+                ..base_config()
+            };
+            let err = config.validate().expect_err("bad deadline");
+            assert!(err.contains("deadline"), "limit {limit}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "deadline")]
+    fn nan_deadline_panics_instead_of_never_flagging() {
+        run(&ServeConfig {
+            deadline: Deadline::new(Some(f64::NAN)),
+            ..base_config()
+        });
     }
 
     #[test]

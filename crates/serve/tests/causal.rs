@@ -26,8 +26,9 @@ use afsb_serve::{
 };
 use afsb_simarch::Platform;
 
-fn costs() -> CostTable {
-    CostTable::build(Platform::Server, true, 4, SERVE_SEED)
+fn costs() -> &'static CostTable {
+    static COSTS: std::sync::OnceLock<CostTable> = std::sync::OnceLock::new();
+    COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
 }
 
 /// Provenance recording must be a passive observer: every field except
@@ -37,12 +38,12 @@ fn provenance_is_observation_only_on_canonical_scenarios() {
     let costs = costs();
     for scenario in default_scenarios(true) {
         let mut bare_obs = ObsSession::new();
-        let bare = run_serve(&scenario.config, &costs, &mut bare_obs);
+        let bare = run_serve(&scenario.config, costs, &mut bare_obs);
 
         let mut config = scenario.config;
         config.provenance = true;
         let mut armed_obs = ObsSession::new();
-        let armed = run_serve(&config, &costs, &mut armed_obs);
+        let armed = run_serve(&config, costs, &mut armed_obs);
 
         assert_eq!(
             bare.outcomes, armed.outcomes,
@@ -94,12 +95,12 @@ fn provenance_is_observation_only_under_chaos() {
         .expect("kitchen-sink scenario exists");
 
     let mut bare_obs = ObsSession::new();
-    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut bare_obs);
+    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut bare_obs);
 
     let mut config = scenario.config;
     config.provenance = true;
     let mut armed_obs = ObsSession::new();
-    let armed = run_serve_chaos(&config, &scenario.chaos, &costs, &mut armed_obs);
+    let armed = run_serve_chaos(&config, &scenario.chaos, costs, &mut armed_obs);
 
     assert_eq!(bare.base.outcomes, armed.base.outcomes, "outcomes moved");
     assert_eq!(bare.dispositions, armed.dispositions, "dispositions moved");
@@ -222,7 +223,7 @@ fn multi_requeue_attribution_stays_closed_and_non_negative() {
     };
 
     let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&config, &chaos, &costs(), &mut obs);
+    let report = run_serve_chaos(&config, &chaos, costs(), &mut obs);
     assert!(
         report.requeues >= 2,
         "campaign must force multiple requeues, got {}",

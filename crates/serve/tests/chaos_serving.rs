@@ -1,18 +1,13 @@
-//! The chaos-serving gates.
+//! The chaos-serving gates. (Passive byte-identity — the empty plan
+//! against the frozen seed scheduler — lives in `tests/equivalence.rs`,
+//! since `run_serve` *is* the chaos loop under an empty plan.)
 //!
-//! 1. **Passive byte-identity** (permanent golden gate, same style as
-//!    `tests/equivalence.rs`): with an empty [`FaultPlan`] the
-//!    chaos-enabled loop must match the fault-free engine byte for
-//!    byte — outcomes, float bits, report text, metrics text and
-//!    Chrome trace — on the canonical scenarios and a synthetic edge
-//!    sweep. Transitively (via `tests/equivalence.rs`) that pins it to
-//!    the frozen seed scheduler too.
-//! 2. **Request conservation** under seeded fault sweeps: every
+//! 1. **Request conservation** under seeded fault sweeps: every
 //!    admitted request ends in exactly one disposition
 //!    (completed | degraded | shed | failed). `AFSB_CHAOS_SEED`
 //!    overrides the sweep with a single externally-chosen seed so CI
 //!    can fan out.
-//! 3. **Coalesced-miss × fault interaction**: killing or stalling a
+//! 2. **Coalesced-miss × fault interaction**: killing or stalling a
 //!    producer with piggybacked waiters wakes every waiter exactly
 //!    once — no lost wakeups (every finished request was batched), no
 //!    double wakeups (no request is batched twice), no double-charged
@@ -23,8 +18,7 @@ use afsb_rt::fault::{FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
 use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport, Disposition, RecoveryPolicy};
-use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
-use afsb_serve::server::{run_serve, CostTable, ServeConfig, ShapeCost};
+use afsb_serve::server::{CostTable, ServeConfig, ShapeCost};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
@@ -66,121 +60,6 @@ fn base_config() -> ServeConfig {
             seed: 23,
         },
         ..ServeConfig::default()
-    }
-}
-
-/// Assert the chaos loop under an *empty plan* agrees with the
-/// fault-free engine down to the bytes.
-fn assert_passive_identical(name: &str, config: &ServeConfig, costs: &CostTable) {
-    let mut chaos_obs = ObsSession::new();
-    let mut plain_obs = ObsSession::new();
-    let chaos = run_serve_chaos(config, &ChaosConfig::none(), costs, &mut chaos_obs);
-    let plain = run_serve(config, costs, &mut plain_obs);
-
-    assert_eq!(
-        chaos.base.outcomes, plain.outcomes,
-        "{name}: outcomes diverged"
-    );
-    assert_eq!(
-        chaos.base.makespan_s.to_bits(),
-        plain.makespan_s.to_bits(),
-        "{name}: makespan not bit-identical"
-    );
-    assert_eq!(
-        chaos.base.throughput_qph.to_bits(),
-        plain.throughput_qph.to_bits(),
-        "{name}: throughput not bit-identical"
-    );
-    assert_eq!(
-        chaos.base.gpu_busy_s.to_bits(),
-        plain.gpu_busy_s.to_bits(),
-        "{name}: gpu busy not bit-identical"
-    );
-    assert_eq!(
-        chaos.render(),
-        plain.render(),
-        "{name}: report text diverged (chaos block must be absent)"
-    );
-    assert_eq!(
-        chaos_obs.metrics.render_text(),
-        plain_obs.metrics.render_text(),
-        "{name}: metrics text diverged"
-    );
-    assert_eq!(
-        chaos_obs.tracer.chrome_trace_events().pretty(),
-        plain_obs.tracer.chrome_trace_events().pretty(),
-        "{name}: Chrome trace diverged"
-    );
-    // Dispositions are still assigned in passive mode: every admitted
-    // request completes at full quality.
-    assert!(chaos.conserves_requests(), "{name}: conservation broken");
-    assert!(!chaos.chaos_active);
-    assert_eq!(
-        chaos.completed, chaos.admitted,
-        "{name}: passive run degraded/shed/failed"
-    );
-    assert!(chaos.fault_events.is_empty());
-}
-
-#[test]
-fn empty_plan_matches_the_fault_free_engine_on_canonical_scenarios() {
-    let costs = CostTable::build(Platform::Server, true, 4, SERVE_SEED);
-    for scenario in default_scenarios(true) {
-        assert_passive_identical(scenario.name, &scenario.config, &costs);
-    }
-}
-
-#[test]
-fn empty_plan_matches_the_fault_free_engine_on_edge_configurations() {
-    let base = base_config();
-    let cases: Vec<(&str, ServeConfig)> = vec![
-        ("base", base),
-        (
-            "nocache",
-            ServeConfig {
-                cache_capacity_bytes: 0,
-                ..base
-            },
-        ),
-        (
-            "coalescing",
-            ServeConfig {
-                coalesce_misses: true,
-                ..base
-            },
-        ),
-        (
-            "prewarmed_b1",
-            ServeConfig {
-                prewarm_cache: true,
-                gpu_batch: 1,
-                ..base
-            },
-        ),
-        (
-            "one_worker",
-            ServeConfig {
-                cpu_workers: 1,
-                ..base
-            },
-        ),
-        (
-            "tight_deadline",
-            ServeConfig {
-                deadline: Deadline::new(Some(1.0)),
-                ..base
-            },
-        ),
-        (
-            "no_deadline",
-            ServeConfig {
-                deadline: Deadline::new(None),
-                ..base
-            },
-        ),
-    ];
-    for (name, config) in &cases {
-        assert_passive_identical(name, config, &synthetic_costs());
     }
 }
 

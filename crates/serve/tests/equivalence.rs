@@ -1,27 +1,56 @@
 //! The equivalence golden gate: the event-driven scheduler
-//! (`serve::server`) must match the frozen seed step-scan scheduler
+//! (`serve::server::run_serve`, which is the eager chaos loop under an
+//! empty fault plan) must match the frozen seed step-scan scheduler
 //! (`serve::reference`) **byte for byte** — reports, per-request
 //! outcomes, metrics text and Chrome traces — on the four canonical
-//! scenarios and on a sweep of synthetic edge configurations. This is
-//! the proof required before the old loop was deleted, kept forever so
-//! engine changes cannot silently move the serving baselines.
+//! scenarios and on a sweep of synthetic edge configurations, while
+//! staying passive: every admitted request completes, no fault fires
+//! and no chaos block renders. Kept forever so engine changes cannot
+//! silently move the serving baselines.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
+use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport};
 use afsb_serve::reference::run_serve_reference;
 use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
-use afsb_serve::server::{run_serve, CostTable, ServeConfig, ShapeCost};
+use afsb_serve::server::{CostTable, ServeConfig, ShapeCost};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
+
+/// Run the engine under an empty plan and assert it stayed passive:
+/// dispositions are still assigned, and every admitted request
+/// completes at full quality with no fault fired.
+fn run_passive(
+    name: &str,
+    config: &ServeConfig,
+    costs: &CostTable,
+    obs: &mut ObsSession,
+) -> ChaosReport {
+    let report = run_serve_chaos(config, &ChaosConfig::none(), costs, obs);
+    assert!(report.conserves_requests(), "{name}: conservation broken");
+    assert!(!report.chaos_active);
+    assert_eq!(
+        report.completed, report.admitted,
+        "{name}: passive run degraded/shed/failed"
+    );
+    assert!(report.fault_events.is_empty());
+    report
+}
 
 /// Assert every observable of one (config, costs) run agrees between
 /// the two schedulers, down to the bytes.
 fn assert_equivalent(name: &str, config: &ServeConfig, costs: &CostTable) {
     let mut engine_obs = ObsSession::new();
     let mut seed_obs = ObsSession::new();
-    let engine = run_serve(config, costs, &mut engine_obs);
+    let chaos = run_passive(name, config, costs, &mut engine_obs);
+    assert_eq!(
+        chaos.render(),
+        chaos.base.render(),
+        "{name}: the chaos block must be absent"
+    );
+    let engine = chaos.base;
     let seed = run_serve_reference(config, costs, &mut seed_obs);
 
     assert_eq!(engine.outcomes, seed.outcomes, "{name}: outcomes diverged");
@@ -170,4 +199,20 @@ fn edge_configurations_match_the_seed_scheduler() {
     }
     // Admission rejections interleaved with served requests.
     assert_equivalent("half_admitted", &base, &synthetic_costs(false));
+    // The seed scheduler predates miss coalescing, so the coalescing
+    // engine path has no oracle; it must still stay passive.
+    let coalescing = ServeConfig {
+        coalesce_misses: true,
+        ..base
+    };
+    let report = run_passive(
+        "coalescing",
+        &coalescing,
+        &synthetic_costs(true),
+        &mut ObsSession::new(),
+    );
+    assert!(
+        report.base.cache_coalesced > 0,
+        "coalescing: nothing coalesced"
+    );
 }

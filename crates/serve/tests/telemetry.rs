@@ -21,8 +21,9 @@ use afsb_serve::workload::WorkloadConfig;
 use afsb_serve::{run_brownout_telemetry, run_telemetry};
 use afsb_simarch::Platform;
 
-fn costs() -> CostTable {
-    CostTable::build(Platform::Server, true, 4, SERVE_SEED)
+fn costs() -> &'static CostTable {
+    static COSTS: std::sync::OnceLock<CostTable> = std::sync::OnceLock::new();
+    COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
 }
 
 /// Telemetry must not perturb the serving results: every field except
@@ -32,12 +33,12 @@ fn telemetry_is_observation_only_on_canonical_scenarios() {
     let costs = costs();
     for scenario in default_scenarios(true) {
         let mut bare_obs = ObsSession::new();
-        let bare = run_serve(&scenario.config, &costs, &mut bare_obs);
+        let bare = run_serve(&scenario.config, costs, &mut bare_obs);
 
         let mut config = scenario.config;
         config.telemetry = TelemetryConfig::standard(true);
         let mut tel_obs = ObsSession::new();
-        let tel = run_serve(&config, &costs, &mut tel_obs);
+        let tel = run_serve(&config, costs, &mut tel_obs);
 
         assert_eq!(
             bare.outcomes, tel.outcomes,
@@ -80,12 +81,12 @@ fn telemetry_is_observation_only_under_chaos() {
         .expect("kitchen-sink scenario exists");
 
     let mut bare_obs = ObsSession::new();
-    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut bare_obs);
+    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut bare_obs);
 
     let mut config = scenario.config;
     config.telemetry = TelemetryConfig::standard(true);
     let mut tel_obs = ObsSession::new();
-    let tel = run_serve_chaos(&config, &scenario.chaos, &costs, &mut tel_obs);
+    let tel = run_serve_chaos(&config, &scenario.chaos, costs, &mut tel_obs);
 
     assert_eq!(bare.base.outcomes, tel.base.outcomes, "outcomes moved");
     assert_eq!(bare.dispositions, tel.dispositions, "dispositions moved");
@@ -132,7 +133,7 @@ fn segments_sum_to_latency_on_seeded_workloads() {
     let costs = costs();
     for scenario in default_scenarios(true) {
         let mut obs = ObsSession::new();
-        let report = run_serve(&scenario.config, &costs, &mut obs);
+        let report = run_serve(&scenario.config, costs, &mut obs);
         assert_segments_close(&report, scenario.name);
     }
 
@@ -155,7 +156,7 @@ fn segments_sum_to_latency_on_seeded_workloads() {
             config.prewarm_cache = g.bool();
             config.coalesce_misses = g.bool();
             let mut obs = ObsSession::new();
-            let report = run_serve(&config, &costs, &mut obs);
+            let report = run_serve(&config, costs, &mut obs);
             assert_segments_close(&report, "randomized");
         },
     );
@@ -170,7 +171,7 @@ fn segments_sum_to_latency_under_chaos_requeues() {
     let mut saw_requeues = false;
     for scenario in chaos_scenarios(true) {
         let mut obs = ObsSession::new();
-        let report = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut obs);
+        let report = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut obs);
         saw_requeues |= report.requeues > 0;
         assert_segments_close(&report.base, scenario.name);
     }
@@ -269,7 +270,7 @@ fn kitchen_sink_counts_degraded_attempts() {
         .find(|s| s.name == "kitchen-sink")
         .expect("kitchen-sink scenario exists");
     let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut obs);
+    let report = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut obs);
     let degrade_instants = obs
         .tracer
         .instant_names()
