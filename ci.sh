@@ -134,4 +134,20 @@ run cmp "$profile_dir/a/BENCH_serve_policy.json" "$profile_dir/b/BENCH_serve_pol
 run cmp "$profile_dir/a/serve-policy.critpath.txt" "$profile_dir/b/serve-policy.critpath.txt"
 run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$profile_dir/a/BENCH_serve_policy.json"
 
+# Committed-baseline byte-identity gate: every artifact of run `a`
+# that has a committed copy in results/ must match it byte for byte,
+# so a re-baseline cannot leave a stale BENCH, profile, collapsed or
+# critpath file behind. results/ keeps serve.timeline.txt and
+# serve.latency.csv from a full-mode run, so those two are skipped
+# (the quick timeline is diffed against its golden above).
+for artifact in "$profile_dir"/a/*; do
+    name="$(basename "$artifact")"
+    case "$name" in
+        serve.timeline.txt | serve.latency.csv) continue ;;
+    esac
+    if [ -e "results/$name" ]; then
+        run cmp "results/$name" "$artifact"
+    fi
+done
+
 echo "==> tier-1 gate passed"

@@ -43,15 +43,17 @@
 //! With [`SimEngine::record_provenance`] armed, every schedule call
 //! also records a [`ProvenanceEdge`]: the event's causal **parent**
 //! (the event being handled when it was scheduled — `None` for events
-//! scheduled before the first pop) and a typed [`WaitEdge`] label
-//! naming the resource the child waited on (supplied by the consumer
-//! via [`SimEngine::schedule_tagged`]; plain [`SimEngine::schedule`]
-//! tags [`WaitEdge::External`]). Cancelled timers can never appear as
-//! parents: a parent is by definition a *popped* event, and cancelled
-//! entries are skipped at pop time. Recording is pure bookkeeping — it
-//! allocates no floats into the schedule and leaves pop order, clock
-//! motion and every consumer-visible value byte-identical
-//! ([`crate::obs::causal`] walks the edges afterwards).
+//! scheduled before the first pop — or an earlier delivered event the
+//! consumer names via [`SimEngine::schedule_with_parent`]) and a typed
+//! [`WaitEdge`] label naming the resource the child waited on
+//! (supplied by the consumer via [`SimEngine::schedule_tagged`]; plain
+//! [`SimEngine::schedule`] tags [`WaitEdge::External`]). Cancelled
+//! timers can never appear as parents: a parent is by definition a
+//! *popped* event, and cancelled entries are skipped at pop time.
+//! Recording is pure bookkeeping — it allocates no floats into the
+//! schedule and leaves pop order, clock motion and every
+//! consumer-visible value byte-identical ([`crate::obs::causal`] walks
+//! the edges afterwards).
 
 use crate::fault::FaultKind;
 use crate::obs::Tracer;
@@ -323,14 +325,44 @@ impl SimEngine {
     /// aggregates blame by. With provenance off the tag is dropped and
     /// the call is identical to `schedule`.
     pub fn schedule_tagged(&mut self, at_s: f64, event: Event, edge: WaitEdge) -> TimerId {
+        self.schedule_with_parent(at_s, event, edge, self.current())
+    }
+
+    /// [`SimEngine::schedule_tagged`] with an explicit causal `parent`
+    /// instead of the event being handled: a consumer that defers work
+    /// (a queue drained later) hangs the deferred event off the event
+    /// that enqueued it. Naming [`SimEngine::current`] is exactly
+    /// `schedule_tagged`; `None` records a root. With provenance off
+    /// the parent is dropped like the tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at_s` is not finite, and (provenance armed) when
+    /// `parent` has not been delivered yet — an undelivered or
+    /// cancelled event cannot be a cause, and a delivered one always
+    /// precedes the child in `(time, seq)`.
+    pub fn schedule_with_parent(
+        &mut self,
+        at_s: f64,
+        event: Event,
+        edge: WaitEdge,
+        parent: Option<TimerId>,
+    ) -> TimerId {
         assert!(at_s.is_finite(), "event time must be finite, got {at_s}");
         let seq = self.next_seq;
         self.next_seq += 1;
         let at_s = at_s.max(self.now_s);
         if let Some(edges) = self.provenance.as_mut() {
+            if let Some(p) = parent {
+                assert!(
+                    edges.get(p.0 as usize).is_some_and(|e| e.delivered),
+                    "causal parent {} has not been delivered",
+                    p.0
+                );
+            }
             edges.push(ProvenanceEdge {
                 seq,
-                parent: self.current,
+                parent: parent.map(TimerId::seq),
                 edge,
                 at_s,
                 label: event.label(),
@@ -407,6 +439,12 @@ impl SimEngine {
         let (at_s, event) = self.pop()?;
         tracer.instant_at(at_s, format!("sim:{}", event.label()));
         Some((at_s, event))
+    }
+
+    /// The event being handled: the last one popped (`None` before the
+    /// first pop). Schedule calls name it as their causal parent.
+    pub fn current(&self) -> Option<TimerId> {
+        self.current.map(TimerId)
     }
 
     /// Timestamp of the next live event without popping it.

@@ -14,6 +14,15 @@
 //! 4. Every recorded parent precedes its child in `(time, seq)` order.
 //! 5. A cancelled timer never appears as anyone's parent.
 //! 6. Two same-seed runs record byte-identical edge lists.
+//!
+//! And for explicit parents (`schedule_with_parent`, how a lazily
+//! drained queue hangs a deferred event off the event that enqueued
+//! it):
+//!
+//! 7. A named parent is an already-delivered event that precedes the
+//!    child in `(time, seq)`; a cancelled timer is never named.
+//! 8. Naming the current event reproduces `schedule_tagged` edge for
+//!    edge.
 
 use afsb_rt::check::{run, Config};
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
@@ -165,19 +174,34 @@ fn interleaved_push_pop_replays_identically() {
     );
 }
 
+/// How a cascade names each child's causal parent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Parent {
+    /// `schedule_tagged`: the event being handled, implicitly.
+    Implicit,
+    /// `schedule_with_parent` naming `current()` explicitly.
+    Current,
+    /// `schedule_with_parent` naming a random already-delivered event.
+    Delivered,
+}
+
 /// Drive a provenance-armed engine through a seeded cascade: seed
 /// `roots` as untagged arrivals, then on each pop consume one op —
-/// schedule a tagged child at `now + delay`, or cancel a previously
-/// issued timer. Returns the engine fully drained.
-fn simulate_cascade(roots: &[f64], ops: &[(u64, f64, u64)]) -> SimEngine {
+/// schedule a tagged child at `now + delay` (its parent named per
+/// `parent`), or cancel a previously issued timer. Returns the engine
+/// fully drained.
+fn simulate_cascade(roots: &[f64], ops: &[(u64, f64, u64)], parent: Parent) -> SimEngine {
     let mut e = SimEngine::new();
     e.record_provenance();
     let mut live: Vec<TimerId> = Vec::new();
+    let mut delivered: Vec<TimerId> = Vec::new();
     for (request, &at) in roots.iter().enumerate() {
         live.push(e.schedule(at, Event::Arrival { request }));
     }
     let mut next_op = 0;
-    while let Some((now, _)) = e.pop() {
+    while let Some((now, _, id)) = e.pop_with_id() {
+        assert_eq!(e.current(), Some(id), "current() names the popped event");
+        delivered.push(id);
         if next_op >= ops.len() {
             continue; // ops exhausted: drain the remainder untouched
         }
@@ -187,8 +211,16 @@ fn simulate_cascade(roots: &[f64], ops: &[(u64, f64, u64)]) -> SimEngine {
             // Two in three ops extend the cascade with a tagged child.
             0 | 1 => {
                 let edge = WaitEdge::ALL[(pick % WaitEdge::ALL.len() as u64) as usize];
-                let request = next_op;
-                live.push(e.schedule_tagged(now + delay, Event::Arrival { request }, edge));
+                let event = Event::Arrival { request: next_op };
+                let at = now + delay;
+                live.push(match parent {
+                    Parent::Implicit => e.schedule_tagged(at, event, edge),
+                    Parent::Current => e.schedule_with_parent(at, event, edge, e.current()),
+                    Parent::Delivered => {
+                        let named = delivered[(pick / 7) as usize % delivered.len()];
+                        e.schedule_with_parent(at, event, edge, Some(named))
+                    }
+                });
             }
             // One in three cancels a previously issued timer (it may
             // already have fired or been cancelled — both are legal).
@@ -215,7 +247,7 @@ fn provenance_parent_precedes_child_in_time_seq_order() {
             let ops = g.vec(1..150, |g| {
                 (g.range(0u64..3), g.range(0.0..50.0), g.range(0u64..1 << 30))
             });
-            let e = simulate_cascade(&roots, &ops);
+            let e = simulate_cascade(&roots, &ops, Parent::Implicit);
             let prov = e.provenance();
             assert!(!prov.is_empty(), "cascade must record edges");
             for (i, edge) in prov.iter().enumerate() {
@@ -254,7 +286,7 @@ fn provenance_cancelled_timers_are_never_parents() {
             let ops = g.vec(1..150, |g| {
                 (g.range(0u64..6), g.range(0.0..50.0), g.range(0u64..1 << 30))
             });
-            let e = simulate_cascade(&roots, &ops);
+            let e = simulate_cascade(&roots, &ops, Parent::Implicit);
             let prov = e.provenance();
             for edge in prov {
                 assert!(
@@ -284,8 +316,8 @@ fn provenance_same_seed_runs_record_identical_edge_lists() {
             let ops = g.vec(1..150, |g| {
                 (g.range(0u64..3), g.range(0.0..50.0), g.range(0u64..1 << 30))
             });
-            let a = simulate_cascade(&roots, &ops);
-            let b = simulate_cascade(&roots, &ops);
+            let a = simulate_cascade(&roots, &ops, Parent::Implicit);
+            let b = simulate_cascade(&roots, &ops, Parent::Implicit);
             assert_eq!(
                 a.provenance().len(),
                 b.provenance().len(),
@@ -300,4 +332,90 @@ fn provenance_same_seed_runs_record_identical_edge_lists() {
             );
         },
     );
+}
+
+/// Property 4 and 5 under explicit parents: whichever delivered event
+/// a child names, the recorded parent was delivered before the child
+/// was scheduled, precedes it in `(time, seq)`, and is never a
+/// cancelled timer.
+#[test]
+fn explicit_parents_are_delivered_predecessors() {
+    run(
+        "explicit_parents_are_delivered_predecessors",
+        Config::cases(128),
+        |g| {
+            let roots: Vec<f64> = (0..g.range(1usize..6))
+                .map(|_| g.range(0.0..50.0))
+                .collect();
+            let ops = g.vec(1..150, |g| {
+                (g.range(0u64..6), g.range(0.0..50.0), g.range(0u64..1 << 30))
+            });
+            let e = simulate_cascade(&roots, &ops, Parent::Delivered);
+            let prov = e.provenance();
+            for edge in prov {
+                let Some(p) = edge.parent else { continue };
+                let parent = &prov[p as usize];
+                assert!(parent.delivered, "named parent {p} was never delivered");
+                assert!(!parent.cancelled, "cancelled timer {p} was named");
+                assert!(
+                    parent.seq < edge.seq,
+                    "parent {p} follows child {}",
+                    edge.seq
+                );
+                assert!(
+                    parent.at_s <= edge.at_s,
+                    "parent fires at {} after its child at {}",
+                    parent.at_s,
+                    edge.at_s
+                );
+            }
+        },
+    );
+}
+
+/// Property 8: `schedule_with_parent(current())` is `schedule_tagged`.
+#[test]
+fn naming_the_current_event_matches_schedule_tagged() {
+    run(
+        "naming_the_current_event_matches_schedule_tagged",
+        Config::cases(64),
+        |g| {
+            let roots: Vec<f64> = (0..g.range(1usize..6))
+                .map(|_| g.range(0.0..50.0))
+                .collect();
+            let ops = g.vec(1..150, |g| {
+                (g.range(0u64..3), g.range(0.0..50.0), g.range(0u64..1 << 30))
+            });
+            let implicit = simulate_cascade(&roots, &ops, Parent::Implicit);
+            let explicit = simulate_cascade(&roots, &ops, Parent::Current);
+            assert_eq!(
+                format!("{:?}", implicit.provenance()),
+                format!("{:?}", explicit.provenance()),
+                "naming current() must record the implicit edges exactly"
+            );
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "has not been delivered")]
+fn naming_a_cancelled_timer_panics() {
+    let mut e = SimEngine::new();
+    e.record_provenance();
+    let dead = e.schedule(1.0, Event::Arrival { request: 0 });
+    e.schedule(2.0, Event::Arrival { request: 1 });
+    assert!(e.cancel(dead));
+    e.pop();
+    e.schedule_with_parent(3.0, Event::BatchClose, WaitEdge::BatchClose, Some(dead));
+}
+
+#[test]
+#[should_panic(expected = "has not been delivered")]
+fn naming_a_pending_event_panics() {
+    let mut e = SimEngine::new();
+    e.record_provenance();
+    e.schedule(1.0, Event::Arrival { request: 0 });
+    let pending = e.schedule(5.0, Event::Arrival { request: 1 });
+    e.pop();
+    e.schedule_with_parent(6.0, Event::BatchClose, WaitEdge::BatchClose, Some(pending));
 }

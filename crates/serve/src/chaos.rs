@@ -1,27 +1,29 @@
-//! The eager serving loop: fault-free and fault-tolerant serving in one.
+//! Fault-tolerant serving: the fault plan, the recovery policy that
+//! answers it, and `ServeCore`, the state every serving run shares.
 //!
-//! [`crate::server::run_serve`] is this loop under an empty plan ("how
-//! fast is serving when nothing breaks"); with a plan armed it answers
-//! "how does it degrade when everything does". Misses are assigned
-//! eagerly on arrival to the least-loaded worker's FIFO job list, and
-//! the loop adds:
+//! [`run_serve_chaos`] is the one serving loop ([`crate::policy`])
+//! under plain FIFO; [`crate::server::run_serve`] is it under an empty
+//! plan ("how fast is serving when nothing breaks"). With a plan armed
+//! it answers "how does it degrade when everything does":
 //!
 //! - **Fault wiring** — every fault of a [`FaultPlan`] is scheduled as
 //!   an [`Event::Fault`] on the serving engine and delivered through a
-//!   per-run [`FaultInjector`]: kills abort the in-flight MSA job on a
+//!   per-run [`FaultInjector`]: kills abort the running MSA job on a
 //!   CPU worker (redone from the last jackhmmer checkpoint, not from
-//!   zero), stragglers slow one worker's queue, storage faults stall or
-//!   re-read in-flight feature loads (a device stall also reaches the
-//!   database scans of running MSA jobs), GPU init failures force a
-//!   priced re-init that drops the in-process XLA cache, and compile
-//!   stalls inflate the next batch's `xla_compile` spans.
+//!   zero) and free the worker for the next queued request, stragglers
+//!   stretch one running job, storage faults stall or re-read
+//!   in-flight feature loads (a device stall also stretches every
+//!   running MSA job), GPU init failures force a priced re-init that
+//!   drops the in-process XLA cache, and compile stalls inflate the
+//!   next batch's `xla_compile` spans.
 //! - **Recovery policy** — a per-request attempt budget with capped
 //!   exponential backoff ([`RetryPolicy`]) requeues killed MSA jobs, a
 //!   worker-pool [`CircuitBreaker`] parks requeues while open,
-//!   deadline-aware load shedding drops still-queued requests whose
-//!   deadline expired, and sustained queue growth triggers the
-//!   [`DegradeStep::MsaDepthCap`] rung of the `core::resilience` ladder
-//!   (reduced MSA depth ⇒ cheaper searches at lower quality).
+//!   deadline-aware load shedding drops still-waiting requests whose
+//!   deadline expired, and a request that enters the MSA queue behind a
+//!   deep backlog steps down the [`DegradeStep::MsaDepthCap`] rung of
+//!   the `core::resilience` ladder (reduced MSA depth ⇒ cheaper
+//!   searches at lower quality).
 //! - **Dispositions** — every admitted request terminates in exactly
 //!   one [`Disposition`] (completed | degraded | shed | failed), the
 //!   request-conservation invariant checked by
@@ -32,23 +34,19 @@
 //! frozen seed scheduler in [`crate::reference`] — `tests/equivalence.rs`
 //! pins report, outcomes, metrics text and Chrome trace byte-identical.
 //!
-//! Everything but the MSA side lives in `ServeCore`, which the lazy
-//! policy loop ([`crate::policy`]) drives too: one batch close, one
-//! report fold, one checkpoint salvage (`checkpoint_salvage`) and the
-//! shared recovery steps (retry/fail, requeue, breaker, shedding).
-//!
-//! Two modelling choices keep recovery deterministic and conservative:
-//! a killed or shed job's **slot stays reserved** (later jobs on that
-//! worker keep their start times — freed capacity is not compacted
-//! away), and pended side effects (a storage fault with nothing in
-//! flight, a compile stall awaiting the next new shape) are charged to
-//! the most recently fired fault when they finally apply.
+//! Everything but MSA dispatch lives in `ServeCore`: cache, GPU batch
+//! close, report fold and the recovery steps (retry/fail, requeue,
+//! breaker, shedding).
+//! Pended side effects (a storage fault with nothing in flight, a
+//! compile stall awaiting the next new shape) are charged to the most
+//! recently fired fault when they finally apply.
 
 use crate::cache::FeatureCache;
+use crate::policy::{run_serve_policy, PolicyConfig};
 use crate::scenario::SERVE_SEED;
 use crate::server::{
-    CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
-    LATENCY_BOUNDS, TIMELINE_COLUMNS,
+    non_negative, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
+    ServeReport, LATENCY_BOUNDS, TIMELINE_COLUMNS,
 };
 use crate::workload::{self, Request};
 use afsb_core::report::ascii_table;
@@ -60,7 +58,7 @@ use afsb_rt::rng::mix;
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
 use afsb_simarch::Platform;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -119,19 +117,22 @@ pub struct RecoveryPolicy {
     /// Shed still-queued requests when their deadline expires instead
     /// of letting them finish arbitrarily late.
     pub shed_expired: bool,
-    /// Queue depth (queued-not-started MSA jobs + parked requests) at
-    /// which new dispatches degrade to the reduced-depth MSA rung.
-    /// `0` disables degradation.
+    /// Queue depth (queued MSA requests + parked requests) at which a
+    /// request entering the MSA queue degrades to the reduced-depth MSA
+    /// rung. `0` disables degradation.
     pub degrade_queue_depth: usize,
-    /// MSA duration multiplier under degradation (< 1: shallower
-    /// search finishes faster).
+    /// MSA duration multiplier under degradation (in `(0, 1]`: a
+    /// shallower search finishes faster). Speculative admission
+    /// ([`crate::policy::PolicyConfig::speculate_queue_depth`]) uses
+    /// the same rung.
     pub degrade_msa_factor: f64,
     /// MSA depth cap reported for the degradation rung (the ladder's
     /// [`DegradeStep::MsaDepthCap`] parameter).
     pub degraded_msa_depth: usize,
     /// Checkpoint granularity of the jackhmmer driver: durable progress
-    /// is the killed attempt's progress floored to `1/checkpoint_units`
-    /// steps, so a retry redoes only the non-durable tail.
+    /// is a stopped attempt's progress (killed or preempted) floored to
+    /// `1/checkpoint_units` steps, so a retry redoes only the
+    /// non-durable tail.
     pub checkpoint_units: usize,
 }
 
@@ -149,6 +150,38 @@ impl RecoveryPolicy {
             degraded_msa_depth: 128,
             checkpoint_units: 8,
         }
+    }
+
+    /// Check every number for a degenerate value, returning an error
+    /// that names the field: a NaN backoff or cooldown would reach the
+    /// engine as a non-finite event time.
+    pub fn validate(&self) -> Result<(), String> {
+        let r = &self.retry;
+        for (field, value) in [
+            ("retry.base_backoff_s", r.base_backoff_s),
+            ("retry.multiplier", r.multiplier),
+            ("retry.cap_s", r.cap_s),
+            ("retry.jitter_fraction", r.jitter_fraction),
+            ("breaker_cooldown_s", self.breaker_cooldown_s),
+        ] {
+            non_negative(&format!("recovery: {field}"), value)?;
+        }
+        if !(self.degrade_msa_factor > 0.0 && self.degrade_msa_factor <= 1.0) {
+            return Err(format!(
+                "recovery: degrade_msa_factor must be in (0, 1], got {}",
+                self.degrade_msa_factor
+            ));
+        }
+        for (field, value) in [
+            ("max_attempts", self.max_attempts as usize),
+            ("degraded_msa_depth", self.degraded_msa_depth),
+            ("checkpoint_units", self.checkpoint_units),
+        ] {
+            if value == 0 {
+                return Err(format!("recovery: {field} must be at least 1"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -273,81 +306,24 @@ impl ChaosReport {
     }
 }
 
-/// One MSA job occupying a slot on a CPU worker's FIFO queue. Start
-/// times are non-decreasing within one worker.
-#[derive(Debug, Clone, Copy)]
-struct MsaJob {
-    request: usize,
-    entity: usize,
-    start_s: f64,
-    done_s: f64,
-    timer: TimerId,
-}
-
 /// One in-flight feature load (a scheduled `CacheFill`).
 #[derive(Debug, Clone, Copy)]
 struct Fill {
     timer: TimerId,
     entity: usize,
-    /// Piggybacked on an in-flight MSA fill (its landing time tracks
-    /// the producer) rather than a plain cache-hit load.
-    coalesced: bool,
     load_s: f64,
 }
 
-/// Checkpoint salvage for an MSA attempt stopped at `now` (a kill or a
-/// voluntary yield): durable progress floors to the `1/units` jackhmmer
-/// checkpoint grid, so a retry redoes only the non-durable tail.
-/// Updates `durable` and returns the seconds lost (spent minus
-/// salvaged).
-pub(crate) fn checkpoint_salvage(
-    durable: &mut f64,
-    start_s: f64,
-    done_s: f64,
-    now: f64,
-    units: usize,
-    msa_s: f64,
-) -> f64 {
-    let span = done_s - start_s;
-    let progress = if start_s >= now || span <= 0.0 {
-        0.0
-    } else {
-        ((now - start_s) / span).clamp(0.0, 1.0)
-    };
-    let before = *durable;
-    let overall = before + progress * (1.0 - before);
-    let units = units.max(1) as f64;
-    *durable = (overall * units).floor() / units;
-    let spent = (now - start_s).max(0.0);
-    let salvaged = (*durable - before) * msa_s;
-    (spent - salvaged).max(0.0)
-}
-
-/// The GPU batch rule of the reference scheduler: the arrival-order
-/// prefix of the sorted pool, up to `gpu_batch` requests ready by
-/// `start` (at least one).
-pub(crate) fn prefix_batch(
-    pool: &mut Vec<usize>,
-    outcomes: &[RequestOutcome],
-    start: f64,
-    gpu_batch: usize,
-) -> Vec<usize> {
-    let mut take = 1usize;
-    while take < gpu_batch && take < pool.len() && outcomes[pool[take]].ready_s <= start {
-        take += 1;
-    }
-    pool.drain(..take).collect()
-}
-
-/// The state both serving loops share: event queue, feature cache, GPU
-/// queue, per-request outcome and recovery state, and the
-/// observation-only records. The eager chaos loop below and the lazy
-/// policy loop ([`crate::policy`]) each keep only their MSA-side
-/// bookkeeping and drive everything else through these methods — one
-/// batch close ([`ServeCore::close_batch`]) and one report fold
+/// The state of one serving run outside MSA dispatch: event queue,
+/// feature cache, GPU queue, per-request outcome and recovery state,
+/// and the observation-only records. The serving loop
+/// ([`crate::policy`]) keeps only the MSA queue and pool and drives
+/// everything else through these methods — one batch close
+/// ([`ServeCore::close_batch`]) and one report fold
 /// ([`ServeCore::fold`]).
 pub(crate) struct ServeCore<'a> {
     pub(crate) config: &'a ServeConfig,
+    pub(crate) pol: &'a PolicyConfig,
     pub(crate) chaos: &'a ChaosConfig,
     pub(crate) costs: &'a CostTable,
     pub(crate) requests: Vec<Request>,
@@ -399,22 +375,29 @@ pub(crate) struct ServeCore<'a> {
 }
 
 impl<'a> ServeCore<'a> {
-    /// Validate the config, generate the stream, prewarm the cache, open
-    /// the `serve` span and queue the plan's faults ahead of the first
-    /// arrival (so a fault at an arrival's timestamp is delivered
+    /// Validate every input, generate the stream, prewarm the cache,
+    /// open the `serve` span and queue the plan's faults ahead of the
+    /// first arrival (so a fault at an arrival's timestamp is delivered
     /// first).
     ///
     /// # Panics
     ///
-    /// Panics with the [`ServeConfig::validate`] error on a degenerate
-    /// config.
+    /// Panics with the first error of [`ServeConfig::validate`],
+    /// [`CostTable::validate`], [`RecoveryPolicy::validate`] or
+    /// [`PolicyConfig::validate`].
     pub(crate) fn new(
         config: &'a ServeConfig,
+        pol: &'a PolicyConfig,
         chaos: &'a ChaosConfig,
         costs: &'a CostTable,
         obs: &mut ObsSession,
     ) -> ServeCore<'a> {
-        if let Err(e) = config.validate() {
+        let valid = config
+            .validate()
+            .and_then(|()| costs.validate())
+            .and_then(|()| chaos.policy.validate())
+            .and_then(|()| pol.validate());
+        if let Err(e) = valid {
             panic!("{e}");
         }
         let requests = workload::generate(&config.workload);
@@ -448,6 +431,7 @@ impl<'a> ServeCore<'a> {
         }
         ServeCore {
             config,
+            pol,
             chaos,
             costs,
             requests,
@@ -513,8 +497,8 @@ impl<'a> ServeCore<'a> {
         }
     }
 
-    /// Push the outcome of a rejected or MSA-bound request (ready at
-    /// arrival until an MSA attempt is dispatched).
+    /// Push the outcome of an arriving request, ready at arrival until
+    /// its features are computed or loaded.
     pub(crate) fn push_pending(&mut self, request: usize, rejected: bool) {
         let req = self.requests[request];
         self.outcomes.push(RequestOutcome {
@@ -529,12 +513,11 @@ impl<'a> ServeCore<'a> {
         });
     }
 
-    /// Admit `request` as a cache hit: its feature load lands `load_s`
-    /// after `from` (plus any storage fault pended with nothing in
-    /// flight), and its outcome is pushed.
-    pub(crate) fn admit_hit(&mut self, request: usize, from: f64, load_s: f64, coalesced: bool) {
-        let req = self.requests[request];
-        let mut ready = from + load_s;
+    /// Admit `request` as a cache hit: its outcome is pushed and its
+    /// feature load lands `load_s` after arrival (plus any storage fault
+    /// pended with nothing in flight).
+    pub(crate) fn admit_hit(&mut self, request: usize, load_s: f64) {
+        let mut ready = self.requests[request].arrival_s + load_s;
         if self.active && !self.pending_storage.is_empty() {
             let mut delay = 0.0;
             for kind in self.pending_storage.drain(..) {
@@ -547,36 +530,31 @@ impl<'a> ServeCore<'a> {
             ready += delay;
             self.injector.charge(delay);
         }
+        self.push_pending(request, false);
+        self.outcomes[request].cache_hit = true;
+        self.start_fill(request, ready, load_s);
+    }
+
+    /// Schedule `request`'s `load_s`-second feature load to land at
+    /// `ready`; the wait since its current readiness is cache wait.
+    pub(crate) fn start_fill(&mut self, request: usize, ready: f64, load_s: f64) {
+        let entity = self.requests[request].entity;
         let timer = self.engine.schedule_tagged(
             ready,
-            Event::CacheFill {
-                request,
-                entity: req.entity,
-            },
+            Event::CacheFill { request, entity },
             WaitEdge::CacheFill,
         );
         self.fills.insert(
             request,
             Fill {
                 timer,
-                entity: req.entity,
-                coalesced,
+                entity,
                 load_s,
             },
         );
-        self.outcomes.push(RequestOutcome {
-            request: req,
-            cache_hit: true,
-            rejected: false,
-            ready_s: ready,
-            done_s: 0.0,
-            deadline_missed: false,
-            finished: false,
-            segments: PhaseSegments {
-                cache_wait_s: ready - req.arrival_s,
-                ..PhaseSegments::default()
-            },
-        });
+        let o = &mut self.outcomes[request];
+        o.segments.cache_wait_s += ready - o.ready_s;
+        o.ready_s = ready;
     }
 
     /// The tail of every arrival: arm an admitted request's deadline
@@ -655,9 +633,10 @@ impl<'a> ServeCore<'a> {
     }
 
     /// Step `r` down the MSA-depth degradation rung.
-    pub(crate) fn degrade(&mut self, r: usize, now: f64, depth: usize, obs: &mut ObsSession) {
+    pub(crate) fn degrade(&mut self, r: usize, now: f64, obs: &mut ObsSession) {
         self.degraded_req[r] = true;
         self.degraded_attempts += 1;
+        let depth = self.chaos.policy.degraded_msa_depth;
         obs.tracer.instant_at(
             now,
             format!("degrade:{}", DegradeStep::MsaDepthCap { depth }),
@@ -761,7 +740,7 @@ impl<'a> ServeCore<'a> {
     }
 
     /// Terminally fail `r`.
-    fn fail(&mut self, r: usize, now: f64, obs: &mut ObsSession) {
+    pub(crate) fn fail(&mut self, r: usize, now: f64, obs: &mut ObsSession) {
         self.disposition[r] = Some(Disposition::Failed);
         obs.tracer.instant_at(now, "failed");
         if self.config.telemetry.slo.is_some() {
@@ -1182,446 +1161,26 @@ impl<'a> ServeCore<'a> {
     }
 }
 
-/// The eager MSA side of the chaos loop: a miss is assigned on arrival
-/// to the least-loaded worker's FIFO job list.
-struct EagerPool {
-    /// Per-worker time its last queued job finishes.
-    workers: Vec<f64>,
-    /// Per-worker queued and running jobs, in start order (a deque:
-    /// completions pop the front).
-    jobs: Vec<VecDeque<MsaJob>>,
-    /// Fills still being computed: entity → MSA done time. Read only
-    /// when coalescing is on.
-    in_flight: BTreeMap<usize, f64>,
-    /// Coalesced waiters orphaned by a killed producer, per entity.
-    orphans: BTreeMap<usize, Vec<usize>>,
-}
-
-impl EagerPool {
-    /// Queued-not-started MSA jobs across the pool (the overload signal
-    /// the degradation rung triggers on).
-    fn queued_depth(&self, now: f64) -> usize {
-        self.jobs
-            .iter()
-            .flat_map(|jobs| jobs.iter())
-            .filter(|j| j.start_s > now)
-            .count()
-    }
-
-    /// The job running on worker `w` at `now`, if any.
-    fn running(&self, w: usize, now: f64) -> Option<usize> {
-        self.jobs[w]
-            .iter()
-            .position(|j| j.start_s <= now && j.done_s > now)
-    }
-
-    /// Reset worker `w`'s free time to its last queued job's end.
-    fn refresh(&mut self, w: usize, now: f64) {
-        self.workers[w] = self.jobs[w].back().map_or(now, |j| j.done_s);
-    }
-
-    /// Start an MSA attempt for `request`, ready from `from`: the
-    /// non-durable remainder of its search, stepped down the degradation
-    /// rung when the queue is past the recovery policy's depth.
-    fn attempt(
-        &mut self,
-        core: &mut ServeCore,
-        request: usize,
-        from: f64,
-        now: f64,
-        obs: &mut ObsSession,
-    ) {
-        let policy = &core.chaos.policy;
-        let mut msa_s = (1.0 - core.durable[request]).max(0.0)
-            * core.costs.shape(core.requests[request].sample).msa_s;
-        if core.active
-            && policy.degrade_queue_depth > 0
-            && !core.degraded_req[request]
-            && self.queued_depth(now) + core.parked.len() >= policy.degrade_queue_depth
-        {
-            core.degrade(request, now, policy.degraded_msa_depth, obs);
-        }
-        if core.degraded_req[request] {
-            msa_s *= policy.degrade_msa_factor;
-        }
-        self.dispatch(core, request, from, msa_s);
-    }
-
-    /// Queue `request`'s `msa_s`-second attempt, ready from `from`, on
-    /// the earliest-free worker (lowest index breaks ties).
-    fn dispatch(&mut self, core: &mut ServeCore, request: usize, from: f64, msa_s: f64) {
-        let w = self
-            .workers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i)
-            .expect("worker pool is non-empty");
-        let start = self.workers[w].max(from);
-        let done = start + msa_s;
-        self.workers[w] = done;
-        let entity = core.requests[request].entity;
-        self.in_flight.insert(entity, done);
-        let timer = core.engine.schedule_tagged(
-            done,
-            Event::MsaDone { request, worker: w },
-            WaitEdge::WorkerBusy,
-        );
-        core.record_split(timer, start - from, done - start);
-        self.jobs[w].push_back(MsaJob {
-            request,
-            entity,
-            start_s: start,
-            done_s: done,
-            timer,
-        });
-        let o = &mut core.outcomes[request];
-        o.segments.msa_queue_wait_s += start - from;
-        o.segments.msa_service_s += done - start;
-        o.ready_s = done;
-    }
-
-    /// Re-time job `i` of worker `w` in place: reschedule its
-    /// completion, refresh the request's readiness, and retarget the
-    /// in-flight map plus any coalesced waiter fills that track this
-    /// producer's landing time.
-    fn retime(&mut self, core: &mut ServeCore, w: usize, i: usize, new_start: f64, new_done: f64) {
-        let job = &mut self.jobs[w][i];
-        let (request, entity) = (job.request, job.entity);
-        core.engine.cancel(job.timer);
-        // Attribution: a retime moves queue wait by the start shift and
-        // MSA service by the duration change (straggler/stall inflation).
-        let seg = &mut core.outcomes[request].segments;
-        seg.msa_queue_wait_s += new_start - job.start_s;
-        seg.msa_service_s += (new_done - new_start) - (job.done_s - job.start_s);
-        job.start_s = new_start;
-        job.done_s = new_done;
-        job.timer = core.engine.schedule_tagged(
-            new_done,
-            Event::MsaDone { request, worker: w },
-            WaitEdge::WorkerBusy,
-        );
-        core.outcomes[request].ready_s = new_done;
-        if self.in_flight.contains_key(&entity) {
-            self.in_flight.insert(entity, new_done);
-        }
-        for (&waiter, fill) in core.fills.iter_mut() {
-            if fill.coalesced && fill.entity == entity {
-                core.engine.cancel(fill.timer);
-                let ready = new_done + fill.load_s;
-                fill.timer = core.engine.schedule_tagged(
-                    ready,
-                    Event::CacheFill {
-                        request: waiter,
-                        entity,
-                    },
-                    WaitEdge::CacheFill,
-                );
-                let o = &mut core.outcomes[waiter];
-                o.segments.cache_wait_s += ready - o.ready_s;
-                o.ready_s = ready;
-            }
-        }
-    }
-
-    /// Stretch worker `w`'s running job `i` to `new_done` (straggler or
-    /// storage stall), then push its queued successors back behind it —
-    /// durations preserved, stopping at the first job the shift no
-    /// longer reaches.
-    fn stretch(&mut self, core: &mut ServeCore, w: usize, i: usize, new_done: f64, now: f64) {
-        let start = self.jobs[w][i].start_s;
-        self.retime(core, w, i, start, new_done);
-        for k in i + 1..self.jobs[w].len() {
-            let prev_done = self.jobs[w][k - 1].done_s;
-            if prev_done <= self.jobs[w][k].start_s {
-                break;
-            }
-            let duration = self.jobs[w][k].done_s - self.jobs[w][k].start_s;
-            self.retime(core, w, k, prev_done, prev_done + duration);
-        }
-        self.refresh(w, now);
-    }
-
-    /// Deadline shedding for a request still queued: drop its unstarted
-    /// MSA job (the slot stays reserved — capacity is not compacted), its
-    /// breaker park, its pending requeue, or its orphaned wait. Producers
-    /// that coalesced waiters depend on are never shed. Returns whether
-    /// anything was dropped.
-    fn shed(&mut self, core: &mut ServeCore, request: usize, now: f64) -> bool {
-        let entity = core.requests[request].entity;
-        let depended = self.orphans.get(&entity).is_some_and(|v| !v.is_empty())
-            || core
-                .fills
-                .values()
-                .any(|f| f.coalesced && f.entity == entity);
-        if !depended {
-            for w in 0..self.jobs.len() {
-                if let Some(i) = self.jobs[w].iter().position(|j| j.request == request) {
-                    if self.jobs[w][i].start_s > now {
-                        let job = self.jobs[w].remove(i).expect("job present");
-                        core.engine.cancel(job.timer);
-                        self.refresh(w, now);
-                        self.in_flight.remove(&entity);
-                        return true;
-                    }
-                    break;
-                }
-            }
-            if let Some(pos) = core.parked.iter().position(|&r| r == request) {
-                core.parked.remove(pos);
-                return true;
-            }
-            if let Some(timer) = core.requeue_timers[request].take() {
-                core.engine.cancel(timer);
-                return true;
-            }
-        }
-        if let Some(waiters) = self.orphans.get_mut(&entity) {
-            if let Some(pos) = waiters.iter().position(|&r| r == request) {
-                waiters.remove(pos);
-                if waiters.is_empty() {
-                    self.orphans.remove(&entity);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Kill the in-flight MSA job on one busy worker (chosen by
-    /// `at_fraction`): its un-run tail is dropped, coalesced waiters
-    /// become orphans woken by the entity's next completion, checkpointed
-    /// progress is salvaged and the request retries or fails (its
-    /// orphans sharing that fate). Returns `false` when no worker was
-    /// busy.
-    fn kill(
-        &mut self,
-        core: &mut ServeCore,
-        at_fraction: f64,
-        now: f64,
-        obs: &mut ObsSession,
-    ) -> bool {
-        let busy: Vec<usize> = (0..self.jobs.len())
-            .filter(|&w| self.jobs[w].iter().any(|j| j.done_s > now))
-            .collect();
-        if busy.is_empty() {
-            return false;
-        }
-        let frac = at_fraction.clamp(0.0, 1.0);
-        let w = busy[((frac * busy.len() as f64) as usize).min(busy.len() - 1)];
-        let i = self.jobs[w]
-            .iter()
-            .position(|j| j.done_s > now)
-            .expect("busy worker has an unfinished job");
-        let job = self.jobs[w].remove(i).expect("job present");
-        core.engine.cancel(job.timer);
-        let (r, entity) = (job.request, job.entity);
-        // Attribution: drop the killed attempt's un-run tail; a
-        // never-started job instead converts its queue wait to the
-        // actual wait accrued up to the kill.
-        let seg = &mut core.outcomes[r].segments;
-        if job.start_s > now {
-            seg.msa_queue_wait_s += now - job.start_s;
-            seg.msa_service_s -= job.done_s - job.start_s;
-        } else {
-            seg.msa_service_s -= job.done_s - now;
-        }
-        let mut moved = Vec::new();
-        let engine = &mut core.engine;
-        core.fills.retain(|&waiter, f| {
-            if f.coalesced && f.entity == entity {
-                engine.cancel(f.timer);
-                moved.push(waiter);
-                false
-            } else {
-                true
-            }
-        });
-        if !moved.is_empty() {
-            self.orphans.entry(entity).or_default().extend(moved);
-        }
-        self.in_flight.remove(&entity);
-        self.refresh(w, now);
-        let lost = checkpoint_salvage(
-            &mut core.durable[r],
-            job.start_s,
-            job.done_s,
-            now,
-            core.chaos.policy.checkpoint_units,
-            core.costs.shape(core.requests[r].sample).msa_s,
-        );
-        core.injector.charge(lost);
-        if core.retry_or_fail(r, now, obs) {
-            for waiter in self.orphans.remove(&entity).unwrap_or_default() {
-                core.fail(waiter, now, obs);
-            }
-        }
-        true
-    }
-}
-
-/// Run the eager serving loop under a fault plan.
+/// Run the serving loop under a fault plan with plain FIFO dispatch:
+/// [`run_serve_policy`] under [`PolicyConfig::fifo`].
 ///
 /// Identical contract to [`crate::server::run_serve`] (which is this
-/// call under [`ChaosConfig::none`]), plus a [`ChaosConfig`]. A fresh [`FaultInjector`] is built from the plan
-/// *inside this call* (one injector per run — see
-/// [`FaultPlan::injector`]), so a long-lived `ChaosConfig` can drive
-/// any number of runs without double-firing.
+/// call under [`ChaosConfig::none`]), plus a [`ChaosConfig`]. A fresh
+/// [`FaultInjector`] is built from the plan *inside this call* (one
+/// injector per run — see [`FaultPlan::injector`]), so a long-lived
+/// `ChaosConfig` can drive any number of runs without double-firing.
 ///
 /// # Panics
 ///
-/// Panics with the [`ServeConfig::validate`] error on a degenerate
-/// config.
+/// Panics with the validation error of a degenerate config, cost table
+/// or recovery policy.
 pub fn run_serve_chaos(
     config: &ServeConfig,
     chaos: &ChaosConfig,
     costs: &CostTable,
     obs: &mut ObsSession,
 ) -> ChaosReport {
-    let mut core = ServeCore::new(config, chaos, costs, obs);
-    let mut msa = EagerPool {
-        workers: vec![0.0; config.cpu_workers],
-        jobs: vec![VecDeque::new(); config.cpu_workers],
-        in_flight: BTreeMap::new(),
-        orphans: BTreeMap::new(),
-    };
-
-    // Handlers that change nothing `continue` past the gauge row.
-    while let Some((now, event)) = core.next_event() {
-        match event {
-            // Admission, cache lookup (or coalescing onto an in-flight
-            // fill) and eager CPU dispatch.
-            Event::Arrival { request } => {
-                let req = core.requests[request];
-                let shape = costs.shape(req.sample);
-                if !shape.admitted {
-                    core.push_pending(request, true);
-                } else if config.coalesce_misses
-                    && !core.cache.contains(req.entity)
-                    && msa.in_flight.contains_key(&req.entity)
-                {
-                    // Piggyback on the in-flight fill instead of
-                    // duplicating the MSA search.
-                    core.cache.coalesced_hit();
-                    let from = msa.in_flight[&req.entity];
-                    core.admit_hit(request, from, shape.feature_load_s, true);
-                } else if core.cache.lookup(req.entity) {
-                    core.admit_hit(request, req.arrival_s, shape.feature_load_s, false);
-                } else {
-                    core.push_pending(request, false);
-                    msa.attempt(&mut core, request, req.arrival_s, now, obs);
-                }
-                core.finish_arrival(request, shape.admitted);
-            }
-
-            // A pool worker finished: the features enter the cache, the
-            // request becomes GPU-ready, and any waiters orphaned by an
-            // earlier kill of this entity's producer wake exactly once.
-            Event::MsaDone { request, worker } => {
-                if let Some(i) = msa.jobs[worker].iter().position(|j| j.request == request) {
-                    msa.jobs[worker].remove(i);
-                }
-                core.commit_fill(request);
-                let entity = core.requests[request].entity;
-                msa.in_flight.remove(&entity);
-                for waiter in msa.orphans.remove(&entity).unwrap_or_default() {
-                    let load_s = costs.shape(core.requests[waiter].sample).feature_load_s;
-                    let ready = now + load_s;
-                    let o = &mut core.outcomes[waiter];
-                    o.segments.cache_wait_s += ready - o.ready_s;
-                    o.ready_s = ready;
-                    let timer = core.engine.schedule_tagged(
-                        ready,
-                        Event::CacheFill {
-                            request: waiter,
-                            entity,
-                        },
-                        WaitEdge::CacheFill,
-                    );
-                    core.fills.insert(
-                        waiter,
-                        Fill {
-                            timer,
-                            entity,
-                            coalesced: true,
-                            load_s,
-                        },
-                    );
-                }
-                core.mark_ready(request, now);
-            }
-
-            Event::CacheFill { request, .. } => core.fill_landed(request, now),
-
-            Event::BatchClose => {
-                if !core.close_batch(now, obs, prefix_batch) {
-                    continue;
-                }
-            }
-
-            Event::GpuDone { .. } => core.gpu_done(now),
-
-            Event::DeadlineExpired { request } => {
-                if core.may_shed(request) && msa.shed(&mut core, request, now) {
-                    core.shed(request, now, obs);
-                }
-                core.outcomes[request].deadline_missed = true;
-            }
-
-            Event::Fault(kind) => {
-                let Some(fired) = core.fire(kind, now, obs) else {
-                    continue;
-                };
-                match fired {
-                    FaultKind::OomKill { at_fraction } | FaultKind::WorkerCrash { at_fraction } => {
-                        if !msa.kill(&mut core, at_fraction, now, obs) {
-                            continue;
-                        }
-                    }
-                    FaultKind::Straggler { factor } => {
-                        for w in 0..msa.jobs.len() {
-                            if let Some(i) = msa.running(w, now) {
-                                let old_done = msa.jobs[w][i].done_s;
-                                let new_done = now + (old_done - now) * factor.max(1.0);
-                                msa.stretch(&mut core, w, i, new_done, now);
-                                core.injector.charge(new_done - old_done);
-                                break;
-                            }
-                        }
-                    }
-                    FaultKind::StorageReadError => core.storage_read_error(fired),
-                    FaultKind::StorageStall { stall_seconds } => {
-                        let mut lost = core.delay_fills(Some(stall_seconds));
-                        // A device stall also reaches the database scans
-                        // of every running MSA job.
-                        for w in 0..msa.jobs.len() {
-                            if let Some(i) = msa.running(w, now) {
-                                let done = msa.jobs[w][i].done_s;
-                                msa.stretch(&mut core, w, i, done + stall_seconds, now);
-                                lost += stall_seconds;
-                            }
-                        }
-                        core.settle_stall(fired, lost);
-                    }
-                    FaultKind::GpuInitFailure | FaultKind::XlaCompileStall { .. } => {
-                        core.gpu_fault(fired)
-                    }
-                }
-            }
-
-            Event::Requeue { request } => {
-                if !core.requeue(request, now, obs) {
-                    continue;
-                }
-                msa.attempt(&mut core, request, now, now, obs);
-            }
-
-            Event::BreakerClose => core.close_breaker(now, obs),
-        }
-        let queued = || msa.jobs.iter().map(VecDeque::len).sum();
-        core.sample(now, queued, &msa.workers);
-    }
-    core.fold(obs)
+    run_serve_policy(config, &PolicyConfig::fifo(), chaos, costs, obs).chaos
 }
 
 /// A named chaos serving scenario.
@@ -1845,4 +1404,79 @@ pub fn render_chaos_summary(runs: &[ChaosScenarioRun]) -> String {
         out.push_str(&run.report.render());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ShapeCost;
+    use crate::workload::WorkloadConfig;
+
+    #[test]
+    fn recovery_policy_validate_names_each_bad_field() {
+        assert_eq!(RecoveryPolicy::standard().validate(), Ok(()));
+        type Set = fn(&mut RecoveryPolicy);
+        let cases: [(&str, Set); 12] = [
+            ("retry.base_backoff_s", |p| {
+                p.retry.base_backoff_s = f64::NAN
+            }),
+            ("retry.multiplier", |p| p.retry.multiplier = -2.0),
+            ("retry.cap_s", |p| p.retry.cap_s = f64::INFINITY),
+            ("retry.jitter_fraction", |p| {
+                p.retry.jitter_fraction = f64::NAN
+            }),
+            ("breaker_cooldown_s", |p| p.breaker_cooldown_s = f64::NAN),
+            ("breaker_cooldown_s", |p| p.breaker_cooldown_s = -1.0),
+            ("degrade_msa_factor", |p| p.degrade_msa_factor = f64::NAN),
+            ("degrade_msa_factor", |p| p.degrade_msa_factor = 0.0),
+            ("degrade_msa_factor", |p| p.degrade_msa_factor = 1.5),
+            ("max_attempts", |p| p.max_attempts = 0),
+            ("degraded_msa_depth", |p| p.degraded_msa_depth = 0),
+            ("checkpoint_units", |p| p.checkpoint_units = 0),
+        ];
+        for (field, set) in cases {
+            let mut policy = RecoveryPolicy::standard();
+            set(&mut policy);
+            let err = policy.validate().expect_err(field);
+            assert!(err.contains(field), "error names {field}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "breaker_cooldown_s")]
+    fn nan_breaker_cooldown_panics_naming_the_field() {
+        // Used to surface as "event time must be finite" once the
+        // breaker opened and scheduled its close.
+        let shape = ShapeCost {
+            msa_s: 60.0,
+            feature_bytes: 1 << 20,
+            feature_load_s: 0.1,
+            peak_msa_bytes: 1 << 30,
+            admitted: true,
+            compile_s: 5.0,
+            compute_s: 5.0,
+        };
+        let costs = CostTable {
+            platform: Platform::Server,
+            msa_threads: 4,
+            init_s: 10.0,
+            dispatch_s: 1.0,
+            shapes: SampleId::all().iter().map(|&id| (id, shape)).collect(),
+        };
+        let config = ServeConfig {
+            workload: WorkloadConfig {
+                num_requests: 8,
+                ..WorkloadConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let chaos = ChaosConfig {
+            plan: FaultPlan::none().with_at(FaultKind::WorkerCrash { at_fraction: 0.0 }, 1.0),
+            policy: RecoveryPolicy {
+                breaker_cooldown_s: f64::NAN,
+                ..RecoveryPolicy::standard()
+            },
+        };
+        run_serve_chaos(&config, &chaos, &costs, &mut ObsSession::new());
+    }
 }

@@ -15,8 +15,8 @@
 //!   feature files — a hit skips the entire CPU phase and charges only
 //!   a storage-priced feature load,
 //! - [`server`]: the phase-decoupled scheduler's types and its
-//!   fault-free entry point [`run_serve`] — a CPU worker pool drains MSA
-//!   jobs while the GPU queue forms inference batches of size B, paying
+//!   fault-free entry point [`run_serve`] — a CPU worker pool drains an
+//!   MSA queue while the GPU queue forms inference batches of size B, paying
 //!   `xla_compile` once per shape and runtime init once per process
 //!   (reusing `gpu::runtime`'s cold/warm split), with per-request
 //!   [`afsb_core::resilience::Deadline`]s and the §VI admission check,
@@ -24,27 +24,30 @@
 //!   serve` and the `profile serve` baseline,
 //! - [`reference`](mod@reference): the frozen seed step-scan
 //!   scheduler, kept verbatim as the byte-equivalence oracle,
-//! - [`chaos`]: the eager serving loop — [`run_serve`] is it under an
-//!   empty plan; armed, `rt::fault` plans are delivered into the event
-//!   loop and answered by a recovery policy (requeue with backoff,
-//!   circuit breaker, deadline shedding, overload degradation), every
-//!   admitted request ending in exactly one disposition,
+//! - [`chaos`]: fault-tolerant serving — `rt::fault` plans delivered
+//!   into the event loop and answered by a recovery policy (requeue
+//!   with backoff, circuit breaker, deadline shedding, overload
+//!   degradation), every admitted request ending in exactly one
+//!   disposition; also the state every run shares outside MSA dispatch
+//!   (cache, GPU batch close, report fold),
 //! - [`whatif`]: the causal profiler's projection engine — virtual
 //!   speedups (MSA ×k, GPU ×k, XLA ×k, +N workers, infinite cache)
 //!   replayed Coz-style over the provenance DAG the engine recorded,
 //!   each prediction validated against a ground-truth re-run with
 //!   scaled cost tables (`rt::obs::causal` extracts the critical path
 //!   and blame shares the projections are built on),
-//! - [`policy`]: the lazy serving loop with pluggable scheduling
-//!   policies — FIFO (byte-identical baseline), predicted-cost SJF, EDF,
+//! - [`policy`]: the serving loop with pluggable scheduling policies —
+//!   FIFO (byte-identical baseline), predicted-cost SJF, EDF,
 //!   shape-bucketed GPU batching, checkpoint-yield preemption and
 //!   speculative MSA-depth degradation — run as a matrix and validated
 //!   against the [`whatif`] projections.
 //!
-//! There are two serving loops, eager ([`chaos`]) and lazy
-//! ([`policy`]). They differ only in MSA dispatch and share one batch
-//! close, one report fold and one checkpoint salvage. The tests pin the
-//! chain reference ≡ chaos(empty plan) ≡ policy-FIFO byte for byte.
+//! There is one serving loop, [`run_serve_policy`]: a lazy central MSA
+//! queue ordered by discipline, with miss coalescing. [`run_serve`] is
+//! it under plain FIFO and an empty plan, [`run_serve_chaos`] under
+//! plain FIFO, and every scenario, chaos, telemetry, what-if and policy
+//! runner drives it. `tests/equivalence.rs` pins the fault-free FIFO run
+//! to the frozen [`reference`](mod@reference) scheduler byte for byte.
 //! Everything runs on the simulated clock: the same seed yields
 //! byte-identical reports, metrics and traces.
 

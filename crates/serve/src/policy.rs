@@ -1,14 +1,16 @@
-//! Pluggable scheduling policies over the event-driven serving engine.
+//! The serving loop and its pluggable scheduling policies.
 //!
 //! `BENCH_serve.json` shows the paper's phase imbalance live in the
 //! simulator: ~3% GPU occupancy with p50 latency pinned at the deadline
 //! cap, because the CPU MSA phase starves the GPU. The causal profiler
-//! measured the levers; this module pulls them. It is the second of
-//! the two serving loops: the lazy one. Everything but the MSA side —
-//! cache, GPU batch close, recovery steps and the report fold — is the
-//! shared `ServeCore` the eager loop in [`crate::chaos`]
-//! drives too; the scheduling decisions are factored into a
-//! [`PolicyConfig`]:
+//! measured the levers; this module pulls them. It holds the one
+//! serving loop — [`crate::server::run_serve`] and
+//! [`crate::chaos::run_serve_chaos`] are [`run_serve_policy`] under
+//! plain FIFO — which keeps only the MSA side: a central queue ordered
+//! by `(discipline key, request id)` and one running job per pool
+//! worker. Cache, GPU batch close, recovery steps and the report fold
+//! are the shared `ServeCore` in [`crate::chaos`]. The scheduling
+//! decisions are factored into a [`PolicyConfig`]:
 //!
 //! - **queue discipline** — which queued MSA request a freed pool
 //!   worker takes next: [`QueueDiscipline::Fifo`] (arrival order, the
@@ -21,47 +23,58 @@
 //!   stays shape-uniform,
 //! - **checkpoint-yield preemption** — when a predicted-short request
 //!   arrives and every worker is busy, the job with the most remaining
-//!   work parks at its last durable jackhmmer checkpoint (the same
-//!   `1/checkpoint_units` salvage grid chaos recovery uses) and
-//!   re-queues; only the non-durable tail is ever redone,
-//! - **speculative admission** — when queue depth crosses a threshold,
-//!   new dispatches step down the `core::resilience`
+//!   work parks at its last durable jackhmmer checkpoint (the
+//!   `1/checkpoint_units` salvage grid of the run's
+//!   [`RecoveryPolicy`](crate::chaos::RecoveryPolicy), shared with
+//!   kills) and re-queues; only the non-durable tail is redone,
+//! - **speculative admission** — a request that joins a backlog past a
+//!   threshold steps down the `core::resilience`
 //!   `DegradeStep::MsaDepthCap` rung (shallower, faster searches at
 //!   lower quality), trading goodput for latency under overload.
 //!
-//! **FIFO stays reference-equivalent.** The policy loop dispatches
-//! lazily — a request waits in a central queue until a worker actually
-//! frees — while the eager loop in [`crate::chaos`] assigns arrivals to
-//! the least-loaded worker on arrival. For FIFO the two are the same
-//! schedule: the worker that frees first *is* the least-loaded worker,
-//! and at
-//! dispatch time `start = max(worker_free, enqueue_time)` reproduces
-//! the eager `max(workers[w], arrival)` bit for bit (when the job
-//! waited, the dispatch fires exactly at `worker_free`; when a worker
-//! was idle, dispatch happens at arrival). `tests/policy.rs` pins the
-//! plain-FIFO report, outcomes, render and metrics byte-identical to
-//! [`crate::server::run_serve`] on the four canonical scenarios — and
-//! therefore, transitively through `tests/equivalence.rs`, to the
-//! frozen seed scheduler in [`crate::reference`].
+//! **Lazy dispatch, eager-equivalent FIFO.** A request waits in the
+//! queue until a worker actually frees. For FIFO that is the schedule
+//! of an eager least-loaded pool: the worker that frees first *is* the
+//! least-loaded worker, and `start = max(worker_free, enqueued_at)`
+//! reproduces the eager `max(workers[w], arrival)` bit for bit.
+//! `tests/equivalence.rs` pins the fault-free FIFO run byte-identical
+//! to the frozen seed scheduler in [`crate::reference`].
 //!
-//! The loop also accepts a [`ChaosConfig`]: the full fault vocabulary
-//! (kills, stragglers, storage faults, GPU flaps) and the recovery
-//! machinery (retry budget + backoff, circuit breaker, deadline
-//! shedding) apply under every policy, so the request-conservation
-//! invariant ([`ChaosReport::conserves_requests`]) is testable across
-//! the whole matrix. One deliberate divergence from [`crate::chaos`]:
-//! a kill immediately frees the worker for the next queued request
-//! (the policy layer is work-conserving), where the eager loop keeps
-//! the killed slot reserved to preserve later start times.
+//! **Miss coalescing.** With `coalesce_misses`, the first miss for an
+//! entity is its producer and later misses wait on it as coalesced
+//! cache hits. A waiter's feature load is scheduled when the
+//! producer's `MsaDone` pops, landing at `done + load_s` — the time an
+//! eager pool knows at arrival. A producer keeps its waiters across
+//! kills and preemptions, is never shed while it has any, and fails
+//! them if it fails terminally.
 //!
-//! The lazy loop cannot yet replace the eager one. Its FIFO queue scan
-//! is O(queue) per dispatch, it implements no miss coalescing, and its
-//! work-conserving kills shift the chaos matrix's availability
-//! ordering — see ROADMAP item 1.
+//! **Degradation at admission.** One rule serves speculation and the
+//! chaos recovery policy: the MsaDepthCap rung is decided when a
+//! request enters the queue (a miss arrival or a requeue), against the
+//! backlog it joins (queued + parked), at the factor and depth of the
+//! run's [`RecoveryPolicy`](crate::chaos::RecoveryPolicy). Deciding it
+//! at dispatch would consult the backlog left *behind* the request,
+//! which in an overloaded run stays past the threshold until the queue
+//! drains: the requests dispatched first — the early arrivals, the
+//! only ones that can still finish on time at full quality — would run
+//! degraded.
+//!
+//! **Causal shape.** A lazily dispatched `MsaDone` hangs off its
+//! enqueue event (arrival, requeue or the preempting arrival) via
+//! [`afsb_rt::sim::SimEngine::schedule_with_parent`], with the split
+//! `wait = start − enqueued_at`. The provenance DAG then has the eager
+//! shape the [`crate::whatif`] projections replay: adding workers
+//! shrinks exactly that wait.
+//!
+//! The loop accepts a [`ChaosConfig`] under every policy: the full
+//! fault vocabulary and recovery machinery apply, so the
+//! request-conservation invariant ([`ChaosReport::conserves_requests`])
+//! is testable across the whole matrix. A kill frees its worker for the
+//! next queued request at once (the pool is work-conserving).
 
-use crate::chaos::{checkpoint_salvage, prefix_batch, ChaosConfig, ChaosReport, ServeCore};
+use crate::chaos::{ChaosConfig, ChaosReport, ServeCore};
 use crate::scenario::SERVE_SEED;
-use crate::server::{CostTable, RequestOutcome, ServeConfig};
+use crate::server::{non_negative, CostTable, RequestOutcome, ServeConfig};
 use crate::whatif::{predict_makespan, WhatIf};
 use afsb_core::report::ascii_table;
 use afsb_rt::fault::FaultKind;
@@ -69,6 +82,7 @@ use afsb_rt::obs::ObsSession;
 use afsb_rt::sim::{Event, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
 use afsb_simarch::Platform;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Which queued MSA request a freed pool worker takes next.
@@ -97,7 +111,9 @@ impl QueueDiscipline {
 }
 
 /// One scheduling policy: a queue discipline plus the optional
-/// load-adaptive mechanisms layered on it.
+/// load-adaptive mechanisms layered on it. The checkpoint grid and the
+/// degraded rung's cost come from the run's
+/// [`RecoveryPolicy`](crate::chaos::RecoveryPolicy).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// MSA queue discipline.
@@ -117,24 +133,15 @@ pub struct PolicyConfig {
     /// Per-request preemption budget (a job yields at most this many
     /// times, then runs to completion).
     pub max_preemptions: u32,
-    /// Jackhmmer checkpoint granularity: durable progress floors to
-    /// `1/checkpoint_units` steps, the tail past the last checkpoint is
-    /// redone.
-    pub checkpoint_units: usize,
-    /// Speculative admission: queue depth (queued + parked) at which
-    /// new dispatches step down the MSA-depth degradation rung.
-    /// `0` disables speculation.
+    /// Speculative admission: queue depth (queued + parked) at which a
+    /// request entering the queue steps down the MSA-depth degradation
+    /// rung. `0` disables speculation.
     pub speculate_queue_depth: usize,
-    /// MSA duration multiplier under the degraded rung (< 1).
-    pub degrade_msa_factor: f64,
-    /// MSA depth cap reported for the rung's
-    /// [`afsb_core::resilience::DegradeStep::MsaDepthCap`].
-    pub degraded_msa_depth: usize,
 }
 
 impl PolicyConfig {
-    /// The baseline: plain FIFO, byte-identical to
-    /// [`crate::server::run_serve`].
+    /// The baseline: plain FIFO, what [`crate::server::run_serve`]
+    /// runs.
     pub fn fifo() -> PolicyConfig {
         PolicyConfig {
             queue: QueueDiscipline::Fifo,
@@ -142,10 +149,7 @@ impl PolicyConfig {
             preempt: false,
             preempt_min_ratio: 2.0,
             max_preemptions: 2,
-            checkpoint_units: 8,
             speculate_queue_depth: 0,
-            degrade_msa_factor: 0.6,
-            degraded_msa_depth: 128,
         }
     }
 
@@ -226,6 +230,14 @@ impl PolicyConfig {
         }
         parts.join("+")
     }
+
+    /// Check the numbers for degenerate values, returning an error that
+    /// names the field: a NaN `preempt_min_ratio` fails every
+    /// `remaining <= ratio · incoming` test, so every arrival would
+    /// preempt.
+    pub fn validate(&self) -> Result<(), String> {
+        non_negative("policy: preempt_min_ratio", self.preempt_min_ratio)
+    }
 }
 
 impl Default for PolicyConfig {
@@ -282,7 +294,7 @@ impl PolicyReport {
 }
 
 /// One MSA job running on a pool worker (at most one per worker — the
-/// rest of the backlog waits in the central policy queue).
+/// rest of the backlog waits in the central queue).
 #[derive(Debug, Clone, Copy)]
 struct Running {
     request: usize,
@@ -291,40 +303,46 @@ struct Running {
     timer: TimerId,
 }
 
-/// The lazy MSA side of one policy run over the shared [`ServeCore`]:
-/// a central queue plus one running job per worker.
+/// `f64::total_cmp`'s order as an integer (the same bit transform), so
+/// float queue keys sort in a `BTreeSet`.
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The MSA side of one run over the shared [`ServeCore`]: the ordered
+/// central queue, one running job per worker, and the coalescing
+/// producer/waiter maps.
 struct PolicyLoop<'a> {
     core: ServeCore<'a>,
     obs: &'a mut ObsSession,
-    pol: &'a PolicyConfig,
-
-    // Degradation knobs resolved once: speculation's own threshold wins,
-    // else the chaos recovery policy's (when a plan is armed), else off.
+    /// Backlog (queued + parked) at which an entering request degrades:
+    /// speculation's threshold, else the armed recovery policy's, else
+    /// 0 (off).
     deg_depth: usize,
-    deg_factor: f64,
-    deg_rung_depth: usize,
-
-    msa_queue: Vec<usize>,
+    /// Queued requests keyed `(discipline key, request id)`.
+    msa_queue: BTreeSet<(i64, usize)>,
     enqueued_at: Vec<f64>,
+    /// The event that enqueued each request (its arrival, requeue or
+    /// the preempting arrival): its `MsaDone`'s causal parent.
+    enqueued_by: Vec<Option<TimerId>>,
     running: Vec<Option<Running>>,
     workers: Vec<f64>,
+    /// Miss coalescing: entity → the request computing its features,
+    /// and the requests waiting on that producer.
+    producers: BTreeMap<usize, usize>,
+    waiters: BTreeMap<usize, Vec<usize>>,
     preempt_count: Vec<u32>,
     preemptions: u64,
     preempt_lost_s: f64,
 }
 
 impl PolicyLoop<'_> {
-    /// The overload signal speculation triggers on: queued-not-running
-    /// MSA requests plus breaker-parked ones.
-    fn queue_pressure(&self) -> usize {
-        self.msa_queue.len() + self.core.parked.len()
-    }
-
-    /// The discipline's priority key for a queued request (lower is
-    /// better; the request id breaks every tie deterministically).
-    fn queue_key(&self, r: usize) -> f64 {
+    /// The discipline's queue key for `r` (lower is better; the request
+    /// id breaks every tie). Fixed while `r` is queued.
+    fn queue_key(&self, r: usize) -> (i64, usize) {
         let core = &self.core;
-        match self.pol.queue {
+        let key = match core.pol.queue {
             QueueDiscipline::Fifo => self.enqueued_at[r],
             QueueDiscipline::Sjf => {
                 (1.0 - core.durable[r]).max(0.0) * core.costs.shape(core.requests[r].sample).msa_s
@@ -334,64 +352,70 @@ impl PolicyLoop<'_> {
                 .deadline
                 .limit_seconds()
                 .map_or(f64::INFINITY, |l| core.requests[r].arrival_s + l),
-        }
+        };
+        (total_order(key), r)
     }
 
-    /// Dispatch queued MSA requests onto free workers until one side
-    /// runs out. For FIFO this reproduces the eager engine's schedule
-    /// exactly (see the module docs).
-    fn dispatch_ready(&mut self, now: f64) {
-        while !self.msa_queue.is_empty() {
+    /// Queue `r`, enqueued at `now` by the event being handled.
+    fn enqueue(&mut self, r: usize, now: f64) {
+        self.enqueued_at[r] = now;
+        self.enqueued_by[r] = self.core.engine.current();
+        self.msa_queue.insert(self.queue_key(r));
+    }
+
+    /// A miss arrival or a requeue enters the queue. The one
+    /// degradation rule: `r` steps down the MsaDepthCap rung when the
+    /// backlog it joins (queued + parked) is at the threshold.
+    fn admit(&mut self, r: usize, now: f64) {
+        if self.deg_depth > 0
+            && !self.core.degraded_req[r]
+            && self.msa_queue.len() + self.core.parked.len() >= self.deg_depth
+        {
+            self.core.degrade(r, now, self.obs);
+        }
+        self.enqueue(r, now);
+    }
+
+    /// Dispatch the queue head onto the earliest-free idle worker
+    /// (lowest index breaks ties) until one side runs out.
+    fn dispatch_ready(&mut self) {
+        while let Some(&(_, r)) = self.msa_queue.first() {
             let Some(w) = (0..self.workers.len())
                 .filter(|&w| self.running[w].is_none())
                 .min_by(|&a, &b| self.workers[a].total_cmp(&self.workers[b]).then(a.cmp(&b)))
             else {
                 break;
             };
-            let qi = (0..self.msa_queue.len())
-                .min_by(|&a, &b| {
-                    let (ra, rb) = (self.msa_queue[a], self.msa_queue[b]);
-                    self.queue_key(ra)
-                        .total_cmp(&self.queue_key(rb))
-                        .then(ra.cmp(&rb))
-                })
-                .expect("queue is non-empty");
-            let r = self.msa_queue.remove(qi);
-            self.dispatch(w, r, now);
+            self.msa_queue.pop_first();
+            self.dispatch(w, r);
         }
     }
 
-    /// Start request `r`'s MSA attempt on worker `w`.
-    fn dispatch(&mut self, w: usize, r: usize, now: f64) {
-        if self.deg_depth > 0
-            && !self.core.degraded_req[r]
-            && self.queue_pressure() >= self.deg_depth
-        {
-            self.core.degrade(r, now, self.deg_rung_depth, self.obs);
-        }
+    /// Start `r`'s MSA attempt on worker `w`: the non-durable remainder
+    /// of its search, at the degraded rung's cost if it was degraded.
+    fn dispatch(&mut self, w: usize, r: usize) {
         let core = &mut self.core;
         let mut msa_s =
             (1.0 - core.durable[r]).max(0.0) * core.costs.shape(core.requests[r].sample).msa_s;
         if core.degraded_req[r] {
-            msa_s *= self.deg_factor;
+            msa_s *= core.chaos.policy.degrade_msa_factor;
         }
-        let start = self.workers[w].max(self.enqueued_at[r]);
+        let enqueued_at = self.enqueued_at[r];
+        let start = self.workers[w].max(enqueued_at);
         let done = start + msa_s;
         self.workers[w] = done;
-        let timer = core.engine.schedule_tagged(
+        // The edge hangs off the enqueue event, so it spans the queue
+        // wait plus the service — the split the what-if replay scales.
+        let timer = core.engine.schedule_with_parent(
             done,
             Event::MsaDone {
                 request: r,
                 worker: w,
             },
             WaitEdge::WorkerBusy,
+            self.enqueued_by[r],
         );
-        // Lazy dispatch means this edge's parent is the event that freed
-        // the worker (or the arrival itself), so the queue wait is
-        // already embodied in the parent chain: `wait_s + service_s`
-        // equals the recorded edge duration (`done - now`), which the
-        // what-if replay needs to telescope exactly at scale 1.
-        core.record_split(timer, start - now, done - start);
+        core.record_split(timer, start - enqueued_at, done - start);
         self.running[w] = Some(Running {
             request: r,
             start_s: start,
@@ -399,34 +423,43 @@ impl PolicyLoop<'_> {
             timer,
         });
         let o = &mut core.outcomes[r];
-        o.segments.msa_queue_wait_s += start - self.enqueued_at[r];
+        o.segments.msa_queue_wait_s += start - enqueued_at;
         o.segments.msa_service_s += done - start;
         o.ready_s = done;
     }
 
-    /// Take worker `w`'s running job off the pool at `now`: cancel its
-    /// completion, drop its un-run tail from the attribution (a
-    /// redispatch adds its own segments), free the worker and salvage
-    /// checkpointed progress on a grid of `units`. Returns the request
-    /// and the seconds lost.
-    fn stop_running(&mut self, w: usize, now: f64, units: usize) -> (usize, f64) {
+    /// Take worker `w`'s running job off the pool at `now` (a kill or a
+    /// checkpoint yield): cancel its completion, drop its un-run tail
+    /// from the attribution (a redispatch adds its own segments) and
+    /// free the worker. Durable progress floors to the jackhmmer
+    /// checkpoint grid, so a retry redoes only the non-durable tail.
+    /// Returns the request and the seconds lost (spent minus salvaged).
+    fn stop_running(&mut self, w: usize, now: f64) -> (usize, f64) {
         let j = self.running[w].take().expect("worker is running");
         let core = &mut self.core;
         core.engine.cancel(j.timer);
         let r = j.request;
         core.outcomes[r].segments.msa_service_s -= j.done_s - now;
         self.workers[w] = now;
-        let msa_s = core.costs.shape(core.requests[r].sample).msa_s;
-        let lost = checkpoint_salvage(&mut core.durable[r], j.start_s, j.done_s, now, units, msa_s);
-        (r, lost)
+        let span = j.done_s - j.start_s;
+        let progress = if j.start_s >= now || span <= 0.0 {
+            0.0
+        } else {
+            ((now - j.start_s) / span).clamp(0.0, 1.0)
+        };
+        let before = core.durable[r];
+        let units = core.chaos.policy.checkpoint_units as f64;
+        core.durable[r] = ((before + progress * (1.0 - before)) * units).floor() / units;
+        let salvaged = (core.durable[r] - before) * core.costs.shape(core.requests[r].sample).msa_s;
+        (r, ((now - j.start_s).max(0.0) - salvaged).max(0.0))
     }
 
     /// Checkpoint-yield: park the running job with the most remaining
     /// work if an arriving job of `incoming_msa_s` full seconds is
-    /// enough shorter. Returns whether a worker was freed.
-    fn maybe_preempt(&mut self, incoming_msa_s: f64, now: f64) -> bool {
+    /// enough shorter.
+    fn maybe_preempt(&mut self, incoming_msa_s: f64, now: f64) {
         if self.running.iter().any(Option::is_none) {
-            return false;
+            return;
         }
         let mut victim: Option<(f64, usize)> = None;
         for (w, j) in self.running.iter().enumerate() {
@@ -438,29 +471,77 @@ impl PolicyLoop<'_> {
             }
         }
         let Some((rem, w)) = victim else {
-            return false;
+            return;
         };
         let r = self.running[w].expect("victim worker is running").request;
-        if rem <= incoming_msa_s * self.pol.preempt_min_ratio
-            || self.preempt_count[r] >= self.pol.max_preemptions
+        let pol = self.core.pol;
+        if rem <= incoming_msa_s * pol.preempt_min_ratio
+            || self.preempt_count[r] >= pol.max_preemptions
         {
-            return false;
+            return;
         }
         // Identical salvage to a chaos kill, but voluntary.
-        let (r, lost) = self.stop_running(w, now, self.pol.checkpoint_units);
+        let (r, lost) = self.stop_running(w, now);
         self.preempt_lost_s += lost;
         self.preemptions += 1;
         self.preempt_count[r] += 1;
-        self.enqueued_at[r] = now;
-        self.msa_queue.push(r);
+        self.enqueue(r, now);
         self.obs.tracer.instant_at(now, "preempt:checkpoint-yield");
-        true
+    }
+
+    /// Retire `r` as its entity's producer (when it is one), returning
+    /// the requests coalesced onto it.
+    fn release_waiters(&mut self, r: usize) -> Vec<usize> {
+        let entity = self.core.requests[r].entity;
+        if self.producers.get(&entity) != Some(&r) {
+            return Vec::new();
+        }
+        self.producers.remove(&entity);
+        self.waiters.remove(&entity).unwrap_or_default()
+    }
+
+    /// Deadline shedding: drop `r` if it is still waiting — queued,
+    /// parked, in retry backoff, or coalesced onto a producer. A
+    /// producer with waiters is never shed. Returns whether `r` was
+    /// dropped.
+    fn shed_waiting(&mut self, r: usize) -> bool {
+        let entity = self.core.requests[r].entity;
+        if let Some(waiting) = self.waiters.get_mut(&entity) {
+            if self.producers.get(&entity) == Some(&r) {
+                return false;
+            }
+            if let Some(pos) = waiting.iter().position(|&x| x == r) {
+                waiting.remove(pos);
+                if waiting.is_empty() {
+                    self.waiters.remove(&entity);
+                }
+                return true;
+            }
+        }
+        let key = self.queue_key(r);
+        let core = &mut self.core;
+        let dropped = if self.msa_queue.remove(&key) {
+            true
+        } else if let Some(pos) = core.parked.iter().position(|&x| x == r) {
+            core.parked.remove(pos);
+            true
+        } else if let Some(timer) = core.requeue_timers[r].take() {
+            core.engine.cancel(timer);
+            true
+        } else {
+            false
+        };
+        if dropped {
+            self.release_waiters(r);
+        }
+        dropped
     }
 }
 
 /// Pick a GPU batch from the sorted pool: the arrival-order prefix
-/// (the reference rule), or with `shape_batching` the dominant shape
-/// bucket of everything ready by `start`.
+/// ready by `start` (the reference rule, at least one request), or
+/// with `shape_batching` the dominant shape bucket of everything ready
+/// by `start`.
 fn pick_batch(
     pool: &mut Vec<usize>,
     outcomes: &[RequestOutcome],
@@ -468,14 +549,12 @@ fn pick_batch(
     gpu_batch: usize,
     shape_batching: bool,
 ) -> Vec<usize> {
+    let ready = |i: &&usize| outcomes[**i].ready_s <= start;
     if !shape_batching {
-        return prefix_batch(pool, outcomes, start, gpu_batch);
+        let take = pool.iter().take(gpu_batch).take_while(ready).count().max(1);
+        return pool.drain(..take).collect();
     }
-    let eligible = pool
-        .iter()
-        .take_while(|&&i| outcomes[i].ready_s <= start)
-        .count()
-        .max(1);
+    let eligible = pool.iter().take_while(ready).count().max(1);
     // Dominant shape of the whole eligible window (not just the first
     // B): max count, earliest first appearance breaking ties.
     let mut counts: Vec<(SampleId, usize)> = Vec::new();
@@ -509,19 +588,14 @@ fn pick_batch(
 }
 
 /// Run the serving simulation under a scheduling policy, optionally
-/// with a fault plan. Identical contract to
-/// [`crate::chaos::run_serve_chaos`] plus the [`PolicyConfig`]; with
-/// `PolicyConfig::fifo()` and an empty plan the output is
-/// byte-identical to [`crate::server::run_serve`] (pinned by
-/// `tests/policy.rs`).
+/// with a fault plan — the one serving loop. [`crate::server::run_serve`]
+/// is this call under `PolicyConfig::fifo()` and an empty plan, and
+/// [`crate::chaos::run_serve_chaos`] under `PolicyConfig::fifo()`.
 ///
 /// # Panics
 ///
-/// Panics with the [`ServeConfig::validate`] error on a degenerate
-/// config, and when `config.coalesce_misses` is set — the policy loop
-/// keeps one running job per worker and no coalesced-waiter
-/// bookkeeping; the canonical scenarios it serves all have coalescing
-/// off.
+/// Panics with the validation error of a degenerate config, cost
+/// table, recovery policy or policy.
 pub fn run_serve_policy(
     config: &ServeConfig,
     pol: &PolicyConfig,
@@ -529,38 +603,26 @@ pub fn run_serve_policy(
     costs: &CostTable,
     obs: &mut ObsSession,
 ) -> PolicyReport {
-    assert!(
-        !config.coalesce_misses,
-        "the policy loop does not implement miss coalescing"
-    );
-    let core = ServeCore::new(config, chaos, costs, obs);
+    let core = ServeCore::new(config, pol, chaos, costs, obs);
     let n = core.requests.len();
-    let (deg_depth, deg_factor, deg_rung_depth) = if pol.speculate_queue_depth > 0 {
-        (
-            pol.speculate_queue_depth,
-            pol.degrade_msa_factor,
-            pol.degraded_msa_depth,
-        )
+    let deg_depth = if pol.speculate_queue_depth > 0 {
+        pol.speculate_queue_depth
     } else if core.active {
-        (
-            chaos.policy.degrade_queue_depth,
-            chaos.policy.degrade_msa_factor,
-            chaos.policy.degraded_msa_depth,
-        )
+        chaos.policy.degrade_queue_depth
     } else {
-        (0, 1.0, 0)
+        0
     };
     let mut lp = PolicyLoop {
         core,
         obs,
-        pol,
         deg_depth,
-        deg_factor,
-        deg_rung_depth,
-        msa_queue: Vec::new(),
+        msa_queue: BTreeSet::new(),
         enqueued_at: vec![0.0; n],
+        enqueued_by: vec![None; n],
         running: vec![None; config.cpu_workers],
         workers: vec![0.0; config.cpu_workers],
+        producers: BTreeMap::new(),
+        waiters: BTreeMap::new(),
         preempt_count: vec![0; n],
         preemptions: 0,
         preempt_lost_s: 0.0,
@@ -569,13 +631,19 @@ pub fn run_serve_policy(
     while let Some((now, event)) = lp.core.next_event() {
         match event {
             Event::Arrival { request } => lp.on_arrival(request, now),
+            // A pool worker finished: the features enter the cache, the
+            // loads of any coalesced waiters start, the request becomes
+            // GPU-ready and the worker takes the queue head.
             Event::MsaDone { request, worker } => {
-                if lp.running[worker].is_some_and(|j| j.request == request) {
-                    lp.running[worker] = None;
-                }
+                debug_assert!(lp.running[worker].is_some_and(|j| j.request == request));
+                lp.running[worker] = None;
                 lp.core.commit_fill(request);
+                for waiter in lp.release_waiters(request) {
+                    let load_s = costs.shape(lp.core.requests[waiter].sample).feature_load_s;
+                    lp.core.start_fill(waiter, now + load_s, load_s);
+                }
                 lp.core.mark_ready(request, now);
-                lp.dispatch_ready(now);
+                lp.dispatch_ready();
             }
             Event::CacheFill { request, .. } => lp.core.fill_landed(request, now),
             Event::BatchClose => {
@@ -586,13 +654,17 @@ pub fn run_serve_policy(
                     });
             }
             Event::GpuDone { .. } => lp.core.gpu_done(now),
-            Event::DeadlineExpired { request } => lp.on_deadline(request, now),
+            Event::DeadlineExpired { request } => {
+                if lp.core.may_shed(request) && lp.shed_waiting(request) {
+                    lp.core.shed(request, now, lp.obs);
+                }
+                lp.core.outcomes[request].deadline_missed = true;
+            }
             Event::Fault(kind) => lp.on_fault(kind, now),
             Event::Requeue { request } => {
                 if lp.core.requeue(request, now, lp.obs) {
-                    lp.enqueued_at[request] = now;
-                    lp.msa_queue.push(request);
-                    lp.dispatch_ready(now);
+                    lp.admit(request, now);
+                    lp.dispatch_ready();
                 }
             }
             Event::BreakerClose => lp.core.close_breaker(now, lp.obs),
@@ -624,46 +696,32 @@ impl PolicyLoop<'_> {
         let shape = *self.core.costs.shape(req.sample);
         if !shape.admitted {
             self.core.push_pending(request, true);
+        } else if self.producers.contains_key(&req.entity) {
+            // Coalesce onto the in-flight search instead of duplicating
+            // it: a hit whose load starts when the producer finishes.
+            self.core.cache.coalesced_hit();
+            self.core.push_pending(request, false);
+            self.core.outcomes[request].cache_hit = true;
+            self.waiters.entry(req.entity).or_default().push(request);
         } else if self.core.cache.lookup(req.entity) {
-            self.core
-                .admit_hit(request, req.arrival_s, shape.feature_load_s, false);
+            self.core.admit_hit(request, shape.feature_load_s);
         } else {
             // Miss: enqueue, optionally yield a long-running job, then
             // let the dispatcher fill free workers. For plain FIFO with a
             // free worker this schedules the MsaDone timer at exactly the
-            // point the eager loop would, so event seq numbers (and thus
+            // point an eager pool would, so event seq numbers (and thus
             // same-timestamp ordering) are preserved.
             self.core.push_pending(request, false);
-            self.enqueued_at[request] = req.arrival_s;
-            self.msa_queue.push(request);
-            if self.pol.preempt {
+            if self.core.config.coalesce_misses {
+                self.producers.insert(req.entity, request);
+            }
+            self.admit(request, now);
+            if self.core.pol.preempt {
                 self.maybe_preempt(shape.msa_s, now);
             }
-            self.dispatch_ready(now);
+            self.dispatch_ready();
         }
         self.core.finish_arrival(request, shape.admitted);
-    }
-
-    fn on_deadline(&mut self, request: usize, now: f64) {
-        if self.core.may_shed(request) {
-            let core = &mut self.core;
-            let shed = if let Some(pos) = self.msa_queue.iter().position(|&r| r == request) {
-                self.msa_queue.remove(pos);
-                true
-            } else if let Some(pos) = core.parked.iter().position(|&r| r == request) {
-                core.parked.remove(pos);
-                true
-            } else if let Some(timer) = core.requeue_timers[request].take() {
-                core.engine.cancel(timer);
-                true
-            } else {
-                false
-            };
-            if shed {
-                core.shed(request, now, self.obs);
-            }
-        }
-        self.core.outcomes[request].deadline_missed = true;
     }
 
     fn on_fault(&mut self, kind: FaultKind, now: f64) {
@@ -680,14 +738,17 @@ impl PolicyLoop<'_> {
                 }
                 let frac = at_fraction.clamp(0.0, 1.0);
                 let w = busy[((frac * busy.len() as f64) as usize).min(busy.len() - 1)];
-                // Work-conserving divergence from the chaos loop: the
-                // slot frees immediately, the next queued request takes
-                // it (see the module docs).
-                let units = self.core.chaos.policy.checkpoint_units;
-                let (r, lost) = self.stop_running(w, now, units);
+                // Work-conserving: the slot frees at once and the queue
+                // head takes it. A terminal failure fails the waiters
+                // coalesced onto the killed request too.
+                let (r, lost) = self.stop_running(w, now);
                 self.core.injector.charge(lost);
-                self.core.retry_or_fail(r, now, self.obs);
-                self.dispatch_ready(now);
+                if self.core.retry_or_fail(r, now, self.obs) {
+                    for waiter in self.release_waiters(r) {
+                        self.core.fail(waiter, now, self.obs);
+                    }
+                }
+                self.dispatch_ready();
             }
             FaultKind::Straggler { factor } => {
                 if let Some(w) = self.running.iter().position(Option::is_some) {
@@ -742,11 +803,11 @@ impl PolicyLoop<'_> {
     }
 }
 
-/// Queue depth at which the canonical speculation rows degrade new
-/// dispatches. The cold scenario's MSA backlog crosses this within the
-/// first hour, so nearly every dispatch runs depth-capped — which is
-/// what makes the measured makespan comparable to the `whatif`
-/// full-fleet MSA-speedup projection.
+/// Backlog depth at which the canonical speculation rows degrade a
+/// request entering the MSA queue. The cold scenario's backlog crosses
+/// this within the first hour, so nearly every later arrival runs
+/// depth-capped — which is what makes the measured makespan comparable
+/// to the `whatif` full-fleet MSA-speedup projection.
 pub const SPECULATE_DEPTH: usize = 16;
 
 /// A named policy-matrix row.
@@ -776,7 +837,8 @@ pub struct PolicyRun {
 pub struct PolicyWhatIf {
     /// The winning (dominating, speculation-armed) row.
     pub winner: &'static str,
-    /// The matching virtual MSA speedup (`1 / degrade_msa_factor`).
+    /// The matching virtual MSA speedup (`1 / degrade_msa_factor` of
+    /// the run's [`RecoveryPolicy`](crate::chaos::RecoveryPolicy)).
     pub speedup: f64,
     /// Makespan [`predict_makespan`] projects for that speedup from the
     /// FIFO run's causal log.
@@ -927,15 +989,9 @@ pub fn run_policy_matrix(quick: bool) -> PolicyMatrixReport {
                 .throughput_qph
                 .total_cmp(&b.report.chaos.base.throughput_qph)
         })
-        .map(|r| {
-            (
-                r.name,
-                r.report.policy.degrade_msa_factor,
-                r.report.chaos.base.makespan_s,
-            )
-        });
-    if let Some((name, factor, measured_makespan_s)) = winner {
-        let speedup = 1.0 / factor;
+        .map(|r| (r.name, r.report.chaos.base.makespan_s));
+    if let Some((name, measured_makespan_s)) = winner {
+        let speedup = 1.0 / chaos.policy.degrade_msa_factor;
         let predicted_makespan_s =
             predict_makespan(&causal, &fifo_config, WhatIf::ScaleMsa(speedup));
         let predicted_delta_pct = (fifo_makespan - predicted_makespan_s) / fifo_makespan * 100.0;
@@ -1112,6 +1168,30 @@ mod tests {
             fifo.chaos.completed + fifo.chaos.degraded,
             "reordering must not lose or invent completions"
         );
+    }
+
+    #[test]
+    fn policy_validate_names_preempt_min_ratio() {
+        for pol in policy_scenarios(true).iter().map(|s| s.policy) {
+            assert_eq!(pol.validate(), Ok(()), "{}", pol.label());
+        }
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let pol = PolicyConfig {
+                preempt_min_ratio: bad,
+                ..PolicyConfig::sjf_preempt()
+            };
+            let err = pol.validate().expect_err("bad ratio");
+            assert!(err.contains("preempt_min_ratio"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "preempt_min_ratio")]
+    fn nan_preempt_ratio_panics_instead_of_preempting_every_arrival() {
+        run(&PolicyConfig {
+            preempt_min_ratio: f64::NAN,
+            ..PolicyConfig::sjf_preempt()
+        });
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! and the GPU-side inference phase run as separate queues so neither
 //! resource idles waiting for the other.
 //!
-//! - **CPU pool** — `cpu_workers` workers drain MSA jobs FCFS (earliest
-//!   free worker wins, lowest index breaks ties). A cache hit skips the
-//!   pool entirely and charges only the storage-priced feature load.
+//! - **CPU pool** — `cpu_workers` workers drain a central MSA queue
+//!   FCFS (the earliest-free idle worker takes the head, lowest index
+//!   breaks ties). A cache hit skips the pool entirely and charges only
+//!   the storage-priced feature load.
 //! - **GPU queue** — requests whose features are ready queue for the
 //!   GPU, which greedily takes up to `gpu_batch` ready requests per
 //!   dispatch. The first batch pays the cold runtime init (driver,
@@ -22,9 +23,9 @@
 //!   against a per-request [`Deadline`].
 //!
 //! This module holds the shared types — configuration, cost table,
-//! outcomes, report — and [`run_serve`], a thin wrapper over the eager
-//! event loop in [`crate::chaos`] under an empty fault plan. That loop
-//! runs on the shared discrete-event engine ([`afsb_rt::sim`]):
+//! outcomes, report — and [`run_serve`]: the one serving loop
+//! ([`crate::policy`]) under plain FIFO and an empty fault plan. That
+//! loop runs on the shared discrete-event engine ([`afsb_rt::sim`]):
 //! one `(time, seq)`-ordered queue carries arrivals, MSA completions,
 //! cache fills, GPU batch closes and deadline timers, costing
 //! O(events · log n) instead of a per-step rescan. Same seed, same
@@ -179,6 +180,15 @@ impl ServeConfig {
     }
 }
 
+/// `Err` naming `field` unless `value` is finite and at least 0.
+pub(crate) fn non_negative(field: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{field} must be finite and >= 0, got {value}"))
+    }
+}
+
 /// Priced costs of one request shape (one benchmark sample).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeCost {
@@ -282,6 +292,26 @@ impl CostTable {
             dispatch_s,
             shapes,
         }
+    }
+
+    /// Check that every cost is finite and at least 0, returning an
+    /// error that names the field. The serving loop relies on it: SJF
+    /// orders its queue by `msa_s`, the GPU pool sorts by readiness,
+    /// and a NaN would reach the engine as an event time.
+    pub fn validate(&self) -> Result<(), String> {
+        non_negative("cost table: init_s", self.init_s)?;
+        non_negative("cost table: dispatch_s", self.dispatch_s)?;
+        for (id, s) in &self.shapes {
+            for (field, value) in [
+                ("msa_s", s.msa_s),
+                ("feature_load_s", s.feature_load_s),
+                ("compile_s", s.compile_s),
+                ("compute_s", s.compute_s),
+            ] {
+                non_negative(&format!("cost table: {} {field}", id.name()), value)?;
+            }
+        }
+        Ok(())
     }
 
     /// The cost of one shape.
@@ -727,8 +757,8 @@ impl ServeReport {
     }
 }
 
-/// Run the fault-free serving simulation: the eager loop of
-/// [`crate::chaos::run_serve_chaos`] under an empty fault plan, which
+/// Run the fault-free serving simulation: the serving loop of
+/// [`crate::policy`] under plain FIFO and an empty fault plan, which
 /// reduces bit-for-bit to the frozen seed scheduler in
 /// [`crate::reference`] (`tests/equivalence.rs` enforces this). The
 /// tracer in `obs` must be fresh (the run lays its spans from simulated
@@ -737,8 +767,8 @@ impl ServeReport {
 ///
 /// # Panics
 ///
-/// Panics with the [`ServeConfig::validate`] error on a degenerate
-/// config.
+/// Panics with the [`ServeConfig::validate`] or [`CostTable::validate`]
+/// error on a degenerate config or cost table.
 pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) -> ServeReport {
     run_serve_chaos(config, &ChaosConfig::none(), costs, obs).base
 }
@@ -1021,6 +1051,46 @@ mod tests {
             deadline: Deadline::new(Some(f64::NAN)),
             ..base_config()
         });
+    }
+
+    #[test]
+    fn cost_table_validate_names_each_bad_field() {
+        assert_eq!(synthetic_costs().validate(), Ok(()));
+        type Set = fn(&mut CostTable, f64);
+        let fields: [(&str, Set); 6] = [
+            ("init_s", |c, v| c.init_s = v),
+            ("dispatch_s", |c, v| c.dispatch_s = v),
+            ("msa_s", |c, v| {
+                c.shapes.values_mut().last().unwrap().msa_s = v
+            }),
+            ("feature_load_s", |c, v| {
+                c.shapes.values_mut().last().unwrap().feature_load_s = v
+            }),
+            ("compile_s", |c, v| {
+                c.shapes.values_mut().last().unwrap().compile_s = v
+            }),
+            ("compute_s", |c, v| {
+                c.shapes.values_mut().last().unwrap().compute_s = v
+            }),
+        ];
+        for (field, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut costs = synthetic_costs();
+                set(&mut costs, bad);
+                let err = costs.validate().expect_err(field);
+                assert!(err.contains(field), "{field} = {bad}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "msa_s")]
+    fn nan_msa_cost_panics_naming_the_field() {
+        // Used to surface as "event time must be finite" deep inside
+        // the engine.
+        let mut costs = synthetic_costs();
+        costs.shapes.values_mut().next().unwrap().msa_s = f64::NAN;
+        run_serve(&base_config(), &costs, &mut ObsSession::new());
     }
 
     #[test]

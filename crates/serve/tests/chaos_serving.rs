@@ -12,12 +12,16 @@
 //!    once — no lost wakeups (every finished request was batched), no
 //!    double wakeups (no request is batched twice), no double-charged
 //!    fills (waiters never occupy a CPU worker).
+//! 3. **Coalescing × policy**: the same audit under every scheduling
+//!    policy of the matrix (reordered queues, preemption, speculation),
+//!    fault-free and under seeded fault plans.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::fault::{FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
 use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport, Disposition, RecoveryPolicy};
+use afsb_serve::policy::{policy_scenarios, run_serve_policy};
 use afsb_serve::server::{CostTable, ServeConfig, ShapeCost};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_simarch::Platform;
@@ -329,6 +333,40 @@ fn seeded_fault_schedules_over_coalescing_streams_conserve_wakeups() {
                 &obs,
                 chaos.plan.faults().len(),
             );
+        }
+    }
+}
+
+#[test]
+fn every_policy_coalesces_and_wakes_waiters_exactly_once() {
+    // Coalescing under SJF, EDF, preemption and speculation: a producer
+    // may be reordered, preempted, degraded or shed (never while it has
+    // waiters), and every waiter must still wake exactly once.
+    let costs = synthetic_costs();
+    let mut plans = vec![("fault-free".to_owned(), ChaosConfig::none())];
+    for seed in sweep_seeds() {
+        let chaos = ChaosConfig {
+            plan: FaultPlan::seeded(seed),
+            policy: RecoveryPolicy::standard(),
+        };
+        plans.push((format!("seed {seed}"), chaos));
+    }
+    for scenario in policy_scenarios(true) {
+        for (label, chaos) in &plans {
+            let mut obs = ObsSession::new();
+            let report = run_serve_policy(
+                &coalescing_config(),
+                &scenario.policy,
+                chaos,
+                &costs,
+                &mut obs,
+            );
+            let name = format!("{} {label}", scenario.name);
+            assert!(
+                report.chaos.base.cache_coalesced > 0,
+                "{name}: nothing coalesced"
+            );
+            assert_well_formed(&name, &report.chaos, &obs, chaos.plan.faults().len());
         }
     }
 }

@@ -1,17 +1,20 @@
-//! The equivalence golden gate: the event-driven scheduler
-//! (`serve::server::run_serve`, which is the eager chaos loop under an
-//! empty fault plan) must match the frozen seed step-scan scheduler
-//! (`serve::reference`) **byte for byte** — reports, per-request
-//! outcomes, metrics text and Chrome traces — on the four canonical
-//! scenarios and on a sweep of synthetic edge configurations, while
-//! staying passive: every admitted request completes, no fault fires
-//! and no chaos block renders. Kept forever so engine changes cannot
-//! silently move the serving baselines.
+//! The equivalence golden gate: the event-driven scheduler (the one
+//! serving loop, `serve::policy::run_serve_policy`, under plain FIFO
+//! and an empty fault plan — what `serve::server::run_serve` and
+//! `serve::chaos::run_serve_chaos` run) must match the frozen seed
+//! step-scan scheduler (`serve::reference`) **byte for byte** —
+//! reports, per-request outcomes, metrics text and Chrome traces — on
+//! the four canonical scenarios and on a sweep of synthetic edge
+//! configurations, while staying passive: every admitted request
+//! completes, no fault fires, and neither a chaos block nor a policy
+//! line renders. Kept forever so engine changes cannot silently move
+//! the serving baselines.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
-use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport};
+use afsb_serve::chaos::{ChaosConfig, ChaosReport};
+use afsb_serve::policy::{run_serve_policy, PolicyConfig};
 use afsb_serve::reference::run_serve_reference;
 use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
 use afsb_serve::server::{CostTable, ServeConfig, ShapeCost};
@@ -19,16 +22,29 @@ use afsb_serve::workload::WorkloadConfig;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
 
-/// Run the engine under an empty plan and assert it stayed passive:
-/// dispositions are still assigned, and every admitted request
-/// completes at full quality with no fault fired.
+/// Run the engine under plain FIFO and an empty plan and assert it
+/// stayed passive: dispositions are still assigned, every admitted
+/// request completes at full quality with no fault fired, and the
+/// report renders as the fault-free base report.
 fn run_passive(
     name: &str,
     config: &ServeConfig,
     costs: &CostTable,
     obs: &mut ObsSession,
 ) -> ChaosReport {
-    let report = run_serve_chaos(config, &ChaosConfig::none(), costs, obs);
+    let policy = run_serve_policy(
+        config,
+        &PolicyConfig::fifo(),
+        &ChaosConfig::none(),
+        costs,
+        obs,
+    );
+    assert_eq!(
+        policy.render(),
+        policy.chaos.base.render(),
+        "{name}: the plain-FIFO render must grow neither a chaos block nor a policy line"
+    );
+    let report = policy.chaos;
     assert!(report.conserves_requests(), "{name}: conservation broken");
     assert!(!report.chaos_active);
     assert_eq!(
@@ -44,13 +60,7 @@ fn run_passive(
 fn assert_equivalent(name: &str, config: &ServeConfig, costs: &CostTable) {
     let mut engine_obs = ObsSession::new();
     let mut seed_obs = ObsSession::new();
-    let chaos = run_passive(name, config, costs, &mut engine_obs);
-    assert_eq!(
-        chaos.render(),
-        chaos.base.render(),
-        "{name}: the chaos block must be absent"
-    );
-    let engine = chaos.base;
+    let engine = run_passive(name, config, costs, &mut engine_obs).base;
     let seed = run_serve_reference(config, costs, &mut seed_obs);
 
     assert_eq!(engine.outcomes, seed.outcomes, "{name}: outcomes diverged");

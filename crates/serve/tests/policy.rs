@@ -1,19 +1,15 @@
-//! The scheduling-policy gates.
+//! The scheduling-policy gates. (FIFO byte-identity needs no gate of
+//! its own: `run_serve` *is* the policy loop under `PolicyConfig::fifo()`,
+//! and `tests/equivalence.rs` pins that run to the frozen seed
+//! scheduler byte for byte.)
 //!
-//! 1. **FIFO byte-identity** — `run_serve_policy` under
-//!    `PolicyConfig::fifo()` with an empty fault plan must match the
-//!    event-driven engine (`serve::server::run_serve`) byte for byte —
-//!    outcomes, floats, report text, metrics and Chrome traces — on
-//!    the four canonical scenarios. Transitively (through
-//!    `tests/equivalence.rs`) that pins the policy loop's baseline to
-//!    the frozen seed scheduler.
-//! 2. **Request conservation** — every policy in the matrix, fault-free
+//! 1. **Request conservation** — every policy in the matrix, fault-free
 //!    and under the kitchen-sink fault campaign, leaves every admitted
 //!    request with exactly one disposition
 //!    (`ChaosReport::conserves_requests`).
-//! 3. **Dominance** — at least one policy strictly beats FIFO on both
+//! 2. **Dominance** — at least one policy strictly beats FIFO on both
 //!    queries/hour and exact p99 latency. CI runs this as a hard gate.
-//! 4. **What-if validation** — the winning speculation policy's
+//! 3. **What-if validation** — the winning speculation policy's
 //!    measured makespan delta sits within
 //!    `POLICY_WHATIF_TOLERANCE_PP` of the causal profiler's
 //!    virtual-MSA-speedup projection for the matching factor.
@@ -21,11 +17,11 @@
 use afsb_rt::obs::ObsSession;
 use afsb_serve::chaos::{chaos_scenarios, ChaosConfig};
 use afsb_serve::policy::{
-    policy_scenarios, run_policy_matrix, run_serve_policy, PolicyConfig, PolicyMatrixReport,
+    policy_scenarios, run_policy_matrix, run_serve_policy, PolicyMatrixReport,
     POLICY_WHATIF_TOLERANCE_PP,
 };
-use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
-use afsb_serve::server::{run_serve, CostTable};
+use afsb_serve::scenario::SERVE_SEED;
+use afsb_serve::server::CostTable;
 use afsb_simarch::Platform;
 use std::sync::OnceLock;
 
@@ -37,78 +33,6 @@ fn costs() -> &'static CostTable {
 fn matrix() -> &'static PolicyMatrixReport {
     static MATRIX: OnceLock<PolicyMatrixReport> = OnceLock::new();
     MATRIX.get_or_init(|| run_policy_matrix(true))
-}
-
-#[test]
-fn fifo_policy_is_byte_identical_to_the_engine_on_canonical_scenarios() {
-    for scenario in default_scenarios(true) {
-        let mut engine_obs = ObsSession::new();
-        let mut policy_obs = ObsSession::new();
-        let engine = run_serve(&scenario.config, costs(), &mut engine_obs);
-        let policy = run_serve_policy(
-            &scenario.config,
-            &PolicyConfig::fifo(),
-            &ChaosConfig::none(),
-            costs(),
-            &mut policy_obs,
-        );
-        let name = scenario.name;
-        assert_eq!(
-            engine.outcomes, policy.chaos.base.outcomes,
-            "{name}: outcomes diverged"
-        );
-        assert_eq!(
-            engine.makespan_s.to_bits(),
-            policy.chaos.base.makespan_s.to_bits(),
-            "{name}: makespan not bit-identical"
-        );
-        assert_eq!(
-            engine.gpu_busy_s.to_bits(),
-            policy.chaos.base.gpu_busy_s.to_bits(),
-            "{name}: gpu busy not bit-identical"
-        );
-        assert_eq!(
-            (engine.served, engine.rejected, engine.deadline_missed),
-            (
-                policy.chaos.base.served,
-                policy.chaos.base.rejected,
-                policy.chaos.base.deadline_missed
-            ),
-            "{name}: outcome counters diverged"
-        );
-        assert_eq!(
-            (
-                engine.batches,
-                engine.compiled_shapes,
-                engine.cache_hits,
-                engine.cache_misses,
-                engine.cache_evictions
-            ),
-            (
-                policy.chaos.base.batches,
-                policy.chaos.base.compiled_shapes,
-                policy.chaos.base.cache_hits,
-                policy.chaos.base.cache_misses,
-                policy.chaos.base.cache_evictions
-            ),
-            "{name}: resource counters diverged"
-        );
-        assert_eq!(
-            engine.render(),
-            policy.render(),
-            "{name}: report text diverged (the plain-FIFO render must not grow a policy line)"
-        );
-        assert_eq!(
-            engine_obs.metrics.render_text(),
-            policy_obs.metrics.render_text(),
-            "{name}: metrics text diverged (serve.policy.* must stay gated off)"
-        );
-        assert_eq!(
-            engine_obs.tracer.chrome_trace_events().pretty(),
-            policy_obs.tracer.chrome_trace_events().pretty(),
-            "{name}: Chrome trace diverged"
-        );
-    }
 }
 
 #[test]
