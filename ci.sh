@@ -18,6 +18,12 @@ run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Host-time benchmark build gate: benchmark/ is a workspace of its own,
+# so the steps above never compile it. Building it and running its unit
+# tests here turns a public-API change in crates/ that breaks it into a
+# CI failure instead of a benchmark-pipeline one.
+run cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 # Chaos determinism sweep: re-run the fault-injection suite under three
 # fixed seeds. The suite asserts that every seeded plan reaches the same
 # terminal outcome with byte-identical reports on repeat runs, and that

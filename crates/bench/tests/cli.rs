@@ -178,3 +178,56 @@ fn profile_writes_artifacts_and_perf_diff_gates() {
     assert_eq!(missing.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A damaged copy of a committed baseline is refused with exit 2 and a
+/// `perf-diff:` message naming the file, on either side of the diff:
+/// a truncated file, a schema-drifted one (a required key renamed) and
+/// one whose metric overflows f64 — which used to parse as infinity
+/// and pass the gate.
+#[test]
+fn perf_diff_refuses_damaged_committed_baselines() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_serve_xl.json");
+    let committed = committed.to_str().unwrap();
+    let text = std::fs::read_to_string(committed).unwrap();
+    let dir = temp_dir("damaged");
+    let self_diff = afsysbench(&["perf-diff", committed, committed], &dir);
+    assert_eq!(
+        self_diff.status.code(),
+        Some(0),
+        "the committed file must pass"
+    );
+
+    let value = text.find("\"value\": ").unwrap() + "\"value\": ".len();
+    let value_end = value + text[value..].find(['\n', ',', '}']).unwrap();
+    let damaged = [
+        ("truncated", text[..text.len() / 2].to_owned()),
+        (
+            "drifted",
+            text.replacen("\"metrics\"", "\"metric_rows\"", 1),
+        ),
+        (
+            "overflow",
+            format!("{}1e400{}", &text[..value], &text[value_end..]),
+        ),
+    ];
+    for (name, body) in damaged {
+        assert_ne!(
+            body, text,
+            "{name} fixture must differ from the committed file"
+        );
+        let path = dir.join(format!("BENCH_{name}.json"));
+        std::fs::write(&path, body).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [[path, committed], [committed, path]] {
+            let out = afsysbench(&["perf-diff", args[0], args[1]], &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(
+                stderr.starts_with("perf-diff: ") && stderr.contains(path),
+                "{name}: the message must name the file: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -590,9 +590,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+        // `str::parse` saturates an overflowing literal (`1e400`) to
+        // infinity instead of failing, and the emitter would write it
+        // back as `null`: reject it so every parsed number round-trips.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -665,6 +669,23 @@ mod tests {
         }
         assert_eq!(Json::Num(3.0).to_text(), "3");
         assert_eq!(Json::Num(0.25).to_text(), "0.25");
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        for text in ["1e400", "-1e400", "[1, 2e999]", "{\"v\": 1.5E+309}"] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(
+                err.to_string().contains("number out of range"),
+                "{text}: {err}"
+            );
+        }
+        // The largest finite literal still parses, and underflow rounds
+        // to zero: both round-trip.
+        let max = Json::parse("1.7976931348623157e308").unwrap();
+        assert_eq!(max, Json::Num(f64::MAX));
+        assert_eq!(Json::parse(&max.to_text()).unwrap(), max);
+        assert_eq!(Json::parse("1e-400").unwrap(), Json::Num(0.0));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   [`SimEngine::schedule`] stamps a monotonically increasing sequence
 //!   number that breaks heap ties, so the pop order is a pure function
 //!   of the schedule calls.
-//! - Timers are **cancellable** ([`SimEngine::cancel`]): a cancelled
-//!   entry is skipped at pop time and never observed by the consumer —
-//!   this is how per-request deadlines disarm on completion and how a
+//! - Timers are **cancellable** ([`SimEngine::cancel`]) in O(1): a
+//!   per-seq liveness flag turns the heap entry into a tombstone that
+//!   is skipped at pop time and never observed by the consumer — this
+//!   is how per-request deadlines disarm on completion and how a
 //!   consumed fault leaves the queue.
 //! - Event times must be finite and are clamped to the current clock
 //!   (an event scheduled "in the past" fires immediately, it does not
@@ -268,9 +269,12 @@ pub struct SimEngine {
     now_s: f64,
     next_seq: u64,
     heap: BinaryHeap<Scheduled>,
-    /// Sequence numbers of cancelled-but-not-yet-popped entries, kept
-    /// sorted (they are pushed in cancel order and removed at pop).
-    cancelled: Vec<u64>,
+    /// Liveness flag per schedule call, indexed by seq: set at
+    /// schedule, cleared at cancel or pop. A heap entry whose flag is
+    /// clear is a cancelled tombstone, skipped when it surfaces.
+    live: Vec<bool>,
+    /// Cancelled tombstones still in the heap.
+    cancelled: usize,
     popped: u64,
     /// Causal edge log, one record per schedule call, indexed by seq.
     /// `None` until [`SimEngine::record_provenance`] arms it.
@@ -370,6 +374,7 @@ impl SimEngine {
                 delivered: false,
             });
         }
+        self.live.push(true);
         self.heap.push(Scheduled { at_s, seq, event });
         TimerId(seq)
     }
@@ -385,23 +390,26 @@ impl SimEngine {
         self.schedule(self.now_s + d, event)
     }
 
-    /// Cancel a scheduled event. Returns whether the handle was live
-    /// (scheduled, not yet popped, not already cancelled). A cancelled
-    /// event is never returned by [`SimEngine::pop`].
+    /// Cancel a scheduled event in O(1). Returns whether the handle was
+    /// live (scheduled, not yet popped, not already cancelled). A
+    /// cancelled event is never returned by [`SimEngine::pop`].
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if id.0 >= self.next_seq || self.cancelled.contains(&id.0) {
+        if !self.take_live(id.0) {
             return false;
         }
-        // Live iff still somewhere in the heap; popped entries are gone.
-        if self.heap.iter().any(|s| s.seq == id.0) {
-            self.cancelled.push(id.0);
-            if let Some(edges) = self.provenance.as_mut() {
-                edges[id.0 as usize].cancelled = true;
-            }
-            true
-        } else {
-            false
+        self.cancelled += 1;
+        if let Some(edges) = self.provenance.as_mut() {
+            edges[id.0 as usize].cancelled = true;
         }
+        true
+    }
+
+    /// Clear `seq`'s liveness flag, returning whether it was set (the
+    /// event was scheduled and neither popped nor cancelled yet).
+    fn take_live(&mut self, seq: u64) -> bool {
+        self.live
+            .get_mut(seq as usize)
+            .is_some_and(|live| std::mem::replace(live, false))
     }
 
     /// Pop the next event: advances the clock to its timestamp and
@@ -416,8 +424,8 @@ impl SimEngine {
     /// injector's plan-order delivery) read it from [`TimerId::seq`].
     pub fn pop_with_id(&mut self) -> Option<(f64, Event, TimerId)> {
         while let Some(s) = self.heap.pop() {
-            if let Some(i) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(i);
+            if !self.take_live(s.seq) {
+                self.cancelled -= 1;
                 continue;
             }
             self.advance_to(s.at_s);
@@ -451,18 +459,17 @@ impl SimEngine {
     pub fn peek_time(&mut self) -> Option<f64> {
         loop {
             let s = self.heap.peek()?;
-            if let Some(i) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(i);
-                self.heap.pop();
-                continue;
+            if self.live[s.seq as usize] {
+                return Some(s.at_s);
             }
-            return Some(s.at_s);
+            self.heap.pop();
+            self.cancelled -= 1;
         }
     }
 
     /// Live (scheduled, uncancelled) events still in the queue.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.cancelled
     }
 
     /// Whether no live event remains.

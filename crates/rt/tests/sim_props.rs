@@ -23,6 +23,11 @@
 //!    child in `(time, seq)`; a cancelled timer is never named.
 //! 8. Naming the current event reproduces `schedule_tagged` edge for
 //!    edge.
+//!
+//! And against an independent oracle:
+//!
+//! 9. Every observable agrees, op for op, with a naive reference model
+//!    that shares no code with the engine.
 
 use afsb_rt::check::{run, Config};
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
@@ -170,6 +175,104 @@ fn interleaved_push_pop_replays_identically() {
             assert_eq!(log_a, log_b, "two replays of one schedule diverged");
             // Popped times are monotone per engine run.
             assert!(log_a.windows(2).all(|w| w[0].0 <= w[1].0));
+        },
+    );
+}
+
+/// The reference model of property 9: every live event as a
+/// `(clamped time, seq)` pair in a `Vec`, scanned for the minimum, and
+/// each seq's fate (`None` live, `Some(true)` cancelled, `Some(false)`
+/// popped).
+#[derive(Default)]
+struct NaiveQueue {
+    now_s: f64,
+    live: Vec<(f64, u64)>,
+    fate: Vec<Option<bool>>,
+}
+
+impl NaiveQueue {
+    fn head(&self) -> Option<usize> {
+        (0..self.live.len()).min_by(|&a, &b| {
+            let (ta, sa) = self.live[a];
+            let (tb, sb) = self.live[b];
+            ta.total_cmp(&tb).then(sa.cmp(&sb))
+        })
+    }
+
+    fn schedule(&mut self, at_s: f64) -> u64 {
+        let seq = self.fate.len() as u64;
+        self.live.push((at_s.max(self.now_s), seq));
+        self.fate.push(None);
+        seq
+    }
+
+    fn pop(&mut self) -> Option<(f64, u64)> {
+        let (at_s, seq) = self.live.remove(self.head()?);
+        self.now_s = at_s;
+        self.fate[seq as usize] = Some(false);
+        Some((at_s, seq))
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let Some(i) = self.live.iter().position(|&(_, s)| s == seq) else {
+            return false;
+        };
+        self.live.remove(i);
+        self.fate[seq as usize] = Some(true);
+        true
+    }
+}
+
+#[test]
+fn engine_agrees_with_a_naive_reference_model() {
+    run(
+        "engine_agrees_with_a_naive_reference_model",
+        Config::cases(128),
+        |g| {
+            let mut e = SimEngine::new();
+            e.record_provenance();
+            let mut model = NaiveQueue::default();
+            let mut issued: Vec<TimerId> = Vec::new();
+            for _ in 0..g.range(1usize..300) {
+                match g.range(0u32..8) {
+                    // Coarse stamps force same-time ties, and a stamp
+                    // behind the clock exercises the clamp.
+                    0..=2 => {
+                        let at = g.range(0u32..20) as f64 * 5.0;
+                        let id = e.schedule(at, Event::Arrival { request: 0 });
+                        assert_eq!(id.seq(), model.schedule(at));
+                        issued.push(id);
+                    }
+                    3 | 4 => {
+                        let got = e.pop_with_id().map(|(t, _, id)| (t, id.seq()));
+                        assert_eq!(got, model.pop());
+                    }
+                    5 => {
+                        let want = model.head().map(|i| model.live[i].0);
+                        assert_eq!(e.peek_time(), want);
+                    }
+                    // Cancel any handle ever issued: live, already
+                    // cancelled or already popped.
+                    _ => {
+                        if !issued.is_empty() {
+                            let id = *g.pick(&issued);
+                            assert_eq!(e.cancel(id), model.cancel(id.seq()), "cancel {id:?}");
+                        }
+                    }
+                }
+                assert_eq!(e.pending(), model.live.len());
+                assert_eq!(e.is_drained(), model.live.is_empty());
+                assert_eq!(e.now_seconds(), model.now_s);
+                assert_eq!(e.provenance().len(), model.fate.len());
+                for (edge, fate) in e.provenance().iter().zip(&model.fate) {
+                    assert_eq!(edge.cancelled, *fate == Some(true), "seq {}", edge.seq);
+                    assert_eq!(edge.delivered, *fate == Some(false), "seq {}", edge.seq);
+                }
+            }
+            while let Some((t, _, id)) = e.pop_with_id() {
+                assert_eq!(Some((t, id.seq())), model.pop());
+            }
+            assert!(model.live.is_empty(), "the model outlived the engine");
         },
     );
 }

@@ -18,12 +18,21 @@
 //! on the in-flight fill (a `CacheFill` event on the engine clock) and
 //! the wait is counted here as a [`FeatureCache::coalesced_hit`].
 
-/// A capacity-bounded LRU cache of MSA feature files.
+use std::collections::BTreeMap;
+
+/// A capacity-bounded LRU cache of MSA feature files. Recency is a
+/// strictly increasing stamp: `entries` maps each entity to its stamp
+/// and size, `order` maps stamps back to entities, least recently used
+/// first. A lookup, an insert and each eviction are O(log n).
 #[derive(Debug, Clone, Default)]
 pub struct FeatureCache {
     capacity_bytes: u64,
-    /// `(entity, bytes)`, least recently used first.
-    entries: Vec<(usize, u64)>,
+    /// entity → `(recency stamp, bytes)`.
+    entries: BTreeMap<usize, (u64, u64)>,
+    /// recency stamp → entity, least recently used first.
+    order: BTreeMap<u64, usize>,
+    /// The next recency stamp.
+    clock: u64,
     bytes: u64,
     hits: u64,
     misses: u64,
@@ -44,10 +53,10 @@ impl FeatureCache {
     /// Look up an entity, counting a hit or miss and refreshing
     /// recency on hit.
     pub fn lookup(&mut self, entity: usize) -> bool {
-        match self.entries.iter().position(|&(e, _)| e == entity) {
-            Some(i) => {
-                let entry = self.entries.remove(i);
-                self.entries.push(entry);
+        match self.entries.remove(&entity) {
+            Some((stamp, file_bytes)) => {
+                self.order.remove(&stamp);
+                self.push_newest(entity, file_bytes);
                 self.hits += 1;
                 true
             }
@@ -62,20 +71,36 @@ impl FeatureCache {
     /// entries until it fits. A file larger than the whole cache is
     /// not admitted.
     pub fn insert(&mut self, entity: usize, file_bytes: u64) {
-        if let Some(i) = self.entries.iter().position(|&(e, _)| e == entity) {
-            let (_, old) = self.entries.remove(i);
+        if let Some((stamp, old)) = self.entries.remove(&entity) {
+            self.order.remove(&stamp);
             self.bytes -= old;
         }
         if file_bytes > self.capacity_bytes {
             return;
         }
         while self.bytes + file_bytes > self.capacity_bytes {
-            let (_, evicted) = self.entries.remove(0);
+            // Cannot run dry: `bytes` sums the cached entries, and the
+            // file alone fits the capacity.
+            let (_, victim) = self
+                .order
+                .pop_first()
+                .expect("an over-full cache holds an entry");
+            let (_, evicted) = self
+                .entries
+                .remove(&victim)
+                .expect("order and entries agree");
             self.bytes -= evicted;
             self.evictions += 1;
         }
-        self.entries.push((entity, file_bytes));
+        self.push_newest(entity, file_bytes);
         self.bytes += file_bytes;
+    }
+
+    /// Record `entity` (not currently cached) as the most recently used.
+    fn push_newest(&mut self, entity: usize, file_bytes: u64) {
+        self.entries.insert(entity, (self.clock, file_bytes));
+        self.order.insert(self.clock, entity);
+        self.clock += 1;
     }
 
     /// Count a request that piggybacked on an in-flight fill for its
@@ -89,7 +114,7 @@ impl FeatureCache {
 
     /// Whether the entity is currently cached (no counter side effects).
     pub fn contains(&self, entity: usize) -> bool {
-        self.entries.iter().any(|&(e, _)| e == entity)
+        self.entries.contains_key(&entity)
     }
 
     /// Cached entries.
@@ -141,6 +166,109 @@ impl FeatureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afsb_rt::check::{run, Config};
+
+    /// The linear-scan LRU the maps replaced, kept as the reference
+    /// model: `(entity, bytes)` least recently used first.
+    #[derive(Default)]
+    struct VecLru {
+        capacity_bytes: u64,
+        entries: Vec<(usize, u64)>,
+        bytes: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl VecLru {
+        fn lookup(&mut self, entity: usize) -> bool {
+            match self.entries.iter().position(|&(e, _)| e == entity) {
+                Some(i) => {
+                    let entry = self.entries.remove(i);
+                    self.entries.push(entry);
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, entity: usize, file_bytes: u64) {
+            if let Some(i) = self.entries.iter().position(|&(e, _)| e == entity) {
+                let (_, old) = self.entries.remove(i);
+                self.bytes -= old;
+            }
+            if file_bytes > self.capacity_bytes {
+                return;
+            }
+            while self.bytes + file_bytes > self.capacity_bytes {
+                let (_, evicted) = self.entries.remove(0);
+                self.bytes -= evicted;
+                self.evictions += 1;
+            }
+            self.entries.push((entity, file_bytes));
+            self.bytes += file_bytes;
+        }
+
+        fn contains(&self, entity: usize) -> bool {
+            self.entries.iter().any(|&(e, _)| e == entity)
+        }
+    }
+
+    #[test]
+    fn maps_agree_with_the_linear_scan_reference() {
+        run(
+            "maps_agree_with_the_linear_scan_reference",
+            Config::cases(256),
+            |g| {
+                // A capacity of a few files over a dozen entities, so
+                // inserts evict, refresh cached entries with new sizes,
+                // and sometimes exceed the whole cache.
+                let capacity = g.range(1u64..64);
+                let catalog = g.range(1usize..12);
+                let mut cache = FeatureCache::new(capacity);
+                let mut model = VecLru {
+                    capacity_bytes: capacity,
+                    ..VecLru::default()
+                };
+                let mut coalesced = 0;
+                for _ in 0..g.range(1usize..300) {
+                    let entity = g.range(0..catalog);
+                    match g.range(0u32..8) {
+                        0..=2 => assert_eq!(cache.lookup(entity), model.lookup(entity)),
+                        3..=5 => {
+                            let file_bytes = g.range(0..=capacity);
+                            cache.insert(entity, file_bytes);
+                            model.insert(entity, file_bytes);
+                        }
+                        6 => {
+                            let oversize = capacity + g.range(1u64..8);
+                            cache.insert(entity, oversize);
+                            model.insert(entity, oversize);
+                        }
+                        _ => {
+                            cache.coalesced_hit();
+                            model.hits += 1;
+                            coalesced += 1;
+                        }
+                    }
+                    assert_eq!(
+                        (cache.hits(), cache.misses(), cache.evictions()),
+                        (model.hits, model.misses, model.evictions)
+                    );
+                    assert_eq!(cache.coalesced(), coalesced);
+                    assert_eq!(cache.bytes(), model.bytes);
+                    assert_eq!(cache.len(), model.entries.len());
+                    for e in 0..catalog {
+                        assert_eq!(cache.contains(e), model.contains(e), "entity {e}");
+                    }
+                }
+            },
+        );
+    }
 
     #[test]
     fn hit_miss_accounting_and_recency() {

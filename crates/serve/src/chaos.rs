@@ -42,7 +42,7 @@
 //! recently fired fault when they finally apply.
 
 use crate::cache::FeatureCache;
-use crate::policy::{run_serve_policy, PolicyConfig};
+use crate::policy::{run_serve_policy, total_order, PolicyConfig};
 use crate::scenario::SERVE_SEED;
 use crate::server::{
     non_negative, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
@@ -338,7 +338,10 @@ pub(crate) struct ServeCore<'a> {
     pending_storage: Vec<FaultKind>,
 
     // GPU side.
-    pool: Vec<usize>,
+    /// GPU-ready requests keyed `(total_order(ready_s), request)`. A
+    /// pooled request's `ready_s` never changes, so the set stays in
+    /// `(ready_s, id)` order without re-sorting.
+    pool: BTreeSet<(i64, usize)>,
     gpu_free: f64,
     gpu_busy: f64,
     batches: usize,
@@ -441,7 +444,7 @@ impl<'a> ServeCore<'a> {
             injector: chaos.plan.injector(),
             fills: BTreeMap::new(),
             pending_storage: Vec::new(),
-            pool: Vec::new(),
+            pool: BTreeSet::new(),
             gpu_free: 0.0,
             gpu_busy: 0.0,
             batches: 0,
@@ -610,7 +613,8 @@ impl<'a> ServeCore<'a> {
     /// `request`'s features are ready: queue it for the GPU and, if the
     /// GPU is idle, close a batch (after every same-timestamp event).
     pub(crate) fn mark_ready(&mut self, request: usize, now: f64) {
-        self.pool.push(request);
+        self.pool
+            .insert((total_order(self.outcomes[request].ready_s), request));
         if now >= self.gpu_free {
             self.engine
                 .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
@@ -817,36 +821,26 @@ impl<'a> ServeCore<'a> {
         }
     }
 
-    /// Close one GPU batch: sort the ready pool, fix the batch start,
-    /// let `pick` choose the members (given the pool, outcomes, start
-    /// and `gpu_batch`), then price the batch — re-init and compile-stall
-    /// charges included — lay the `gpu_batch` span tree, close each
-    /// member's outcome, segments and disposition, and record the
-    /// provenance split. Returns `false` when nothing closed: a close
-    /// always pops after every same-timestamp readiness event, so the
-    /// pool is complete, and duplicate closes fall through the guard.
+    /// Close one GPU batch: fix the batch start from the head of the
+    /// `(ready_s, id)`-ordered ready pool, let `pick` remove the members
+    /// (given the pool, outcomes, start and `gpu_batch`), then price the
+    /// batch — re-init and compile-stall charges included — lay the
+    /// `gpu_batch` span tree, close each member's outcome, segments and
+    /// disposition, and record the provenance split. Returns `false`
+    /// when nothing closed: a close always pops after every
+    /// same-timestamp readiness event, so the pool is complete, and
+    /// duplicate closes fall through the guard.
     pub(crate) fn close_batch(
         &mut self,
         now: f64,
         obs: &mut ObsSession,
-        pick: impl FnOnce(&mut Vec<usize>, &[RequestOutcome], f64, usize) -> Vec<usize>,
+        pick: impl FnOnce(&mut BTreeSet<(i64, usize)>, &[RequestOutcome], f64, usize) -> Vec<usize>,
     ) -> bool {
-        if self.pool.is_empty() || now < self.gpu_free {
-            return false;
-        }
-        self.pool.sort_by(|&a, &b| {
-            self.outcomes[a]
-                .ready_s
-                .partial_cmp(&self.outcomes[b].ready_s)
-                .unwrap()
-                .then(
-                    self.outcomes[a]
-                        .request
-                        .id
-                        .cmp(&self.outcomes[b].request.id),
-                )
-        });
-        let start = self.gpu_free.max(self.outcomes[self.pool[0]].ready_s);
+        let head = match self.pool.first() {
+            Some(&(_, head)) if now >= self.gpu_free => head,
+            _ => return false,
+        };
+        let start = self.gpu_free.max(self.outcomes[head].ready_s);
         let batch = pick(&mut self.pool, &self.outcomes, start, self.config.gpu_batch);
 
         // Price the batch first so the enclosing span carries its full

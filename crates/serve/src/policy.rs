@@ -305,7 +305,7 @@ struct Running {
 
 /// `f64::total_cmp`'s order as an integer (the same bit transform), so
 /// float queue keys sort in a `BTreeSet`.
-fn total_order(x: f64) -> i64 {
+pub(crate) fn total_order(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
@@ -538,27 +538,37 @@ impl PolicyLoop<'_> {
     }
 }
 
-/// Pick a GPU batch from the sorted pool: the arrival-order prefix
-/// ready by `start` (the reference rule, at least one request), or
-/// with `shape_batching` the dominant shape bucket of everything ready
-/// by `start`.
+/// Pick and remove a GPU batch from the `(ready_s, id)`-ordered pool:
+/// the prefix ready by `start` (the reference rule, at least one
+/// request), or with `shape_batching` the dominant shape bucket of
+/// everything ready by `start`.
 fn pick_batch(
-    pool: &mut Vec<usize>,
+    pool: &mut BTreeSet<(i64, usize)>,
     outcomes: &[RequestOutcome],
     start: f64,
     gpu_batch: usize,
     shape_batching: bool,
 ) -> Vec<usize> {
-    let ready = |i: &&usize| outcomes[**i].ready_s <= start;
+    let ready = |&&(key, i): &&(i64, usize)| {
+        debug_assert_eq!(
+            key,
+            total_order(outcomes[i].ready_s),
+            "a pooled request's ready_s changed"
+        );
+        outcomes[i].ready_s <= start
+    };
     if !shape_batching {
         let take = pool.iter().take(gpu_batch).take_while(ready).count().max(1);
-        return pool.drain(..take).collect();
+        return std::iter::from_fn(|| pool.pop_first())
+            .take(take)
+            .map(|(_, i)| i)
+            .collect();
     }
     let eligible = pool.iter().take_while(ready).count().max(1);
     // Dominant shape of the whole eligible window (not just the first
     // B): max count, earliest first appearance breaking ties.
     let mut counts: Vec<(SampleId, usize)> = Vec::new();
-    for &i in &pool[..eligible] {
+    for &(_, i) in pool.iter().take(eligible) {
         let s = outcomes[i].request.sample;
         match counts.iter_mut().find(|(cs, _)| *cs == s) {
             Some((_, c)) => *c += 1,
@@ -573,18 +583,17 @@ fn pick_batch(
             dom_count = c;
         }
     }
-    let mut taken = Vec::new();
-    let mut rest = Vec::new();
-    for &i in &pool[..eligible] {
-        if outcomes[i].request.sample == dom && taken.len() < gpu_batch {
-            taken.push(i);
-        } else {
-            rest.push(i);
-        }
+    let taken: Vec<(i64, usize)> = pool
+        .iter()
+        .take(eligible)
+        .filter(|&&(_, i)| outcomes[i].request.sample == dom)
+        .take(gpu_batch)
+        .copied()
+        .collect();
+    for key in &taken {
+        pool.remove(key);
     }
-    rest.extend_from_slice(&pool[eligible..]);
-    *pool = rest;
-    taken
+    taken.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Run the serving simulation under a scheduling policy, optionally

@@ -296,8 +296,8 @@ impl CostTable {
 
     /// Check that every cost is finite and at least 0, returning an
     /// error that names the field. The serving loop relies on it: SJF
-    /// orders its queue by `msa_s`, the GPU pool sorts by readiness,
-    /// and a NaN would reach the engine as an event time.
+    /// orders its queue by `msa_s`, the GPU pool is ordered by
+    /// readiness, and a NaN would reach the engine as an event time.
     pub fn validate(&self) -> Result<(), String> {
         non_negative("cost table: init_s", self.init_s)?;
         non_negative("cost table: dispatch_s", self.dispatch_s)?;
