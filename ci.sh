@@ -60,6 +60,19 @@ for exp in "${GOLDEN_EXPERIMENTS[@]}"; do
     run diff -u "results/quick/$exp.txt" "$golden_dir/quick/$exp.txt"
 done
 
+# One-CPU golden gate: a sample's searches run concurrently through
+# rt::par::map_ordered, and no output may depend on the host's CPU
+# count. Pinned to one CPU, map_ordered takes its plain-loop path; the
+# serve and table4 goldens must still match byte for byte.
+if command -v taskset > /dev/null; then
+    run taskset -c 0 target/release/afsysbench serve table4 --quick --out "$golden_dir/one-cpu" > /dev/null
+    for exp in serve table4; do
+        run diff -u "results/quick/$exp.txt" "$golden_dir/one-cpu/$exp.txt"
+    done
+else
+    echo "==> taskset not found: skipping the one-CPU golden run"
+fi
+
 # Perf-regression gate: the profiler must be byte-deterministic, and the
 # fresh profile must stay within tolerance of the committed baseline —
 # per-symbol cycle shares, wall seconds, derived metrics, sampled top-N.

@@ -7,6 +7,13 @@
 //! platform- and thread-independent — the simulator replays them under
 //! different hardware models — so they are computed once per sample and
 //! cached.
+//!
+//! A sample's searches are independent of one another, so they run
+//! concurrently through [`afsb_rt::par::map_ordered`] and are assembled
+//! in (chain entity, database) order. Each search itself stays
+//! single-threaded (`threads: 1`), so its counters, including
+//! `peak_state_bytes` and `buffer_fills`, do not depend on how many host
+//! CPUs ran the sample.
 
 use crate::calib;
 use afsb_hmmer::counters::WorkCounters;
@@ -17,6 +24,7 @@ use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::complexity;
 use afsb_seq::database::{DatabaseSpec, SequenceDatabase, StandardDb};
 use afsb_seq::samples::{self, Sample, SampleId};
+use afsb_seq::sequence::Sequence;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,9 +56,11 @@ impl DbScale {
 pub struct ContextConfig {
     /// Database scale.
     pub scale: DbScale,
-    /// Maximum jackhmmer iterations.
+    /// Maximum jackhmmer iterations (at least 1).
     pub max_iterations: usize,
-    /// RNG seed namespace.
+    /// RNG seed namespace. Not read today: every synthetic database
+    /// draws from its own [`DatabaseSpec::seed`], so changing this field
+    /// does not change any search.
     pub seed: u64,
 }
 
@@ -71,6 +81,15 @@ impl ContextConfig {
             max_iterations: 1,
             seed: 11,
         }
+    }
+
+    /// Check that the configuration can run a search, returning an
+    /// error that names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_iterations == 0 {
+            return Err("context: max_iterations must be at least 1".to_string());
+        }
+        Ok(())
     }
 
     fn pipeline(&self) -> PipelineConfig {
@@ -229,7 +248,15 @@ pub struct BenchContext {
 
 impl BenchContext {
     /// Create an empty context.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ContextConfig::validate`]'s message if the
+    /// configuration is invalid.
     pub fn new(config: ContextConfig) -> BenchContext {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         BenchContext {
             config,
             cache: HashMap::new(),
@@ -253,71 +280,95 @@ impl BenchContext {
 
     fn execute(&self, id: SampleId) -> SampleSearchData {
         let sample = samples::sample(id);
-        let mut chains = Vec::new();
-        let mut msa_depth = 0usize;
-
-        for chain in sample.assembly.chains() {
-            if !chain.kind().msa_searched() {
-                continue;
-            }
-            let query = chain.sequence();
-            let profile = complexity::profile(query);
-            let db_set = match chain.kind() {
-                MoleculeKind::Protein => StandardDb::protein_set(),
-                MoleculeKind::Rna => StandardDb::rna_set(),
-                _ => unreachable!("filtered above"),
-            };
-            let mut per_db = Vec::new();
-            for &std_db in db_set {
-                let spec = self.config.scale.shrink(std_db.spec());
-                let db = SequenceDatabase::build_with_queries(spec, std::slice::from_ref(query));
-                let (counters, hits, msa_rows) = match chain.kind() {
-                    MoleculeKind::Protein => {
-                        let cfg = JackhmmerConfig {
-                            max_iterations: self.config.max_iterations,
-                            threads: 1,
-                            pipeline: self.config.pipeline(),
-                            ..JackhmmerConfig::default()
-                        };
-                        let r = jackhmmer::run(query, &db, &cfg);
-                        (r.counters, r.hits.len(), r.msa.depth())
-                    }
-                    MoleculeKind::Rna => {
-                        let cfg = NhmmerConfig {
-                            threads: 1,
-                            pipeline: self.config.pipeline(),
-                            ..NhmmerConfig::default()
-                        };
-                        let r = nhmmer::run(query, &db, &cfg);
-                        let n = r.hits.len();
-                        (r.counters, n, n + 1)
-                    }
-                    _ => unreachable!("filtered above"),
-                };
-                msa_depth += msa_rows;
-                per_db.push(DbSearch {
-                    db_name: db.spec().name.clone(),
-                    paper_bytes: db.paper_bytes(),
-                    scale_factor: db.scale_factor(),
-                    counters,
-                    hits,
-                    msa_rows,
-                });
-            }
-            chains.push(ChainSearch {
-                chain_id: chain.ids()[0].clone(),
-                kind: chain.kind(),
-                query_len: query.len(),
-                low_complexity_fraction: profile.low_complexity_fraction,
-                per_db,
-            });
+        let searched: Vec<_> = sample
+            .assembly
+            .chains()
+            .iter()
+            .filter(|c| c.kind().msa_searched())
+            .collect();
+        // One job per (chain entity × database), chain-major.
+        let jobs: Vec<(usize, StandardDb)> = searched
+            .iter()
+            .enumerate()
+            .flat_map(|(c, chain)| databases(chain.kind()).iter().map(move |&db| (c, db)))
+            .collect();
+        let results = afsb_rt::par::map_ordered(jobs.len(), |j| {
+            let (c, db) = jobs[j];
+            self.search(searched[c].sequence(), searched[c].kind(), db)
+        });
+        let mut per_chain: Vec<Vec<DbSearch>> = searched.iter().map(|_| Vec::new()).collect();
+        for (&(c, _), search) in jobs.iter().zip(results) {
+            per_chain[c].push(search);
         }
+
+        let msa_depth: usize = per_chain.iter().flatten().map(|d| d.msa_rows).sum();
+        let chains = searched
+            .iter()
+            .zip(per_chain)
+            .map(|(chain, per_db)| {
+                let query = chain.sequence();
+                ChainSearch {
+                    chain_id: chain.ids()[0].clone(),
+                    kind: chain.kind(),
+                    query_len: query.len(),
+                    low_complexity_fraction: complexity::profile(query).low_complexity_fraction,
+                    per_db,
+                }
+            })
+            .collect();
 
         SampleSearchData {
             sample,
             chains,
             msa_depth: msa_depth.max(1),
         }
+    }
+
+    /// Run one (chain entity × database) search, single-threaded.
+    fn search(&self, query: &Sequence, kind: MoleculeKind, std_db: StandardDb) -> DbSearch {
+        let spec = self.config.scale.shrink(std_db.spec());
+        let db = SequenceDatabase::build_with_queries(spec, std::slice::from_ref(query));
+        let (counters, hits, msa_rows) = match kind {
+            MoleculeKind::Protein => {
+                let cfg = JackhmmerConfig {
+                    max_iterations: self.config.max_iterations,
+                    threads: 1,
+                    pipeline: self.config.pipeline(),
+                    ..JackhmmerConfig::default()
+                };
+                let r = jackhmmer::run(query, &db, &cfg);
+                (r.counters, r.hits.len(), r.msa.depth())
+            }
+            MoleculeKind::Rna => {
+                let cfg = NhmmerConfig {
+                    threads: 1,
+                    pipeline: self.config.pipeline(),
+                    ..NhmmerConfig::default()
+                };
+                let r = nhmmer::run(query, &db, &cfg);
+                let n = r.hits.len();
+                (r.counters, n, n + 1)
+            }
+            _ => unreachable!("only MSA-searched kinds have databases"),
+        };
+        DbSearch {
+            db_name: db.spec().name.clone(),
+            paper_bytes: db.paper_bytes(),
+            scale_factor: db.scale_factor(),
+            counters,
+            hits,
+            msa_rows,
+        }
+    }
+}
+
+/// The databases a chain of `kind` is searched against (none for kinds
+/// the MSA phase skips).
+fn databases(kind: MoleculeKind) -> &'static [StandardDb] {
+    match kind {
+        MoleculeKind::Protein => StandardDb::protein_set(),
+        MoleculeKind::Rna => StandardDb::rna_set(),
+        _ => &[],
     }
 }
 
@@ -394,6 +445,64 @@ mod tests {
         let paper = data.total_paper_counters();
         assert!(paper.ssv_cells > raw.ssv_cells * 100);
         assert_eq!(paper.peak_state_bytes, raw.peak_state_bytes);
+    }
+
+    #[test]
+    fn searches_land_at_their_chain_and_database() {
+        // 6QNR has 30 searches: nine protein entities × three protein
+        // databases, then its RNA entity × three RNA databases.
+        let mut ctx = BenchContext::new(ContextConfig::test());
+        let data = ctx.sample_data(SampleId::S6qnr);
+        let searched: Vec<_> = data
+            .sample
+            .assembly
+            .chains()
+            .iter()
+            .filter(|c| c.kind().msa_searched())
+            .collect();
+        assert_eq!(data.chains.len(), searched.len());
+        let rna = searched.len() - 1;
+        assert_eq!(searched[rna].kind(), MoleculeKind::Rna);
+        for (c, d) in [(0, 0), (4, 1), (rna - 1, 2), (rna, 0), (rna, 2)] {
+            let chain = searched[c];
+            let direct = ctx.search(chain.sequence(), chain.kind(), databases(chain.kind())[d]);
+            let placed = &data.chains[c].per_db[d];
+            assert_eq!(data.chains[c].chain_id, chain.ids()[0], "chain {c}");
+            assert_eq!(placed.db_name, direct.db_name, "chain {c} db {d}");
+            assert_eq!(placed.paper_bytes, direct.paper_bytes);
+            assert_eq!(placed.scale_factor.to_bits(), direct.scale_factor.to_bits());
+            assert_eq!(placed.counters, direct.counters, "chain {c} db {d}");
+            assert_eq!(placed.hits, direct.hits);
+            assert_eq!(placed.msa_rows, direct.msa_rows);
+        }
+        let rows: usize = data
+            .chains
+            .iter()
+            .flat_map(|c| &c.per_db)
+            .map(|d| d.msa_rows)
+            .sum();
+        assert_eq!(data.msa_depth, rows.max(1));
+    }
+
+    #[test]
+    fn zero_iterations_are_rejected_by_name() {
+        let config = ContextConfig {
+            max_iterations: 0,
+            ..ContextConfig::test()
+        };
+        let err = config.validate().expect_err("zero iterations");
+        assert!(err.contains("max_iterations"), "{err}");
+        assert_eq!(ContextConfig::test().validate(), Ok(()));
+        assert_eq!(ContextConfig::bench().validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_iterations must be at least 1")]
+    fn context_with_zero_iterations_panics_on_the_callers_thread() {
+        BenchContext::new(ContextConfig {
+            max_iterations: 0,
+            ..ContextConfig::test()
+        });
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Multi-threaded database search.
 //!
-//! The database is split into contiguous chunks, one worker thread per
+//! The database is split into contiguous chunks, one simulated worker per
 //! chunk (matching HMMER's `--cpu` worker model and the paper's 1–8 thread
-//! sweeps). Each worker owns a [`BufferedDbReader`] and a private
-//! [`WorkCounters`] block, so per-thread work attribution — the basis of
-//! the simulator's thread programs — is exact. Hit merging is
-//! deterministic regardless of thread scheduling.
+//! sweeps). Each chunk is scanned with its own [`BufferedDbReader`] and a
+//! private [`WorkCounters`] block, so per-thread work attribution — the
+//! basis of the simulator's thread programs — is exact. The chunks are
+//! scanned concurrently on the host through [`afsb_rt::par::map_ordered`],
+//! and hit merging is deterministic regardless of host thread scheduling.
 
 use crate::counters::WorkCounters;
 use crate::hits::Hit;
@@ -73,31 +74,15 @@ pub fn search_records(pipeline: &Pipeline, records: &[Sequence], threads: usize)
         records.chunks(per).collect()
     };
 
-    let mut results: Vec<(Vec<Hit>, WorkCounters)> = if chunks.len() <= 1 {
-        chunks
-            .into_iter()
-            .map(|c| scan_chunk(pipeline, c, n_db))
-            .collect()
-    } else {
-        // std::thread::scope joins all workers before returning; handles
-        // are collected in chunk order so the later counter merge is
-        // deterministic regardless of thread scheduling.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(move || scan_chunk(pipeline, chunk, n_db)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker must not panic"))
-                .collect()
-        })
-    };
+    // Chunks come back in chunk order whatever the host's CPU count, so
+    // the counter merge below is deterministic.
+    let results =
+        afsb_rt::par::map_ordered(chunks.len(), |c| scan_chunk(pipeline, chunks[c], n_db));
 
     let mut hits = Vec::new();
     let mut per_worker = Vec::with_capacity(results.len());
     let mut total = WorkCounters::default();
-    for (chunk_hits, counters) in results.drain(..) {
+    for (chunk_hits, counters) in results {
         hits.extend(chunk_hits);
         total.merge_concurrent(&counters);
         per_worker.push(counters);
