@@ -73,85 +73,38 @@ else
     echo "==> taskset not found: skipping the one-CPU golden run"
 fi
 
-# Perf-regression gate: the profiler must be byte-deterministic, and the
-# fresh profile must stay within tolerance of the committed baseline —
-# per-symbol cycle shares, wall seconds, derived metrics, sampled top-N.
-# `perf-diff` exits nonzero naming the offending symbols otherwise.
+# Perf-regression gates. Each side (`a`, `b`) runs one full-mode
+# `profile pipeline` and one process for all the quick profiles, so a
+# side prices the serving cost table once. Over every profile:
+#
+# - every artifact of run `a` must match run `b` byte for byte (the
+#   profiler and every serving run are deterministic);
+# - the quick serve timeline must match its golden in results/quick/;
+# - every committed results/BENCH_*.json must hold against run `a`
+#   within tolerance: `perf-diff` exits nonzero naming the offending
+#   symbols or metrics. The serve baselines carry the per-scenario
+#   serving, chaos, what-if and policy metrics, including the policy
+#   matrix's `dominance.policies_beating_fifo` and `whatif.error_pp`
+#   verdicts; the serve test suites assert the same orderings directly.
+#
 # The two runs land in a fixed target/ci-profiles/{a,b} so the CI
 # workflow can upload run `a` as an artifact without re-running them.
+QUICK_PROFILES=(msa-sweep serve serve-xl serve-chaos serve-whatif serve-policy)
 profile_dir=target/ci-profiles
 rm -rf "$profile_dir"
-mkdir -p "$profile_dir/a" "$profile_dir/b"
-run target/release/afsysbench profile pipeline --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile pipeline --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_pipeline.json" "$profile_dir/b/BENCH_pipeline.json"
-run target/release/afsysbench perf-diff results/BENCH_pipeline.json "$profile_dir/a/BENCH_pipeline.json"
-run target/release/afsysbench profile msa-sweep --quick --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench perf-diff results/BENCH_msa_sweep.json "$profile_dir/a/BENCH_msa_sweep.json"
-
-# Serving determinism + regression gate: two same-seed serve profiles
-# must be byte-identical, and the fresh profile must stay within
-# tolerance of the committed baseline (throughput, latency percentiles,
-# hit rate, occupancy, and the telemetry-derived attr.*/slo.* metrics
-# per scenario). --timeline adds the gauge-timeline + SLO artifact and
-# the latency-histogram CSV, both gated byte-for-byte: two runs must
-# agree, and the timeline must match the committed quick golden.
-run target/release/afsysbench profile serve --quick --timeline --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile serve --quick --timeline --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_serve.json" "$profile_dir/b/BENCH_serve.json"
-run cmp "$profile_dir/a/serve.timeline.txt" "$profile_dir/b/serve.timeline.txt"
-run cmp "$profile_dir/a/serve.latency.csv" "$profile_dir/b/serve.latency.csv"
+for side in a b; do
+    mkdir -p "$profile_dir/$side"
+    run target/release/afsysbench profile pipeline --out "$profile_dir/$side" > /dev/null
+    run target/release/afsysbench profile "${QUICK_PROFILES[@]}" --quick --timeline --critical-path \
+        --out "$profile_dir/$side" > /dev/null
+done
+for artifact in "$profile_dir"/a/*; do
+    run cmp "$artifact" "$profile_dir/b/$(basename "$artifact")"
+done
 run diff -u results/quick/serve-timeline.txt "$profile_dir/a/serve.timeline.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve.json "$profile_dir/a/BENCH_serve.json"
-
-# Event-engine scale gate: serve-xl pushes a 10k-request Poisson/Zipf
-# stream (100k in full mode) through the discrete-event scheduler. Two
-# same-seed profiles must be byte-identical — one heap, one clock, no
-# hidden iteration-order dependence at scale — and the fresh profile
-# must stay within tolerance of the committed baseline.
-run target/release/afsysbench profile serve-xl --quick --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile serve-xl --quick --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_serve_xl.json" "$profile_dir/b/BENCH_serve_xl.json"
-run target/release/afsysbench perf-diff results/BENCH_serve_xl.json "$profile_dir/a/BENCH_serve_xl.json"
-
-# Chaos-serving SLO gate: the fault-injection matrix must be
-# byte-deterministic across two same-seed profiles and stay within
-# tolerance of the committed baseline — availability, goodput and
-# disposition counts per scenario. The strict SLO orderings themselves
-# (baseline > each chaos scenario > kitchen-sink) are asserted by the
-# chaos_serving suite above.
-run target/release/afsysbench profile serve-chaos --quick --timeline --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile serve-chaos --quick --timeline --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_serve_chaos.json" "$profile_dir/b/BENCH_serve_chaos.json"
-run cmp "$profile_dir/a/serve-chaos.timeline.txt" "$profile_dir/b/serve-chaos.timeline.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_chaos.json "$profile_dir/a/BENCH_serve_chaos.json"
-
-# Causal-profiler gate: the what-if projection run must be
-# byte-deterministic (baseline, report, collapsed stacks and the
-# --critical-path artifact all identical across two same-seed runs) and
-# its critical-path shares, binding census and projection errors must
-# stay within tolerance of the committed baseline. The projection
-# *accuracy* gates themselves (MSA-dominant blame, GPU 2x < 1 %,
-# on-path error <= 10 pp) are asserted by crates/serve/tests/causal.rs.
-run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile serve-whatif --quick --critical-path --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_serve_whatif.json" "$profile_dir/b/BENCH_serve_whatif.json"
-run cmp "$profile_dir/a/serve-whatif.critpath.txt" "$profile_dir/b/serve-whatif.critpath.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_whatif.json "$profile_dir/a/BENCH_serve_whatif.json"
-
-# Scheduler-policy gate: the policy matrix must be byte-deterministic
-# across two same-seed profiles and stay within tolerance of the
-# committed baseline. The baseline carries the two hard verdicts —
-# `dominance.policies_beating_fifo` (>= 1 policy strictly beats FIFO on
-# both queries/hour and exact p99) and `whatif.error_pp` (the winner's
-# measured makespan delta within 10 pp of the causal what-if
-# projection) — both asserted directly by crates/serve/tests/policy.rs
-# in the workspace test run above, and kept diffable here.
-run target/release/afsysbench profile serve-policy --quick --critical-path --out "$profile_dir/a" > /dev/null
-run target/release/afsysbench profile serve-policy --quick --critical-path --out "$profile_dir/b" > /dev/null
-run cmp "$profile_dir/a/BENCH_serve_policy.json" "$profile_dir/b/BENCH_serve_policy.json"
-run cmp "$profile_dir/a/serve-policy.critpath.txt" "$profile_dir/b/serve-policy.critpath.txt"
-run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$profile_dir/a/BENCH_serve_policy.json"
+for baseline in results/BENCH_*.json; do
+    run target/release/afsysbench perf-diff "$baseline" "$profile_dir/a/$(basename "$baseline")"
+done
 
 # Committed-baseline byte-identity gate: every artifact of run `a`
 # that has a committed copy in results/ must match it byte for byte,

@@ -1,6 +1,6 @@
 //! The experiment implementations, one per paper table/figure.
 
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{scale, BenchContext};
 use afsb_core::inference_phase::{self, InferenceOptions};
 use afsb_core::msa_phase::{self, MsaPhaseOptions};
 use afsb_core::pipeline::{self, PipelineOptions};
@@ -34,13 +34,9 @@ impl Harness {
     /// Create a harness. `quick` shrinks the synthetic databases and the
     /// simulation sampling budget (used by tests and smoke runs).
     pub fn new(quick: bool) -> Harness {
-        let config = if quick {
-            ContextConfig::test()
-        } else {
-            ContextConfig::bench()
-        };
+        let (config, sample_cap) = scale(quick);
         let msa_options = MsaPhaseOptions {
-            sample_cap: if quick { 400_000 } else { 6_000_000 },
+            sample_cap,
             ..MsaPhaseOptions::default()
         };
         Harness {

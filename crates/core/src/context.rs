@@ -104,6 +104,18 @@ impl ContextConfig {
     }
 }
 
+/// The `--quick` / full split every harness shares: the search context
+/// and the simarch sampling budget (`MsaPhaseOptions::sample_cap`).
+/// Quick runs test-scale databases at 400k simulated accesses; full
+/// runs benchmark scale at [`calib::DEFAULT_SAMPLE_CAP`].
+pub fn scale(quick: bool) -> (ContextConfig, u64) {
+    if quick {
+        (ContextConfig::test(), 400_000)
+    } else {
+        (ContextConfig::bench(), calib::DEFAULT_SAMPLE_CAP)
+    }
+}
+
 /// One (chain entity × database) executed search.
 #[derive(Debug, Clone)]
 pub struct DbSearch {
@@ -371,9 +383,6 @@ fn databases(kind: MoleculeKind) -> &'static [StandardDb] {
         _ => &[],
     }
 }
-
-/// Default engine sample cap re-export (keeps bench call sites tidy).
-pub const SAMPLE_CAP: u64 = calib::DEFAULT_SAMPLE_CAP;
 
 #[cfg(test)]
 mod tests {

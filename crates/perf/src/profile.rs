@@ -2,7 +2,7 @@
 //! every report engine, and fold the result into a [`PerfBaseline`]
 //! ready to serialize as `BENCH_<experiment>.json`.
 //!
-//! Three experiments are profiled:
+//! Seven experiments are profiled:
 //!
 //! * `pipeline` — the end-to-end S2pv7 run on the Server (the paper's
 //!   headline workload), yielding Tables III–V, the sampled profile,
@@ -36,7 +36,7 @@ use crate::baseline::{PerfBaseline, SampledSummary, SymbolTable};
 use crate::iostat::IostatTimeline;
 use crate::record::{SampledProfile, DEFAULT_SAMPLES};
 use crate::stat::{cpu_derived, symbol_rows, CpuDerived, PerfStatReport};
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{scale, BenchContext};
 use afsb_core::msa_phase::MsaPhaseOptions;
 use afsb_core::pipeline::PipelineOptions;
 use afsb_core::runner::{msa_thread_sweep, MSA_THREAD_SWEEP};
@@ -106,14 +106,6 @@ pub fn run_profile(experiment: &str, quick: bool) -> Result<ProfileArtifacts, St
             "unknown profile experiment `{other}` (available: {})",
             PROFILE_EXPERIMENTS.join(", ")
         )),
-    }
-}
-
-fn scale(quick: bool) -> (ContextConfig, u64) {
-    if quick {
-        (ContextConfig::test(), 400_000)
-    } else {
-        (ContextConfig::bench(), 6_000_000)
     }
 }
 
@@ -289,17 +281,13 @@ pub fn profile_msa_sweep(quick: bool) -> ProfileArtifacts {
 }
 
 /// Profile the canonical serving scenarios (Server, quick or full
-/// stream) with telemetry armed — telemetry is observation-only, so
-/// every pre-existing metric matches a bare `run_default` bit for bit,
-/// while `attr.*`/`slo.*` metrics and the `--timeline` artifact are
-/// added. Metrics are prefixed per scenario (`cold.qph`, …); the
-/// sampled profile covers the cold scenario's trace.
+/// stream). `run_default` arms the observation-only telemetry and
+/// provenance, which add the `slo.*` metrics and the `--timeline` and
+/// `--critical-path` artifacts. Metrics are prefixed per scenario
+/// (`cold.qph`, …); the sampled profile covers the cold scenario's
+/// trace.
 pub fn profile_serve(quick: bool) -> ProfileArtifacts {
-    serve_artifacts(
-        "serve",
-        afsb_serve::scenario::run_default_telemetry(quick),
-        quick,
-    )
+    serve_artifacts("serve", afsb_serve::scenario::run_default(quick), quick)
 }
 
 /// Profile the XL serving scenarios — the same four ablations over a
@@ -314,7 +302,7 @@ pub fn profile_serve_xl(quick: bool) -> ProfileArtifacts {
 /// scenario (`kitchen-sink.goodput`, …); the sampled profile covers
 /// the kitchen-sink trace, the fault-richest scenario.
 pub fn profile_serve_chaos(quick: bool) -> ProfileArtifacts {
-    let runs = afsb_serve::chaos::run_chaos_telemetry(quick);
+    let runs = afsb_serve::chaos::run_chaos(quick);
     let mut metrics = Vec::new();
     for run in &runs {
         let r = &run.report;

@@ -256,6 +256,38 @@ impl SloConfig {
             clear_burn: 0.25,
         }
     }
+
+    /// Check every parameter before a run, returning an error that names
+    /// the field. [`SloMonitor::new`] asserts only the window and the
+    /// target, and runs after the whole simulation; a NaN `fire_burn`
+    /// never fires and a NaN `clear_burn` never clears.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.window_s.is_finite() && self.window_s > 0.0) {
+            return Err(format!(
+                "slo: window_s must be finite and > 0, got {}",
+                self.window_s
+            ));
+        }
+        if !(0.0..1.0).contains(&self.availability_target) {
+            return Err(format!(
+                "slo: availability_target must be in [0, 1), got {}",
+                self.availability_target
+            ));
+        }
+        if !(self.clear_burn.is_finite() && self.clear_burn >= 0.0) {
+            return Err(format!(
+                "slo: clear_burn must be finite and >= 0, got {}",
+                self.clear_burn
+            ));
+        }
+        if !(self.fire_burn.is_finite() && self.fire_burn > self.clear_burn) {
+            return Err(format!(
+                "slo: fire_burn must be finite and > clear_burn ({}), got {}",
+                self.clear_burn, self.fire_burn
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One fire/clear edge of the SLO alert state.

@@ -43,7 +43,6 @@
 
 use crate::cache::FeatureCache;
 use crate::policy::{run_serve_policy, total_order, PolicyConfig};
-use crate::scenario::SERVE_SEED;
 use crate::server::{
     non_negative, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
     ServeReport, LATENCY_BOUNDS, TIMELINE_COLUMNS,
@@ -57,7 +56,6 @@ use afsb_rt::obs::{Histogram, ObsSession};
 use afsb_rt::rng::mix;
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
-use afsb_simarch::Platform;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
@@ -1325,37 +1323,19 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
     ]
 }
 
-/// Price the cost table once and run the whole `serve-chaos` matrix.
-/// Each run builds its own injector, so the shared plans never
-/// double-fire across scenarios.
+/// Run the whole `serve-chaos` matrix on [`CostTable::canonical`] with
+/// both observation-only instruments armed, as in
+/// [`crate::scenario::run_default`]: every disposition and float
+/// matches an unarmed run bit for bit. Each run builds its own
+/// injector, so the shared plans never double-fire across scenarios.
 pub fn run_chaos(quick: bool) -> Vec<ChaosScenarioRun> {
-    run_chaos_set(chaos_scenarios(quick), quick)
-}
-
-/// [`run_chaos`] with serving telemetry (timeline sampler + SLO
-/// monitor) and causal provenance armed on every scenario — the
-/// `profile serve-chaos` entry point. Both are observation-only, so
-/// every disposition and float matches [`run_chaos`] bit for bit.
-pub fn run_chaos_telemetry(quick: bool) -> Vec<ChaosScenarioRun> {
-    let telemetry = crate::server::TelemetryConfig::standard(quick);
-    let scenarios = chaos_scenarios(quick)
-        .into_iter()
-        .map(|mut s| {
-            s.config.telemetry = telemetry;
-            s.config.provenance = true;
-            s
-        })
-        .collect();
-    run_chaos_set(scenarios, quick)
-}
-
-fn run_chaos_set(scenarios: Vec<ChaosScenario>, quick: bool) -> Vec<ChaosScenarioRun> {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
-    scenarios
+    let costs = CostTable::canonical(quick);
+    chaos_scenarios(quick)
         .into_iter()
         .map(|scenario| {
+            let config = scenario.config.observed(quick);
             let mut obs = ObsSession::new();
-            let report = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut obs);
+            let report = run_serve_chaos(&config, &scenario.chaos, costs, &mut obs);
             ChaosScenarioRun {
                 name: scenario.name,
                 report,
@@ -1405,6 +1385,7 @@ mod tests {
     use super::*;
     use crate::server::ShapeCost;
     use crate::workload::WorkloadConfig;
+    use afsb_simarch::Platform;
 
     #[test]
     fn recovery_policy_validate_names_each_bad_field() {

@@ -50,6 +50,10 @@
 //! to the frozen [`reference`](mod@reference) scheduler byte for byte.
 //! Everything runs on the simulated clock: the same seed yields
 //! byte-identical reports, metrics and traces.
+//!
+//! Pricing happens once per process: every runner and test reads
+//! [`CostTable::canonical`]. [`run_default`] and [`run_chaos`] always
+//! arm the observation-only telemetry and provenance; [`run_xl`] does not.
 
 pub mod cache;
 pub mod chaos;
@@ -63,8 +67,8 @@ pub mod workload;
 
 pub use cache::FeatureCache;
 pub use chaos::{
-    chaos_scenarios, render_chaos_summary, run_chaos, run_chaos_telemetry, run_serve_chaos,
-    ChaosConfig, ChaosReport, ChaosScenario, ChaosScenarioRun, Disposition, RecoveryPolicy,
+    chaos_scenarios, render_chaos_summary, run_chaos, run_serve_chaos, ChaosConfig, ChaosReport,
+    ChaosScenario, ChaosScenarioRun, Disposition, RecoveryPolicy,
 };
 pub use policy::{
     policy_scenarios, render_policy_matrix, run_policy_matrix, run_serve_policy, PolicyConfig,
@@ -73,16 +77,15 @@ pub use policy::{
 };
 pub use reference::run_serve_reference;
 pub use scenario::{
-    default_scenarios, render_summary, run_default, run_default_telemetry, run_xl, xl_scenarios,
-    Scenario, ScenarioRun,
+    default_scenarios, render_summary, run_default, run_xl, xl_scenarios, Scenario, ScenarioRun,
 };
 pub use server::{
     run_serve, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
     ServeReport, TelemetryConfig, TIMELINE_COLUMNS,
 };
 pub use telemetry::{
-    render_telemetry, render_timeline_block, run_brownout_telemetry, run_telemetry,
-    TelemetryReport, TELEMETRY_CHAOS_SCENARIO,
+    render_telemetry, render_timeline_block, run_telemetry, TelemetryReport,
+    TELEMETRY_CHAOS_SCENARIO,
 };
 pub use whatif::{
     canonical_whatifs, predict_makespan, render_whatif, run_whatif, WhatIf, WhatIfReport,

@@ -73,7 +73,6 @@
 //! next queued request at once (the pool is work-conserving).
 
 use crate::chaos::{ChaosConfig, ChaosReport, ServeCore};
-use crate::scenario::SERVE_SEED;
 use crate::server::{non_negative, CostTable, RequestOutcome, ServeConfig};
 use crate::whatif::{predict_makespan, WhatIf};
 use afsb_core::report::ascii_table;
@@ -81,7 +80,6 @@ use afsb_rt::fault::FaultKind;
 use afsb_rt::obs::ObsSession;
 use afsb_rt::sim::{Event, TimerId, WaitEdge};
 use afsb_seq::samples::SampleId;
-use afsb_simarch::Platform;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -950,12 +948,12 @@ pub fn policy_scenarios(quick: bool) -> Vec<PolicyScenario> {
     ]
 }
 
-/// Price the cost table once, run the whole matrix fault-free, and
+/// Run the whole matrix fault-free on [`CostTable::canonical`] and
 /// validate the winner against the causal profiler's projection. The
 /// FIFO row runs with provenance on (observation-only) so its causal
 /// log can drive [`predict_makespan`].
 pub fn run_policy_matrix(quick: bool) -> PolicyMatrixReport {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
+    let costs = CostTable::canonical(quick);
     let chaos = ChaosConfig::none();
     let runs: Vec<PolicyRun> = policy_scenarios(quick)
         .into_iter()
@@ -963,7 +961,7 @@ pub fn run_policy_matrix(quick: bool) -> PolicyMatrixReport {
             let mut config = s.config;
             config.provenance = s.policy.is_plain_fifo();
             let mut obs = ObsSession::new();
-            let report = run_serve_policy(&config, &s.policy, &chaos, &costs, &mut obs);
+            let report = run_serve_policy(&config, &s.policy, &chaos, costs, &mut obs);
             PolicyRun {
                 name: s.name,
                 report,
@@ -1127,15 +1125,16 @@ mod tests {
             .config
     }
 
-    fn costs() -> &'static CostTable {
-        static COSTS: std::sync::OnceLock<CostTable> = std::sync::OnceLock::new();
-        COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
-    }
-
     fn run(pol: &PolicyConfig) -> PolicyReport {
         let config = cold_config(true);
         let mut obs = ObsSession::new();
-        run_serve_policy(&config, pol, &ChaosConfig::none(), costs(), &mut obs)
+        run_serve_policy(
+            &config,
+            pol,
+            &ChaosConfig::none(),
+            CostTable::canonical(true),
+            &mut obs,
+        )
     }
 
     #[test]

@@ -96,24 +96,16 @@ pub fn default_scenarios(quick: bool) -> Vec<Scenario> {
     ]
 }
 
-/// Price the cost table once and run every canonical scenario.
+/// Run every canonical scenario on [`CostTable::canonical`] with the
+/// observation-only telemetry and provenance armed: reports differ from
+/// unarmed runs only in `timeline`, `slo` and `causal`
+/// (`tests/telemetry.rs`, `tests/causal.rs`).
 pub fn run_default(quick: bool) -> Vec<ScenarioRun> {
-    run_set(default_scenarios(quick), quick)
-}
-
-/// `run_default` with serving telemetry (timeline sampler + SLO
-/// monitor) and causal provenance enabled on every scenario. Both are
-/// observation-only, so the reports differ from [`run_default`] only
-/// in the `timeline`, `slo` and `causal` fields (`tests/telemetry.rs`
-/// and `tests/causal.rs` prove it).
-pub fn run_default_telemetry(quick: bool) -> Vec<ScenarioRun> {
-    let telemetry = TelemetryConfig::standard(quick);
     let scenarios = default_scenarios(quick)
         .into_iter()
-        .map(|mut s| {
-            s.config.telemetry = telemetry;
-            s.config.provenance = true;
-            s
+        .map(|s| Scenario {
+            config: s.config.observed(quick),
+            ..s
         })
         .collect();
     run_set(scenarios, quick)
@@ -181,18 +173,21 @@ pub fn xl_scenarios(quick: bool) -> Vec<Scenario> {
     ]
 }
 
-/// Price the cost table once and run every XL scenario.
+/// Run every XL scenario on [`CostTable::canonical`]. The instruments
+/// stay off: armed, they would add `slo.*` metrics to
+/// `BENCH_serve_xl.json` and record provenance for every one of the
+/// 100k full-mode requests.
 pub fn run_xl(quick: bool) -> Vec<ScenarioRun> {
     run_set(xl_scenarios(quick), quick)
 }
 
 fn run_set(scenarios: Vec<Scenario>, quick: bool) -> Vec<ScenarioRun> {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
+    let costs = CostTable::canonical(quick);
     scenarios
         .into_iter()
         .map(|scenario| {
             let mut obs = ObsSession::new();
-            let report = run_serve(&scenario.config, &costs, &mut obs);
+            let report = run_serve(&scenario.config, costs, &mut obs);
             ScenarioRun {
                 name: scenario.name,
                 report,

@@ -34,9 +34,10 @@
 //! `tests/equivalence.rs`).
 
 use crate::chaos::{run_serve_chaos, ChaosConfig};
+use crate::scenario::SERVE_SEED;
 use crate::workload::{Request, WorkloadConfig};
 use afsb_core::calib;
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{scale, BenchContext};
 use afsb_core::inference_phase::gpu_for;
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
 use afsb_core::resilience::Deadline;
@@ -51,6 +52,7 @@ use afsb_simarch::memory::CapacityModel;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Latency histogram bucket bounds (simulated seconds): sub-minute for
 /// warm cache+session hits through multi-day for queued cold misses.
@@ -125,9 +127,14 @@ impl TelemetryConfig {
         }
     }
 
-    /// Whether any instrument is enabled.
-    pub fn enabled(&self) -> bool {
-        self.timeline_interval_s > 0.0 || self.slo.is_some()
+    /// Check the instruments' numbers before a run, returning an error
+    /// that names the field (a NaN interval would switch the sampler off).
+    pub fn validate(&self) -> Result<(), String> {
+        non_negative("telemetry: timeline_interval_s", self.timeline_interval_s)?;
+        match &self.slo {
+            Some(slo) => slo.validate().map_err(|e| format!("telemetry: {e}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -163,6 +170,7 @@ impl ServeConfig {
     /// request late, because `spent > NaN` is always false).
     pub fn validate(&self) -> Result<(), String> {
         self.workload.validate()?;
+        self.telemetry.validate()?;
         if self.cpu_workers == 0 {
             return Err("serve: cpu_workers must be at least 1".to_owned());
         }
@@ -177,6 +185,16 @@ impl ServeConfig {
             }
         }
         Ok(())
+    }
+
+    /// This config with both observation-only instruments armed:
+    /// [`TelemetryConfig::standard`] and causal provenance.
+    pub(crate) fn observed(self, quick: bool) -> ServeConfig {
+        ServeConfig {
+            telemetry: TelemetryConfig::standard(quick),
+            provenance: true,
+            ..self
+        }
     }
 }
 
@@ -224,15 +242,21 @@ pub struct CostTable {
 }
 
 impl CostTable {
+    /// `build(Platform::Server, quick, 4, SERVE_SEED)`, priced on first
+    /// use and shared by every serving runner and test in the process.
+    pub fn canonical(quick: bool) -> &'static CostTable {
+        static QUICK: OnceLock<CostTable> = OnceLock::new();
+        static FULL: OnceLock<CostTable> = OnceLock::new();
+        let table = if quick { &QUICK } else { &FULL };
+        table.get_or_init(|| CostTable::build(Platform::Server, quick, 4, SERVE_SEED))
+    }
+
     /// Price every benchmark shape on `platform`. `quick` selects the
-    /// test-scale databases and sampling budget (same split as the
-    /// bench harness); `msa_threads` is the per-worker thread count.
+    /// test-scale databases and sampling budget
+    /// ([`afsb_core::context::scale`]); `msa_threads` is the per-worker
+    /// thread count.
     pub fn build(platform: Platform, quick: bool, msa_threads: usize, seed: u64) -> CostTable {
-        let (config, sample_cap) = if quick {
-            (ContextConfig::test(), 400_000)
-        } else {
-            (ContextConfig::bench(), 6_000_000)
-        };
+        let (config, sample_cap) = scale(quick);
         let mut ctx = BenchContext::new(config);
         let runtime = GpuRuntime::new(
             gpu_for(platform),
@@ -1049,6 +1073,72 @@ mod tests {
     fn nan_deadline_panics_instead_of_never_flagging() {
         run(&ServeConfig {
             deadline: Deadline::new(Some(f64::NAN)),
+            ..base_config()
+        });
+    }
+
+    #[test]
+    fn validate_names_each_bad_telemetry_field() {
+        let armed = |telemetry| ServeConfig {
+            telemetry,
+            ..base_config()
+        };
+        assert_eq!(armed(TelemetryConfig::standard(true)).validate(), Ok(()));
+        assert_eq!(armed(TelemetryConfig::default()).validate(), Ok(()));
+        type Set = fn(&mut TelemetryConfig, f64);
+        fn slo(t: &mut TelemetryConfig) -> &mut SloConfig {
+            t.slo.as_mut().expect("standard arms the SLO")
+        }
+        let cases: [(&str, Set, &[f64]); 5] = [
+            (
+                "timeline_interval_s",
+                |t, v| t.timeline_interval_s = v,
+                &[f64::NAN, f64::INFINITY, -1.0],
+            ),
+            (
+                "window_s",
+                |t, v| slo(t).window_s = v,
+                &[f64::NAN, f64::INFINITY, 0.0, -1.0],
+            ),
+            (
+                "availability_target",
+                |t, v| slo(t).availability_target = v,
+                &[f64::NAN, 1.0, -0.1],
+            ),
+            (
+                "clear_burn",
+                |t, v| slo(t).clear_burn = v,
+                &[f64::NAN, f64::INFINITY, -1.0],
+            ),
+            (
+                "fire_burn",
+                |t, v| slo(t).fire_burn = v,
+                &[f64::NAN, f64::INFINITY, 0.25, 0.0],
+            ),
+        ];
+        for (field, set, bads) in cases {
+            for &bad in bads {
+                let mut telemetry = TelemetryConfig::standard(true);
+                set(&mut telemetry, bad);
+                let err = armed(telemetry).validate().expect_err(field);
+                assert!(err.contains(field), "{field} = {bad}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "clear_burn")]
+    fn nan_clear_burn_panics_before_the_run() {
+        // Used to run the whole simulation, then trip the "SLO alert
+        // must clear" assert when the monitor was evaluated.
+        let mut telemetry = TelemetryConfig::standard(true);
+        telemetry
+            .slo
+            .as_mut()
+            .expect("standard arms the SLO")
+            .clear_burn = f64::NAN;
+        run(&ServeConfig {
+            telemetry,
             ..base_config()
         });
     }

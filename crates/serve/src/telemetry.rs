@@ -1,5 +1,5 @@
 //! The `afsysbench serve-telemetry` experiment: the canonical serving
-//! scenarios re-run with the observation-only telemetry layer armed —
+//! scenarios with the observation-only telemetry layer armed —
 //! a [`TimelineSampler`](afsb_rt::TimelineSampler) on the serving
 //! gauges, per-request latency attribution, and the SLO burn-rate
 //! monitor — plus the `storage-brownout` chaos campaign, whose fault
@@ -12,11 +12,8 @@
 //! (`tests/telemetry.rs` proves it). This module only *arranges* the
 //! runs and renders one combined dashboard.
 
-use crate::chaos::{chaos_scenarios, run_serve_chaos, ChaosScenarioRun};
-use crate::scenario::{run_default_telemetry, ScenarioRun, SERVE_SEED};
-use crate::server::{CostTable, TelemetryConfig};
-use afsb_rt::obs::ObsSession;
-use afsb_simarch::Platform;
+use crate::chaos::{run_chaos, ChaosScenarioRun};
+use crate::scenario::{run_default, ScenarioRun};
 
 /// The chaos scenario the telemetry experiment exercises: the storage
 /// brownout's stall window is long enough (relative to the SLO window)
@@ -31,29 +28,18 @@ pub struct TelemetryReport {
     pub brownout: ChaosScenarioRun,
 }
 
-/// Run the canonical scenario set plus the brownout campaign with
-/// [`TelemetryConfig::standard`] telemetry.
+/// The canonical scenarios of [`run_default`] plus the storage-brownout
+/// row of [`run_chaos`]; both runners arm
+/// [`TelemetryConfig::standard`](crate::server::TelemetryConfig::standard)
+/// telemetry.
 pub fn run_telemetry(quick: bool) -> TelemetryReport {
-    TelemetryReport {
-        scenarios: run_default_telemetry(quick),
-        brownout: run_brownout_telemetry(quick),
-    }
-}
-
-/// Run only the storage-brownout chaos scenario with telemetry armed.
-pub fn run_brownout_telemetry(quick: bool) -> ChaosScenarioRun {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
-    let mut scenario = chaos_scenarios(quick)
+    let brownout = run_chaos(quick)
         .into_iter()
-        .find(|s| s.name == TELEMETRY_CHAOS_SCENARIO)
+        .find(|run| run.name == TELEMETRY_CHAOS_SCENARIO)
         .expect("storage-brownout scenario exists");
-    scenario.config.telemetry = TelemetryConfig::standard(quick);
-    let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut obs);
-    ChaosScenarioRun {
-        name: scenario.name,
-        report,
-        obs,
+    TelemetryReport {
+        scenarios: run_default(quick),
+        brownout,
     }
 }
 

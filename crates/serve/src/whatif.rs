@@ -34,12 +34,11 @@
 //! single-parent DAG abstracts away: re-runs re-form batches and
 //! re-order worker queues, the replay does not.
 
-use crate::scenario::{default_scenarios, SERVE_SEED};
+use crate::scenario::default_scenarios;
 use crate::server::{run_serve, CausalLog, CostTable, RequestOutcome, SegmentSplit, ServeConfig};
 use afsb_rt::obs::causal::{critical_path, CriticalPath};
 use afsb_rt::obs::ObsSession;
 use afsb_rt::sim::WaitEdge;
-use afsb_simarch::Platform;
 use std::fmt::Write as _;
 
 /// A critical-path share at or above this marks a what-if's target
@@ -300,10 +299,10 @@ pub struct WhatIfReport {
 pub fn run_whatif(quick: bool) -> WhatIfReport {
     let mut config = default_scenarios(quick)[0].config;
     config.provenance = true;
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
+    let costs = CostTable::canonical(quick);
 
     let mut obs = ObsSession::new();
-    let report = run_serve(&config, &costs, &mut obs);
+    let report = run_serve(&config, costs, &mut obs);
     let log = report.causal.clone().expect("provenance was armed");
     let makespan_event = log.makespan_event.expect("cold serves requests");
     let path = critical_path(&log.edges, makespan_event);
@@ -327,7 +326,7 @@ pub fn run_whatif(quick: bool) -> WhatIfReport {
             let predicted_makespan_s = predict_makespan(&log, &config, what);
             let mut re_config = scaled_config(&config, what);
             re_config.provenance = false;
-            let re_costs = scaled_costs(&costs, what);
+            let re_costs = scaled_costs(costs, what);
             let mut re_obs = ObsSession::new();
             let re_report = run_serve(&re_config, &re_costs, &mut re_obs);
             WhatIfRow {
@@ -438,10 +437,10 @@ mod tests {
 
     #[test]
     fn scaled_costs_touch_only_their_target() {
-        let costs = CostTable::build(Platform::Server, true, 4, SERVE_SEED);
-        let msa = scaled_costs(&costs, WhatIf::ScaleMsa(2.0));
-        let gpu = scaled_costs(&costs, WhatIf::ScaleGpu(2.0));
-        let xla = scaled_costs(&costs, WhatIf::ScaleCompile(2.0));
+        let costs = CostTable::canonical(true);
+        let msa = scaled_costs(costs, WhatIf::ScaleMsa(2.0));
+        let gpu = scaled_costs(costs, WhatIf::ScaleGpu(2.0));
+        let xla = scaled_costs(costs, WhatIf::ScaleCompile(2.0));
         for (id, base) in &costs.shapes {
             assert_eq!(msa.shapes[id].msa_s, base.msa_s / 2.0);
             assert_eq!(msa.shapes[id].compute_s, base.compute_s);

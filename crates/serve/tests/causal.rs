@@ -24,18 +24,12 @@ use afsb_serve::workload::WorkloadConfig;
 use afsb_serve::{
     run_whatif, WHATIF_OFF_PATH_DELTA_PP, WHATIF_ON_PATH_SHARE, WHATIF_ON_PATH_TOLERANCE_PP,
 };
-use afsb_simarch::Platform;
-
-fn costs() -> &'static CostTable {
-    static COSTS: std::sync::OnceLock<CostTable> = std::sync::OnceLock::new();
-    COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
-}
 
 /// Provenance recording must be a passive observer: every field except
 /// `causal` is byte-identical with and without it.
 #[test]
 fn provenance_is_observation_only_on_canonical_scenarios() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     for scenario in default_scenarios(true) {
         let mut bare_obs = ObsSession::new();
         let bare = run_serve(&scenario.config, costs, &mut bare_obs);
@@ -88,7 +82,7 @@ fn provenance_is_observation_only_on_canonical_scenarios() {
 /// dispositions and floats must not move when provenance is armed.
 #[test]
 fn provenance_is_observation_only_under_chaos() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     let scenario = chaos_scenarios(true)
         .into_iter()
         .find(|s| s.name == "kitchen-sink")
@@ -223,7 +217,7 @@ fn multi_requeue_attribution_stays_closed_and_non_negative() {
     };
 
     let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&config, &chaos, costs(), &mut obs);
+    let report = run_serve_chaos(&config, &chaos, CostTable::canonical(true), &mut obs);
     assert!(
         report.requeues >= 2,
         "campaign must force multiple requeues, got {}",

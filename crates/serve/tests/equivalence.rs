@@ -8,7 +8,8 @@
 //! configurations, while staying passive: every admitted request
 //! completes, no fault fires, and neither a chaos block nor a policy
 //! line renders. Kept forever so engine changes cannot silently move
-//! the serving baselines.
+//! the serving baselines. It also checks that the per-process
+//! `CostTable::canonical` memo is exactly a fresh `CostTable::build`.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::obs::ObsSession;
@@ -118,11 +119,31 @@ fn assert_equivalent(name: &str, config: &ServeConfig, costs: &CostTable) {
     );
 }
 
+/// The per-process memo every runner and test prices through is the
+/// table a fresh build prices, and is priced once: in-process pricing
+/// determinism, now that the replay tests share one table.
+#[test]
+fn the_memoised_cost_table_is_the_fresh_build() {
+    let memo = CostTable::canonical(true);
+    assert!(
+        std::ptr::eq(memo, CostTable::canonical(true)),
+        "a second call must return the same table"
+    );
+    assert_eq!(
+        format!("{memo:?}"),
+        format!(
+            "{:?}",
+            CostTable::build(Platform::Server, true, 4, SERVE_SEED)
+        ),
+        "the memo must match a fresh build field for field"
+    );
+}
+
 #[test]
 fn canonical_scenarios_match_the_seed_scheduler_byte_for_byte() {
-    let costs = CostTable::build(Platform::Server, true, 4, SERVE_SEED);
+    let costs = CostTable::canonical(true);
     for scenario in default_scenarios(true) {
-        assert_equivalent(scenario.name, &scenario.config, &costs);
+        assert_equivalent(scenario.name, &scenario.config, costs);
     }
 }
 

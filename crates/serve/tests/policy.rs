@@ -20,15 +20,8 @@ use afsb_serve::policy::{
     policy_scenarios, run_policy_matrix, run_serve_policy, PolicyMatrixReport,
     POLICY_WHATIF_TOLERANCE_PP,
 };
-use afsb_serve::scenario::SERVE_SEED;
 use afsb_serve::server::CostTable;
-use afsb_simarch::Platform;
 use std::sync::OnceLock;
-
-fn costs() -> &'static CostTable {
-    static COSTS: OnceLock<CostTable> = OnceLock::new();
-    COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
-}
 
 fn matrix() -> &'static PolicyMatrixReport {
     static MATRIX: OnceLock<PolicyMatrixReport> = OnceLock::new();
@@ -52,7 +45,7 @@ fn every_policy_conserves_requests_fault_free_and_under_chaos() {
                 &scenario.config,
                 &scenario.policy,
                 &chaos,
-                costs(),
+                CostTable::canonical(true),
                 &mut obs,
             );
             assert!(

@@ -15,22 +15,16 @@
 use afsb_rt::check::{self, Config, Gen};
 use afsb_rt::obs::ObsSession;
 use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos};
-use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
+use afsb_serve::run_telemetry;
+use afsb_serve::scenario::default_scenarios;
 use afsb_serve::server::{run_serve, CostTable, TelemetryConfig, TIMELINE_COLUMNS};
 use afsb_serve::workload::WorkloadConfig;
-use afsb_serve::{run_brownout_telemetry, run_telemetry};
-use afsb_simarch::Platform;
-
-fn costs() -> &'static CostTable {
-    static COSTS: std::sync::OnceLock<CostTable> = std::sync::OnceLock::new();
-    COSTS.get_or_init(|| CostTable::build(Platform::Server, true, 4, SERVE_SEED))
-}
 
 /// Telemetry must not perturb the serving results: every field except
 /// `timeline`/`slo` is byte-identical with and without it.
 #[test]
 fn telemetry_is_observation_only_on_canonical_scenarios() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     for scenario in default_scenarios(true) {
         let mut bare_obs = ObsSession::new();
         let bare = run_serve(&scenario.config, costs, &mut bare_obs);
@@ -74,7 +68,7 @@ fn telemetry_is_observation_only_on_canonical_scenarios() {
 /// and floats must not move when telemetry is armed.
 #[test]
 fn telemetry_is_observation_only_under_chaos() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     let scenario = chaos_scenarios(true)
         .into_iter()
         .find(|s| s.name == "kitchen-sink")
@@ -130,7 +124,7 @@ fn assert_segments_close(report: &afsb_serve::ServeReport, label: &str) {
 /// seeded workloads, canonical and randomized.
 #[test]
 fn segments_sum_to_latency_on_seeded_workloads() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     for scenario in default_scenarios(true) {
         let mut obs = ObsSession::new();
         let report = run_serve(&scenario.config, costs, &mut obs);
@@ -167,7 +161,7 @@ fn segments_sum_to_latency_on_seeded_workloads() {
 /// segments span multiple MSA attempts.
 #[test]
 fn segments_sum_to_latency_under_chaos_requeues() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     let mut saw_requeues = false;
     for scenario in chaos_scenarios(true) {
         let mut obs = ObsSession::new();
@@ -228,7 +222,7 @@ fn cold_timeline_shows_the_gpu_idle_gap() {
 /// trace instants in order.
 #[test]
 fn brownout_fires_and_clears_the_slo_alert() {
-    let run = run_brownout_telemetry(true);
+    let run = run_telemetry(true).brownout;
     let slo = run.report.base.slo.as_ref().expect("slo evaluated");
     assert!(
         slo.burn_events >= 1,
@@ -264,7 +258,7 @@ fn brownout_fires_and_clears_the_slo_alert() {
 /// hid them. `degraded_attempts` must be nonzero there.
 #[test]
 fn kitchen_sink_counts_degraded_attempts() {
-    let costs = costs();
+    let costs = CostTable::canonical(true);
     let scenario = chaos_scenarios(true)
         .into_iter()
         .find(|s| s.name == "kitchen-sink")
