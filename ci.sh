@@ -8,8 +8,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Step markers go to stderr, so a step whose stdout is redirected to
+# /dev/null still shows in the log before its own failure.
 run() {
-    echo "==> $*"
+    echo "==> $*" >&2
     "$@"
 }
 
@@ -28,12 +30,13 @@ run cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # fixed seeds. The suite asserts that every seeded plan reaches the same
 # terminal outcome with byte-identical reports on repeat runs, and that
 # a fault-free plan reproduces the baseline pipeline exactly. The
-# chaos_serving suite rides the same seeds: every seeded fault schedule
-# over the serving engine must conserve requests (admitted = completed +
-# degraded + shed + failed) and wake coalesced waiters exactly once.
+# chaos_serving suite (a module of the one `serve` test binary) rides
+# the same seeds: every seeded fault schedule over the serving engine
+# must conserve requests (admitted = completed + degraded + shed +
+# failed) and wake coalesced waiters exactly once.
 for seed in 101 202 303; do
     run env AFSB_CHAOS_SEED="$seed" cargo test -q --offline --test chaos
-    run env AFSB_CHAOS_SEED="$seed" cargo test -q --offline -p afsb-serve --test chaos_serving
+    run env AFSB_CHAOS_SEED="$seed" cargo test -q --offline -p afsb-serve --test serve chaos_serving::
 done
 
 # Trace determinism gate: the traced pipeline example must emit

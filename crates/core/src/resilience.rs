@@ -487,7 +487,8 @@ impl AttemptBudget {
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`.
+/// Panics if `threads == 0`, or with the [`FaultPlan::validate`] error
+/// of a plan holding a non-finite or out-of-range fault parameter.
 pub fn run_resilient(
     data: &SampleSearchData,
     platform: Platform,
@@ -573,6 +574,9 @@ fn run_resilient_impl(
     mut obs: Option<&mut ObsSession>,
 ) -> ResilientResult {
     assert!(threads > 0, "need at least one thread");
+    if let Err(e) = plan.validate() {
+        panic!("{e}");
+    }
     let mut injector = plan.injector();
     let mut retries = 0u64;
     let mut recovery_seconds = 0.0;

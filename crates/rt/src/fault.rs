@@ -57,7 +57,7 @@ pub enum FaultKind {
     /// work (the paper's mid-MSA kill).
     OomKill {
         /// Fraction of the attempt's remaining work completed (and, absent
-        /// a checkpoint, lost) at the kill, in `(0, 1]`.
+        /// a checkpoint, lost) at the kill, in `[0, 1]`.
         at_fraction: f64,
     },
     /// One search worker crashes, taking the whole attempt down after
@@ -160,6 +160,41 @@ impl FaultPlan {
     pub fn with_at(mut self, kind: FaultKind, not_before_s: f64) -> FaultPlan {
         self.faults.push(ScheduledFault { kind, not_before_s });
         self
+    }
+
+    /// Check every fault's numbers, returning an error that names the
+    /// fault's index and field: a NaN time reaches the engine as a
+    /// non-finite event time, and a negative stall books negative wait.
+    /// `not_before_s` and `stall_seconds` must be finite and >= 0,
+    /// `at_fraction` finite and in [0, 1], and `factor` finite and >= 1.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, f) in self.faults.iter().enumerate() {
+            let check = |field: &str, value: f64, ok: bool, want: &str| {
+                if ok && value.is_finite() {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "fault plan: fault {i} {field} must be {want}, got {value}"
+                    ))
+                }
+            };
+            let t = f.not_before_s;
+            check("not_before_s", t, t >= 0.0, "finite and >= 0")?;
+            match f.kind {
+                FaultKind::OomKill { at_fraction: x }
+                | FaultKind::WorkerCrash { at_fraction: x } => {
+                    check("at_fraction", x, (0.0..=1.0).contains(&x), "in [0, 1]")?
+                }
+                FaultKind::Straggler { factor: x } | FaultKind::XlaCompileStall { factor: x } => {
+                    check("factor", x, x >= 1.0, "finite and >= 1")?
+                }
+                FaultKind::StorageStall { stall_seconds: x } => {
+                    check("stall_seconds", x, x >= 0.0, "finite and >= 0")?
+                }
+                FaultKind::StorageReadError | FaultKind::GpuInitFailure => {}
+            }
+        }
+        Ok(())
     }
 
     /// Draw a random plan from a seed: one to four faults over all kinds,
@@ -447,6 +482,79 @@ mod tests {
         inj.charge(2.5);
         assert_eq!(inj.total_lost_seconds(), 7.5);
         assert_eq!(inj.events()[0].lost_s, 7.5);
+    }
+
+    #[test]
+    fn validate_names_each_bad_field_and_its_fault() {
+        let edges = FaultPlan::none()
+            .with(FaultKind::OomKill { at_fraction: 0.0 })
+            .with(FaultKind::WorkerCrash { at_fraction: 1.0 })
+            .with(FaultKind::Straggler { factor: 1.0 })
+            .with(FaultKind::StorageStall { stall_seconds: 0.0 })
+            .with(FaultKind::StorageReadError)
+            .with_at(FaultKind::GpuInitFailure, 92_000.0);
+        assert_eq!(edges.validate(), Ok(()));
+        for seed in 0..64 {
+            assert_eq!(FaultPlan::seeded(seed).validate(), Ok(()), "seed {seed}");
+        }
+        let cases: [(&str, FaultKind, f64); 10] = [
+            ("not_before_s", FaultKind::GpuInitFailure, f64::NAN),
+            ("not_before_s", FaultKind::StorageReadError, -1.0),
+            (
+                "at_fraction",
+                FaultKind::OomKill {
+                    at_fraction: f64::NAN,
+                },
+                0.0,
+            ),
+            (
+                "at_fraction",
+                FaultKind::WorkerCrash { at_fraction: 1.5 },
+                0.0,
+            ),
+            (
+                "at_fraction",
+                FaultKind::WorkerCrash { at_fraction: -0.1 },
+                0.0,
+            ),
+            ("factor", FaultKind::Straggler { factor: 0.5 }, 0.0),
+            (
+                "factor",
+                FaultKind::XlaCompileStall {
+                    factor: f64::INFINITY,
+                },
+                0.0,
+            ),
+            (
+                "stall_seconds",
+                FaultKind::StorageStall {
+                    stall_seconds: -300.0,
+                },
+                0.0,
+            ),
+            (
+                "stall_seconds",
+                FaultKind::StorageStall {
+                    stall_seconds: f64::NAN,
+                },
+                0.0,
+            ),
+            (
+                "stall_seconds",
+                FaultKind::StorageStall {
+                    stall_seconds: f64::INFINITY,
+                },
+                0.0,
+            ),
+        ];
+        for (field, kind, at) in cases {
+            // Behind a valid fault, so the error must name index 1.
+            let plan = FaultPlan::none()
+                .with(FaultKind::GpuInitFailure)
+                .with_at(kind, at);
+            let err = plan.validate().expect_err(field);
+            assert!(err.contains(&format!("fault 1 {field} ")), "{field}: {err}");
+        }
     }
 
     #[test]

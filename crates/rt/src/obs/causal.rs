@@ -248,7 +248,7 @@ mod tests {
         e.pop().unwrap();
         e.schedule_tagged(10.0, Event::BatchClose, WaitEdge::BatchClose);
         e.pop().unwrap();
-        e.schedule_tagged(14.0, Event::GpuDone { batch: 0 }, WaitEdge::GpuBusy);
+        e.schedule_tagged(14.0, Event::GpuDone, WaitEdge::GpuBusy);
         e.pop().unwrap();
         e
     }

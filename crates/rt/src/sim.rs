@@ -34,10 +34,6 @@
 //! `serve` drives arrivals, MSA completions, cache fills and GPU
 //! batching through it; `rt::fault` schedules `Fault(kind)` deliveries;
 //! `core::resilience` arms `DeadlineExpired` timers and retry wake-ups.
-//! [`SimEngine::pop_traced`] forwards each popped event to an
-//! [`crate::obs::Tracer`] as an instant (`sim:<label>`) for Perfetto
-//! inspection; the untraced [`SimEngine::pop`] is the byte-identical
-//! hot path.
 //!
 //! # Provenance (the causal profiler's substrate)
 //!
@@ -57,7 +53,6 @@
 //! the edges afterwards).
 
 use crate::fault::FaultKind;
-use crate::obs::Tracer;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -75,8 +70,7 @@ impl TimerId {
 
 /// The typed event vocabulary shared by every engine consumer. Payloads
 /// are plain indices into the consumer's own tables (request ids,
-/// worker slots, entities, batch counters) so the engine stays free of
-/// domain types.
+/// worker slots) so the engine stays free of domain types.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A request enters the system.
@@ -96,16 +90,11 @@ pub enum Event {
     CacheFill {
         /// The request whose features finished loading.
         request: usize,
-        /// The cache entity the features belong to.
-        entity: usize,
     },
     /// The GPU should evaluate its ready queue and close a batch.
     BatchClose,
     /// A GPU dispatch completed.
-    GpuDone {
-        /// The batch ordinal that finished.
-        batch: usize,
-    },
+    GpuDone,
     /// A deadline armed for `request` elapsed without being cancelled.
     DeadlineExpired {
         /// The request (or phase ordinal) whose budget ran out.
@@ -132,7 +121,7 @@ impl Event {
             Event::MsaDone { .. } => "msa-done",
             Event::CacheFill { .. } => "cache-fill",
             Event::BatchClose => "batch-close",
-            Event::GpuDone { .. } => "gpu-done",
+            Event::GpuDone => "gpu-done",
             Event::DeadlineExpired { .. } => "deadline-expired",
             Event::Fault(kind) => kind.label(),
             Event::Requeue { .. } => "requeue",
@@ -275,7 +264,6 @@ pub struct SimEngine {
     live: Vec<bool>,
     /// Cancelled tombstones still in the heap.
     cancelled: usize,
-    popped: u64,
     /// Causal edge log, one record per schedule call, indexed by seq.
     /// `None` until [`SimEngine::record_provenance`] arms it.
     provenance: Option<Vec<ProvenanceEdge>>,
@@ -429,7 +417,6 @@ impl SimEngine {
                 continue;
             }
             self.advance_to(s.at_s);
-            self.popped += 1;
             self.current = Some(s.seq);
             if let Some(edges) = self.provenance.as_mut() {
                 edges[s.seq as usize].delivered = true;
@@ -437,16 +424,6 @@ impl SimEngine {
             return Some((s.at_s, s.event, TimerId(s.seq)));
         }
         None
-    }
-
-    /// [`SimEngine::pop`] that also forwards the popped event to the
-    /// tracer as an instant (`sim:<label>`) at its simulated time — the
-    /// hook that turns an engine run into a Perfetto-inspectable event
-    /// log. The clock/queue behaviour is identical to the untraced pop.
-    pub fn pop_traced(&mut self, tracer: &mut Tracer) -> Option<(f64, Event)> {
-        let (at_s, event) = self.pop()?;
-        tracer.instant_at(at_s, format!("sim:{}", event.label()));
-        Some((at_s, event))
     }
 
     /// The event being handled: the last one popped (`None` before the
@@ -477,16 +454,6 @@ impl SimEngine {
         self.pending() == 0
     }
 
-    /// Events popped (delivered) so far — the O(events) cost driver.
-    pub fn events_popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Events scheduled so far (including cancelled ones).
-    pub fn events_scheduled(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Arm causal-edge recording. Must be called before the first
     /// schedule so the edge log stays seq-indexed.
     ///
@@ -499,11 +466,6 @@ impl SimEngine {
             "record_provenance must be armed before any event is scheduled"
         );
         self.provenance = Some(Vec::new());
-    }
-
-    /// Whether causal-edge recording is armed.
-    pub fn provenance_enabled(&self) -> bool {
-        self.provenance.is_some()
     }
 
     /// The recorded causal edges, one per schedule call, indexed by
@@ -532,7 +494,6 @@ mod tests {
         assert_eq!(e.pop().unwrap().0, 5.0);
         assert_eq!(e.pop(), None);
         assert!(e.is_drained());
-        assert_eq!(e.events_popped(), 3);
     }
 
     #[test]
@@ -588,24 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn pop_traced_forwards_instants() {
-        let mut e = SimEngine::new();
-        let mut t = Tracer::new();
-        e.schedule(2.0, Event::Fault(FaultKind::GpuInitFailure));
-        e.schedule(1.0, Event::GpuDone { batch: 0 });
-        e.pop_traced(&mut t);
-        e.pop_traced(&mut t);
-        assert_eq!(
-            t.instant_names(),
-            vec!["sim:gpu-done", "sim:gpu-init-failure"]
-        );
-    }
-
-    #[test]
     fn provenance_records_parents_and_tags() {
         let mut e = SimEngine::new();
         e.record_provenance();
-        assert!(e.provenance_enabled());
         // Seeded before any pop: no parent, default External tag.
         e.schedule(1.0, Event::Arrival { request: 0 });
         let (_, _ev) = e.pop().unwrap();
@@ -653,7 +599,6 @@ mod tests {
     fn provenance_off_records_nothing() {
         let mut e = SimEngine::new();
         e.schedule(1.0, Event::BatchClose);
-        assert!(!e.provenance_enabled());
         assert!(e.provenance().is_empty());
     }
 
@@ -669,7 +614,7 @@ mod tests {
     fn peek_skips_cancelled_entries() {
         let mut e = SimEngine::new();
         let first = e.schedule(1.0, Event::BatchClose);
-        e.schedule(2.0, Event::GpuDone { batch: 1 });
+        e.schedule(2.0, Event::GpuDone);
         assert!(e.cancel(first));
         assert_eq!(e.peek_time(), Some(2.0));
         assert_eq!(e.pending(), 1);

@@ -14,12 +14,15 @@
 //! - [`cache`]: a content-addressed, capacity-bounded LRU cache of MSA
 //!   feature files — a hit skips the entire CPU phase and charges only
 //!   a storage-priced feature load,
-//! - [`server`]: the phase-decoupled scheduler's types and its
-//!   fault-free entry point [`run_serve`] — a CPU worker pool drains an
-//!   MSA queue while the GPU queue forms inference batches of size B, paying
-//!   `xla_compile` once per shape and runtime init once per process
-//!   (reusing `gpu::runtime`'s cold/warm split), with per-request
-//!   [`afsb_core::resilience::Deadline`]s and the §VI admission check,
+//! - [`server`]: the serving types (config, cost table, outcomes,
+//!   report) and the fault-free entry point [`run_serve`],
+//! - [`scheduler`]: the one serving loop, [`run_serve_policy`] — a CPU
+//!   worker pool drains an MSA queue while the GPU queue forms
+//!   inference batches of size B, paying `xla_compile` once per shape
+//!   and runtime init once per process (reusing `gpu::runtime`'s
+//!   cold/warm split), with per-request
+//!   [`afsb_core::resilience::Deadline`]s and the §VI admission check;
+//!   its whole state is one private struct,
 //! - [`scenario`]: the canonical scenario set behind `afsysbench
 //!   serve` and the `profile serve` baseline,
 //! - [`reference`](mod@reference): the frozen seed step-scan
@@ -28,15 +31,14 @@
 //!   into the event loop and answered by a recovery policy (requeue
 //!   with backoff, circuit breaker, deadline shedding, overload
 //!   degradation), every admitted request ending in exactly one
-//!   disposition; also the state every run shares outside MSA dispatch
-//!   (cache, GPU batch close, report fold),
+//!   disposition,
 //! - [`whatif`]: the causal profiler's projection engine — virtual
 //!   speedups (MSA ×k, GPU ×k, XLA ×k, +N workers, infinite cache)
 //!   replayed Coz-style over the provenance DAG the engine recorded,
 //!   each prediction validated against a ground-truth re-run with
 //!   scaled cost tables (`rt::obs::causal` extracts the critical path
 //!   and blame shares the projections are built on),
-//! - [`policy`]: the serving loop with pluggable scheduling policies —
+//! - [`policy`]: pluggable scheduling policies for the loop —
 //!   FIFO (byte-identical baseline), predicted-cost SJF, EDF,
 //!   shape-bucketed GPU batching, checkpoint-yield preemption and
 //!   speculative MSA-depth degradation — run as a matrix and validated
@@ -60,6 +62,7 @@ pub mod chaos;
 pub mod policy;
 pub mod reference;
 pub mod scenario;
+pub mod scheduler;
 pub mod server;
 pub mod telemetry;
 pub mod whatif;
@@ -71,14 +74,15 @@ pub use chaos::{
     ChaosScenario, ChaosScenarioRun, Disposition, RecoveryPolicy,
 };
 pub use policy::{
-    policy_scenarios, render_policy_matrix, run_policy_matrix, run_serve_policy, PolicyConfig,
-    PolicyMatrixReport, PolicyReport, PolicyRun, PolicyScenario, PolicyWhatIf, QueueDiscipline,
+    policy_scenarios, render_policy_matrix, run_policy_matrix, PolicyConfig, PolicyMatrixReport,
+    PolicyReport, PolicyRun, PolicyScenario, PolicyWhatIf, QueueDiscipline,
     POLICY_WHATIF_TOLERANCE_PP, SPECULATE_DEPTH,
 };
 pub use reference::run_serve_reference;
 pub use scenario::{
     default_scenarios, render_summary, run_default, run_xl, xl_scenarios, Scenario, ScenarioRun,
 };
+pub use scheduler::run_serve_policy;
 pub use server::{
     run_serve, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
     ServeReport, TelemetryConfig, TIMELINE_COLUMNS,

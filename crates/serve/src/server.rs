@@ -1,37 +1,8 @@
-//! The phase-decoupled serving scheduler.
-//!
-//! ParaFold's architecture on our cost model: the CPU-side MSA phase
-//! and the GPU-side inference phase run as separate queues so neither
-//! resource idles waiting for the other.
-//!
-//! - **CPU pool** — `cpu_workers` workers drain a central MSA queue
-//!   FCFS (the earliest-free idle worker takes the head, lowest index
-//!   breaks ties). A cache hit skips the pool entirely and charges only
-//!   the storage-priced feature load.
-//! - **GPU queue** — requests whose features are ready queue for the
-//!   GPU, which greedily takes up to `gpu_batch` ready requests per
-//!   dispatch. The first batch pays the cold runtime init (driver,
-//!   imports, weights load — Fig. 8's dominant slice); each *shape*
-//!   (benchmark sample) pays `xla_compile` once, on its first
-//!   appearance; each batch pays one warm dispatch setup; each request
-//!   pays its kernel-execution seconds. That is exactly the
-//!   amortization Fig. 8 and the persistent-session ablation price for
-//!   a single query, applied across a stream.
-//! - **Admission & deadlines** — the §VI estimator verdict rejects
-//!   shapes whose paper-scale MSA peak cannot fit the platform
-//!   (reusing [`CapacityModel`]), and every served request is checked
-//!   against a per-request [`Deadline`].
-//!
-//! This module holds the shared types — configuration, cost table,
+//! The serving layer's shared types — configuration, cost table,
 //! outcomes, report — and [`run_serve`]: the one serving loop
-//! ([`crate::policy`]) under plain FIFO and an empty fault plan. That
-//! loop runs on the shared discrete-event engine ([`afsb_rt::sim`]):
-//! one `(time, seq)`-ordered queue carries arrivals, MSA completions,
-//! cache fills, GPU batch closes and deadline timers, costing
-//! O(events · log n) instead of a per-step rescan. Same seed, same
-//! config, byte-identical report — and bit-identical to the frozen seed
-//! scheduler kept in [`crate::reference`] (enforced by
-//! `tests/equivalence.rs`).
+//! ([`crate::scheduler`]) under plain FIFO and an empty fault plan,
+//! bit-identical to the frozen seed scheduler kept in
+//! [`crate::reference`] (enforced by `tests/equivalence.rs`).
 
 use crate::chaos::{run_serve_chaos, ChaosConfig};
 use crate::scenario::SERVE_SEED;
@@ -141,7 +112,7 @@ impl TelemetryConfig {
 /// Gauge columns sampled by the serving timeline, in emission order:
 /// outstanding MSA jobs, busy pool workers, GPU busy flag, cache
 /// entries, cache hit rate, in-flight cache fills, breaker-open flag
-/// (always 0 outside the chaos loop).
+/// (always 0 without a fault plan).
 pub const TIMELINE_COLUMNS: [&str; 7] = [
     "msa_q", "workers", "gpu", "cache", "hit_rate", "fills", "brk",
 ];
@@ -782,7 +753,7 @@ impl ServeReport {
 }
 
 /// Run the fault-free serving simulation: the serving loop of
-/// [`crate::policy`] under plain FIFO and an empty fault plan, which
+/// [`crate::scheduler`] under plain FIFO and an empty fault plan, which
 /// reduces bit-for-bit to the frozen seed scheduler in
 /// [`crate::reference`] (`tests/equivalence.rs` enforces this). The
 /// tracer in `obs` must be fresh (the run lays its spans from simulated

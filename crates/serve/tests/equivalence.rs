@@ -1,5 +1,5 @@
 //! The equivalence golden gate: the event-driven scheduler (the one
-//! serving loop, `serve::policy::run_serve_policy`, under plain FIFO
+//! serving loop, `serve::scheduler::run_serve_policy`, under plain FIFO
 //! and an empty fault plan — what `serve::server::run_serve` and
 //! `serve::chaos::run_serve_chaos` run) must match the frozen seed
 //! step-scan scheduler (`serve::reference`) **byte for byte** —

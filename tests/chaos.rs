@@ -250,6 +250,25 @@ fn degradation_ladder_exhausted_is_still_oom() {
 }
 
 #[test]
+#[should_panic(expected = "fault 1 stall_seconds must be finite and >= 0")]
+fn invalid_fault_plan_panics_naming_the_fault_and_field() {
+    // Checked before any simulated work: the probe needs no search.
+    let plan = FaultPlan::none()
+        .with(FaultKind::GpuInitFailure)
+        .with(FaultKind::StorageStall {
+            stall_seconds: -300.0,
+        });
+    run_resilient(
+        &rna_probe(200),
+        Platform::Server,
+        4,
+        &options(),
+        &ResilienceOptions::default(),
+        &plan,
+    );
+}
+
+#[test]
 fn gpu_init_failure_retries_to_the_clean_result() {
     let data = shared_data(SampleId::S2pv7);
     let baseline = run_pipeline(&data, Platform::Desktop, 2, &options());
