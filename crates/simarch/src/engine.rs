@@ -94,23 +94,35 @@ impl SimEngine {
             1.0
         };
 
-        let mut llc = Cache::new(self.spec.llc);
+        // The cache model is allocated last, the access loop allocates
+        // nothing, and the model is freed before the result is built, so
+        // no block from this run sits above its tag arrays (up to 8 MiB
+        // for the LLC) and they return to the heap whole. A block left
+        // above them would split the freed space, so a later, larger LLC
+        // could not reuse it and the heap would grow by megabytes. Whether
+        // a block lands there depends on what the allocator already holds,
+        // so the peak resident set of the same runs would differ from one
+        // process to the next.
         let mut states: Vec<ThreadState> = programs
             .iter()
             .enumerate()
             .map(|(t, p)| ThreadState::new(&self.spec, p, rate, seed ^ (t as u64) << 32))
             .collect();
+        let mut caches: Vec<PrivateCaches> = Vec::with_capacity(threads);
+        caches.extend(programs.iter().map(|_| PrivateCaches::new(&self.spec)));
+        let mut llc = Cache::new(self.spec.llc);
 
         // Round-robin interleave: one access per live thread per turn.
         let mut live = threads;
         while live > 0 {
             live = 0;
-            for state in &mut states {
-                if state.step(&mut llc, dram_cycles, exposed) {
+            for (state, private) in states.iter_mut().zip(&mut caches) {
+                if state.step(private, &mut llc, dram_cycles, exposed) {
                     live += 1;
                 }
             }
         }
+        drop((llc, caches));
 
         // Scale the sampled access-loop counters back to declared
         // magnitudes FIRST — the exact (unsampled) branch/fault/base
@@ -294,11 +306,25 @@ impl SegmentCursor {
     }
 }
 
-/// Mutable per-thread microarchitectural state.
-struct ThreadState {
+/// One thread's private caches and dTLB, alive only for the access loop.
+struct PrivateCaches {
     l1: Cache,
     l2: Cache,
     tlb: Dtlb,
+}
+
+impl PrivateCaches {
+    fn new(spec: &PlatformSpec) -> PrivateCaches {
+        PrivateCaches {
+            l1: Cache::new(spec.l1d),
+            l2: Cache::new(spec.l2),
+            tlb: Dtlb::new(spec.tlb),
+        }
+    }
+}
+
+/// Mutable per-thread microarchitectural state.
+struct ThreadState {
     predictor: GsharePredictor,
     prefetcher: crate::prefetch::StreamPrefetcher,
     segments: Vec<SegmentCursor>,
@@ -323,15 +349,14 @@ impl ThreadState {
             .map(|(i, s)| SegmentCursor::new(s, rate, seed ^ ((i as u64) << 16)))
             .collect();
         ThreadState {
-            l1: Cache::new(spec.l1d),
-            l2: Cache::new(spec.l2),
-            tlb: Dtlb::new(spec.tlb),
             predictor: GsharePredictor::default_sized(),
             prefetcher: crate::prefetch::StreamPrefetcher::new(16, 2, spec.l1d.line),
             segments,
             seg_idx: 0,
             rng: Rng::seed_from_u64(seed),
-            symbols: HashMap::new(),
+            // One entry per segment at most, so the access loop never
+            // grows the map.
+            symbols: HashMap::with_capacity(program.segments.len()),
             base_cycles: 0,
             stall_cycles: 0,
             dram_stall: 0,
@@ -343,7 +368,13 @@ impl ThreadState {
     }
 
     /// Simulate one access. Returns false when the program is exhausted.
-    fn step(&mut self, llc: &mut Cache, dram_cycles: u64, exposed: f64) -> bool {
+    fn step(
+        &mut self,
+        private: &mut PrivateCaches,
+        llc: &mut Cache,
+        dram_cycles: u64,
+        exposed: f64,
+    ) -> bool {
         // Advance to the next segment with accesses left.
         while self.seg_idx < self.segments.len() && self.segments[self.seg_idx].remaining == 0 {
             self.seg_idx += 1;
@@ -368,7 +399,7 @@ impl ThreadState {
         stats.accesses += 1;
 
         // dTLB.
-        match self.tlb.access(addr) {
+        match private.tlb.access(addr) {
             TlbLookup::L1Hit => {}
             TlbLookup::L2Hit => {
                 stats.tlb_l1_misses += 1;
@@ -380,7 +411,7 @@ impl ThreadState {
                 stats.tlb_walks += 1;
                 // Page-walk caches + out-of-order overlap hide most of the
                 // walk; charge the exposed fraction.
-                let c = (self.tlb.walk_cycles() as f64 * exposed).round() as u64;
+                let c = (private.tlb.walk_cycles() as f64 * exposed).round() as u64;
                 self.stall_cycles += c;
                 stats.stall_cycles += c;
             }
@@ -388,14 +419,14 @@ impl ThreadState {
 
         // Prefetcher observes the demand stream and fills L2 + LLC.
         for pf in self.prefetcher.observe(addr) {
-            self.l2.prefetch_fill(pf);
+            private.l2.prefetch_fill(pf);
             llc.prefetch_fill(pf);
         }
 
         // Cache hierarchy walk.
-        if self.l1.access(addr) == Lookup::Miss {
+        if private.l1.access(addr) == Lookup::Miss {
             stats.l1_misses += 1;
-            if self.l2.access(addr) == Lookup::Miss {
+            if private.l2.access(addr) == Lookup::Miss {
                 stats.l2_misses += 1;
                 stats.llc_accesses += 1;
                 if llc.access(addr) == Lookup::Miss {
@@ -410,7 +441,7 @@ impl ThreadState {
                     stats.stall_cycles += c;
                 }
             } else {
-                let c = (self.l2.config().hit_cycles as f64 * exposed).round() as u64;
+                let c = (private.l2.config().hit_cycles as f64 * exposed).round() as u64;
                 self.stall_cycles += c;
                 stats.stall_cycles += c;
             }

@@ -68,8 +68,10 @@ impl StreamPrefetcher {
 
     /// Observe a demand access and return line addresses to prefetch.
     ///
-    /// The returned addresses are line-aligned byte addresses.
-    pub fn observe(&mut self, addr: u64) -> Vec<u64> {
+    /// The returned addresses are line-aligned byte addresses. The
+    /// iterator owns its state and allocates nothing, so the engine can
+    /// call this once per simulated access.
+    pub fn observe(&mut self, addr: u64) -> impl Iterator<Item = u64> {
         self.clock += 1;
         let line_addr = addr / self.line;
 
@@ -90,6 +92,9 @@ impl StreamPrefetcher {
             }
         }
 
+        // Prefetch `degree` lines, `stride` lines apart, once the stream
+        // is confident; none otherwise.
+        let (mut stride, mut degree) = (0i64, 0usize);
         match best {
             Some(i) => {
                 let e = &mut self.entries[i];
@@ -103,15 +108,10 @@ impl StreamPrefetcher {
                 e.last_line = line_addr;
                 e.stamp = self.clock;
                 if e.confidence >= 2 {
-                    let stride = e.stride;
-                    let degree = self.degree;
-                    let line = self.line;
+                    stride = e.stride;
+                    degree = self.degree;
                     self.issued += degree as u64;
-                    return (1..=degree as i64)
-                        .map(|k| ((line_addr as i64 + stride * k).max(0) as u64) * line)
-                        .collect();
                 }
-                Vec::new()
             }
             None => {
                 // Allocate a new stream over the LRU slot.
@@ -129,9 +129,10 @@ impl StreamPrefetcher {
                     stamp: self.clock,
                     valid: true,
                 };
-                Vec::new()
             }
         }
+        let line = self.line;
+        (1..=degree as i64).map(move |k| ((line_addr as i64 + stride * k).max(0) as u64) * line)
     }
 }
 
@@ -157,7 +158,7 @@ mod tests {
         let mut p = StreamPrefetcher::new(8, 1, 64);
         let mut hits = 0;
         for i in 0..10u64 {
-            let pf = p.observe(i * 128); // stride of 2 lines
+            let pf: Vec<u64> = p.observe(i * 128).collect(); // stride of 2 lines
             if !pf.is_empty() {
                 hits += 1;
                 assert_eq!(pf[0] % 64, 0);
@@ -174,7 +175,7 @@ mod tests {
         let mut total = 0;
         for _ in 0..200 {
             addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1);
-            total += p.observe(addr % (1 << 30)).len();
+            total += p.observe(addr % (1 << 30)).count();
         }
         assert!(
             total < 20,
@@ -187,8 +188,8 @@ mod tests {
         let mut p = StreamPrefetcher::new(8, 1, 64);
         let mut issued = 0;
         for i in 0..16u64 {
-            issued += p.observe(i * 64).len(); // stream A
-            issued += p.observe((1 << 20) + i * 64).len(); // stream B
+            issued += p.observe(i * 64).count(); // stream A
+            issued += p.observe((1 << 20) + i * 64).count(); // stream B
         }
         assert!(issued >= 16, "both streams should train, got {issued}");
     }
