@@ -1,11 +1,13 @@
 //! Bit-identity gate for the simarch engine.
 //!
-//! Runs the MSA phase on a small grid of cells and folds the engine's
-//! cycle counts, sampling rate, bandwidth factor and every per-symbol
-//! counter into one FNV-1a hash, which must equal a committed constant. A host-speed change to the engine (cache layout,
-//! bookkeeping hoists, parallel cells) must leave this hash alone; a
-//! change that moves a simulated counter must update the constant in
-//! the same change and say why.
+//! Runs the MSA phase on the benchmark's 20 msa-grid cells (every sample
+//! × {Server, Desktop} × {1, 4} threads at the quick sampling cap) and
+//! folds the engine's cycle counts, sampling rate, bandwidth demand and
+//! factor and every per-symbol counter into one FNV-1a hash, which must
+//! equal a committed constant. A host-speed change to the engine (cache
+//! layout, bookkeeping hoists, overlapped passes, parallel cells) must
+//! leave this hash alone; a change that moves a simulated counter must
+//! update the constant in the same change and say why.
 
 use afsb_core::context::{BenchContext, ContextConfig};
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
@@ -13,9 +15,10 @@ use afsb_seq::samples::SampleId;
 use afsb_simarch::perf::SymbolStats;
 use afsb_simarch::{Platform, SimResult};
 
-/// FNV-1a over the cells below, computed before the packed-way cache
-/// layout landed.
-const SIM_DIGEST: u64 = 0x9223_311d_c074_e539;
+/// FNV-1a over the cells below, in msa-grid order (threads, then
+/// sample, then platform), computed before the per-segment stats, the
+/// hoisted charges and the overlapped overhead pass landed.
+const SIM_DIGEST: u64 = 0x1107_af43_1c15_3c7c;
 
 struct Fnv(u64);
 
@@ -64,6 +67,7 @@ fn fold_sim(h: &mut Fnv, sim: &SimResult) {
     }
     h.u64(sim.sample_rate.to_bits());
     h.u64(sim.bandwidth_factor.to_bits());
+    h.u64(sim.bandwidth_demand_gibs.to_bits());
     let mut symbols: Vec<_> = sim.report.symbols().iter().collect();
     symbols.sort_by_key(|(name, _)| **name);
     for (name, stats) in symbols {
@@ -79,12 +83,16 @@ fn simarch_counters_match_the_committed_digest() {
         sample_cap: 400_000,
         ..MsaPhaseOptions::default()
     };
+    let data: Vec<_> = SampleId::all()
+        .into_iter()
+        .map(|id| ctx.sample_data(id))
+        .collect();
     let mut h = Fnv::new();
-    for id in [SampleId::S2pv7, SampleId::Promo] {
-        let data = ctx.sample_data(id);
-        for platform in [Platform::Server, Platform::Desktop] {
-            for threads in [1, 4] {
-                let msa = run_msa_phase(&data, platform, threads, &options);
+    for threads in [1, 4] {
+        for d in &data {
+            for platform in Platform::all() {
+                let msa = run_msa_phase(d, platform, threads, &options);
+                let id = d.sample.id;
                 assert!(msa.completed(), "{id:?} {platform:?} x{threads}");
                 fold_sim(&mut h, &msa.sim);
             }
