@@ -1,13 +1,14 @@
-//! Ordered parallel map over scoped threads.
+//! Ordered parallel map and fork-join over scoped threads.
 //!
-//! [`map_ordered`] is the workspace's one way to run independent jobs
-//! concurrently. Jobs are pulled from a shared counter, so a long job
-//! does not hold up the short ones queued behind it, and results come
-//! back in job order, so the caller's output never depends on the host's
-//! thread count or on scheduling.
+//! [`map_ordered`] and [`join`] are the workspace's only ways to run
+//! work concurrently. `map_ordered` pulls jobs from a shared counter, so
+//! a long job does not hold up the short ones queued behind it, and
+//! returns results in job order. `join` runs two closures side by side
+//! and returns both results in place. Either way, the caller's output
+//! never depends on the host's thread count or on scheduling.
 
 use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -34,9 +35,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(n);
+    let workers = cpus().min(n);
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
@@ -73,6 +72,63 @@ where
     done.into_iter().map(|(_, value)| value).collect()
 }
 
+/// Run `a` on the calling thread and `b` beside it on one scoped helper
+/// thread, and return both results.
+///
+/// `a` always runs on the caller, so whatever it allocates stays in the
+/// caller's malloc arena. With one CPU, `a` and then `b` run inline on
+/// the calling thread.
+///
+/// ```
+/// let (sum, product) = afsb_rt::par::join(|| 2 + 3, || 2 * 3);
+/// assert_eq!((sum, product), (5, 6));
+/// ```
+///
+/// # Panics
+///
+/// If either closure panics, the other still runs to completion, and
+/// then the panic is re-raised on the calling thread with its original
+/// payload (`a`'s, if both panic).
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    join_on(cpus() > 1, a, b)
+}
+
+/// [`join`] with the choice between a helper thread and the inline path
+/// made by the caller, so both paths can be tested on any host.
+fn join_on<A, B, RA, RB>(helper: bool, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let (ra, rb) = if helper {
+        thread::scope(|scope| {
+            let b = scope.spawn(b);
+            let ra = catch_unwind(AssertUnwindSafe(a));
+            (ra, b.join())
+        })
+    } else {
+        (
+            catch_unwind(AssertUnwindSafe(a)),
+            catch_unwind(AssertUnwindSafe(b)),
+        )
+    };
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+    }
+}
+
+/// CPUs this process may run on.
+fn cpus() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// Moves the job counter past the end when a job panics, so the other
 /// workers finish their current job and stop instead of draining the
 /// rest of the queue.
@@ -92,14 +148,15 @@ impl Drop for StopOnPanic<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_index_order_when_jobs_differ_in_size() {
         // With two or more workers, job 0 is the long one: it waits until
         // every other job has finished, so it finishes last.
-        let parallel = thread::available_parallelism().map_or(1, NonZeroUsize::get) > 1;
+        let parallel = cpus() > 1;
         let finished = Mutex::new(Vec::new());
         let out = map_ordered(12, |i| {
             if i == 0 && parallel {
@@ -153,6 +210,84 @@ mod tests {
                 .cloned()
                 .unwrap_or_default();
             assert!(message.contains(&format!("job {bad} failed")), "{message}");
+        }
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn join_returns_both_results_in_place_and_runs_a_on_the_caller() {
+        let caller = thread::current().id();
+        for helper in [true, false] {
+            let ((a, a_thread), (b, b_thread)) = join_on(
+                helper,
+                || ("a", thread::current().id()),
+                || (7u64, thread::current().id()),
+            );
+            assert_eq!((a, b), ("a", 7));
+            assert_eq!(a_thread, caller, "helper: {helper}");
+            assert_eq!(b_thread == caller, !helper, "helper: {helper}");
+        }
+        // The public entry takes the helper path exactly when this
+        // process may use more than one CPU.
+        let (a_thread, b_thread) = join(|| thread::current().id(), || thread::current().id());
+        assert_eq!(a_thread, caller);
+        assert_eq!(b_thread == caller, cpus() == 1);
+    }
+
+    #[test]
+    fn join_on_one_cpu_runs_a_then_b_inline() {
+        let caller = thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let log = |name| {
+            assert_eq!(thread::current().id(), caller);
+            order.lock().expect("no closure panics").push(name);
+        };
+        join_on(false, || log("a"), || log("b"));
+        assert_eq!(order.into_inner().expect("no closure panics"), ["a", "b"]);
+    }
+
+    #[test]
+    fn a_panic_in_either_closure_reaches_the_caller_after_both_finish() {
+        for helper in [true, false] {
+            for a_panics in [true, false] {
+                // The closure that does not panic finishes well after the
+                // one that does, so an early re-raise would leave it
+                // unfinished.
+                let finished = AtomicBool::new(false);
+                let slow = || {
+                    thread::sleep(Duration::from_millis(50));
+                    finished.store(true, Ordering::SeqCst);
+                };
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    if a_panics {
+                        join_on(helper, || panic!("a failed"), slow);
+                    } else {
+                        join_on(helper, slow, || panic!("b failed"));
+                    }
+                }));
+                let payload = result.expect_err("a panicking closure must not return");
+                let expected = if a_panics { "a failed" } else { "b failed" };
+                assert_eq!(panic_message(&*payload), expected, "helper: {helper}");
+                assert!(finished.load(Ordering::SeqCst), "helper: {helper}");
+            }
+        }
+    }
+
+    #[test]
+    fn when_both_closures_panic_the_caller_sees_a() {
+        for helper in [true, false] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                join_on(helper, || panic!("a failed"), || panic!("b failed"))
+            }));
+            let payload = result.expect_err("a panicking closure must not return");
+            assert_eq!(panic_message(&*payload), "a failed", "helper: {helper}");
         }
     }
 }

@@ -21,11 +21,25 @@
 //! [`SimEngine::sample_cap`] accesses for the *longest* thread and scales
 //! every thread by the same rate, preserving relative thread lengths and
 //! interleaving. Counters are scaled back to declared totals in the result.
+//!
+//! ## Two passes
+//!
+//! A run has two independent parts. The *cache walk* replays every
+//! thread's sampled accesses through the caches. Each thread's *overhead
+//! pass* charges the exact (unsampled) costs of its segments: base
+//! cycles, gshare branch flushes and page faults. Both draw from the
+//! thread's one `Rng`: the walk draws exactly one `next_u64` per simulated
+//! access, and the overhead pass continues the stream where the walk
+//! leaves it. The walk's draw count is known before it starts, so the
+//! overhead passes skip that many draws and run beside the walk on a
+//! helper thread ([`afsb_rt::par::join`]). The run then asserts that each
+//! walk left its stream exactly where the overhead pass picked it up.
 
-use crate::branch::{BranchStats, GsharePredictor};
+use crate::branch::GsharePredictor;
 use crate::cache::{Cache, Lookup};
 use crate::config::PlatformSpec;
 use crate::perf::{PerfReport, SymbolStats};
+use crate::prefetch::StreamPrefetcher;
 use crate::tlb::{Dtlb, TlbLookup};
 use crate::trace::{PatternCursor, Segment, ThreadProgram};
 use afsb_rt::Rng;
@@ -80,8 +94,6 @@ impl SimEngine {
         assert!(!programs.is_empty(), "need at least one thread program");
         let threads = programs.len();
         let clock_ghz = self.spec.core.clock_ghz(threads);
-        let dram_cycles = (self.spec.memory.latency_ns * clock_ghz).round() as u64;
-        let exposed = 1.0 - self.spec.core.mlp_overlap;
 
         let longest = programs
             .iter()
@@ -93,50 +105,35 @@ impl SimEngine {
         } else {
             1.0
         };
+        let thread_seed = move |t: usize| seed ^ (t as u64) << 32;
 
-        // The cache model is allocated last, the access loop allocates
-        // nothing, and the model is freed before the result is built, so
-        // no block from this run sits above its tag arrays (up to 8 MiB
-        // for the LLC) and they return to the heap whole. A block left
-        // above them would split the freed space, so a later, larger LLC
-        // could not reuse it and the heap would grow by megabytes. Whether
-        // a block lands there depends on what the allocator already holds,
-        // so the peak resident set of the same runs would differ from one
-        // process to the next.
+        // The walk stays on the calling thread, so the cache model's tag
+        // arrays live in the caller's malloc arena (DESIGN §7); every
+        // thread's overhead pass runs beside it on one helper.
+        let (walks, overheads) = afsb_rt::par::join(
+            || self.walk(programs, rate, clock_ghz, thread_seed),
+            || {
+                programs
+                    .iter()
+                    .enumerate()
+                    .map(|(t, p)| overhead_pass(p, &self.spec, rate, thread_seed(t)))
+                    .collect::<Vec<_>>()
+            },
+        );
+
+        let inv_rate = 1.0 / rate;
         let mut states: Vec<ThreadState> = programs
             .iter()
-            .enumerate()
-            .map(|(t, p)| ThreadState::new(&self.spec, p, rate, seed ^ (t as u64) << 32))
+            .zip(walks)
+            .zip(overheads)
+            .map(|((program, walk), overheads)| {
+                assert!(
+                    walk.rng == overheads.start,
+                    "the cache walk must draw exactly one next_u64 per simulated access"
+                );
+                ThreadState::new(program, &walk, &overheads.segments, inv_rate)
+            })
             .collect();
-        let mut caches: Vec<PrivateCaches> = Vec::with_capacity(threads);
-        caches.extend(programs.iter().map(|_| PrivateCaches::new(&self.spec)));
-        let mut llc = Cache::new(self.spec.llc);
-
-        // Round-robin interleave: one access per live thread per turn.
-        let mut live = threads;
-        while live > 0 {
-            live = 0;
-            for (state, private) in states.iter_mut().zip(&mut caches) {
-                if state.step(private, &mut llc, dram_cycles, exposed) {
-                    live += 1;
-                }
-            }
-        }
-        drop((llc, caches));
-
-        // Scale the sampled access-loop counters back to declared
-        // magnitudes FIRST — the exact (unsampled) branch/fault/base
-        // contributions are added afterwards so they are not rescaled.
-        let inv_rate = 1.0 / rate;
-        for state in &mut states {
-            state.scale(inv_rate);
-        }
-        for (t, program) in programs.iter().enumerate() {
-            let state = &mut states[t];
-            for seg in &program.segments {
-                state.account_segment_overheads(seg, &self.spec);
-            }
-        }
 
         let mut symbols: HashMap<&'static str, SymbolStats> = HashMap::new();
         let mut per_thread_cycles = Vec::with_capacity(threads);
@@ -183,6 +180,47 @@ impl SimEngine {
             bandwidth_demand_gibs: demand_gibs,
             bandwidth_factor: bw_factor,
         }
+    }
+
+    /// The round-robin cache walk: one sampled access per live thread per
+    /// turn, so concurrent threads contend for the shared LLC.
+    fn walk(
+        &self,
+        programs: &[ThreadProgram],
+        rate: f64,
+        clock_ghz: f64,
+        thread_seed: impl Fn(usize) -> u64,
+    ) -> Vec<ThreadWalk> {
+        let charges = Charges::new(&self.spec, clock_ghz);
+        // The cache model is allocated last, the access loop allocates
+        // nothing, and the model is freed before the walk returns, so no
+        // block from this run sits above its tag arrays (up to 8 MiB for
+        // the LLC) and they return to the heap whole. A block left above
+        // them would split the freed space, so a later, larger LLC could
+        // not reuse it and the heap would grow by megabytes. Whether a
+        // block lands there depends on what the allocator already holds,
+        // so the peak resident set of the same runs would differ from one
+        // process to the next.
+        let mut walks: Vec<ThreadWalk> = programs
+            .iter()
+            .enumerate()
+            .map(|(t, p)| ThreadWalk::new(&self.spec, p, rate, thread_seed(t)))
+            .collect();
+        let mut caches: Vec<PrivateCaches> = Vec::with_capacity(walks.len());
+        caches.extend(programs.iter().map(|_| PrivateCaches::new(&self.spec)));
+        let mut llc = Cache::new(self.spec.llc);
+
+        let mut live = walks.len();
+        while live > 0 {
+            live = 0;
+            for (walk, private) in walks.iter_mut().zip(&mut caches) {
+                if walk.step(private, &mut llc, &charges) {
+                    live += 1;
+                }
+            }
+        }
+        drop((llc, caches));
+        walks
     }
 }
 
@@ -272,13 +310,49 @@ impl SimResult {
     }
 }
 
-/// Per-access pattern selector + cursors for one segment.
+/// Accesses the cache walk simulates for `seg` at sampling `rate`.
+fn sampled_accesses(seg: &Segment, rate: f64) -> u64 {
+    if seg.patterns.is_empty() {
+        0
+    } else {
+        ((seg.accesses as f64) * rate).round() as u64
+    }
+}
+
+/// The exposed stall cycles of each walk outcome: the share of its
+/// latency that out-of-order overlap does not hide, rounded once per run.
+struct Charges {
+    /// A page walk after an STLB miss (page-walk caches hide the rest).
+    tlb_walk: u64,
+    l2_hit: u64,
+    llc_hit: u64,
+    dram: u64,
+}
+
+impl Charges {
+    fn new(spec: &PlatformSpec, clock_ghz: f64) -> Charges {
+        let exposed = 1.0 - spec.core.mlp_overlap;
+        let charge = |cycles: u64| (cycles as f64 * exposed).round() as u64;
+        let dram_cycles = (spec.memory.latency_ns * clock_ghz).round() as u64;
+        Charges {
+            tlb_walk: charge(spec.tlb.walk_cycles),
+            l2_hit: charge(spec.l2.hit_cycles),
+            llc_hit: charge(spec.llc.hit_cycles),
+            dram: charge(dram_cycles),
+        }
+    }
+}
+
+/// Per-access pattern selector, cursors and walk counters for one
+/// segment.
 struct SegmentCursor {
     cursors: Vec<PatternCursor>,
     /// Cumulative weights for pattern selection.
     cumulative: Vec<f64>,
     remaining: u64,
     symbol: &'static str,
+    /// The sampled counters of this segment's walk, unscaled.
+    stats: SymbolStats,
 }
 
 impl SegmentCursor {
@@ -292,16 +366,12 @@ impl SegmentCursor {
             cumulative.push(acc);
             cursors.push(PatternCursor::new(wp.pattern, seed ^ (i as u64 + 1)));
         }
-        let remaining = if seg.patterns.is_empty() {
-            0
-        } else {
-            ((seg.accesses as f64) * rate).round() as u64
-        };
         SegmentCursor {
             cursors,
             cumulative,
-            remaining,
+            remaining: sampled_accesses(seg, rate),
             symbol: seg.symbol,
+            stats: SymbolStats::default(),
         }
     }
 }
@@ -323,68 +393,45 @@ impl PrivateCaches {
     }
 }
 
-/// Mutable per-thread microarchitectural state.
-struct ThreadState {
-    predictor: GsharePredictor,
-    prefetcher: crate::prefetch::StreamPrefetcher,
+/// One thread's state in the cache walk.
+struct ThreadWalk {
+    prefetcher: StreamPrefetcher,
     segments: Vec<SegmentCursor>,
     seg_idx: usize,
+    /// Draws one `gen_f64` per simulated access and nothing else.
     rng: Rng,
-    symbols: HashMap<&'static str, SymbolStats>,
-    base_cycles: u64,
-    stall_cycles: u64,
+    /// The DRAM share of the segments' stall cycles, which the bandwidth
+    /// correction inflates.
     dram_stall: u64,
-    extra_stall: u64,
-    dram_stall_scaled: f64,
-    dram_accesses_scaled: f64,
-    scaled: bool,
 }
 
-impl ThreadState {
-    fn new(spec: &PlatformSpec, program: &ThreadProgram, rate: f64, seed: u64) -> ThreadState {
+impl ThreadWalk {
+    fn new(spec: &PlatformSpec, program: &ThreadProgram, rate: f64, seed: u64) -> ThreadWalk {
         let segments = program
             .segments
             .iter()
             .enumerate()
             .map(|(i, s)| SegmentCursor::new(s, rate, seed ^ ((i as u64) << 16)))
             .collect();
-        ThreadState {
-            predictor: GsharePredictor::default_sized(),
-            prefetcher: crate::prefetch::StreamPrefetcher::new(16, 2, spec.l1d.line),
+        ThreadWalk {
+            prefetcher: StreamPrefetcher::new(16, 2, spec.l1d.line),
             segments,
             seg_idx: 0,
             rng: Rng::seed_from_u64(seed),
-            // One entry per segment at most, so the access loop never
-            // grows the map.
-            symbols: HashMap::with_capacity(program.segments.len()),
-            base_cycles: 0,
-            stall_cycles: 0,
             dram_stall: 0,
-            extra_stall: 0,
-            dram_stall_scaled: 0.0,
-            dram_accesses_scaled: 0.0,
-            scaled: false,
         }
     }
 
     /// Simulate one access. Returns false when the program is exhausted.
-    fn step(
-        &mut self,
-        private: &mut PrivateCaches,
-        llc: &mut Cache,
-        dram_cycles: u64,
-        exposed: f64,
-    ) -> bool {
+    fn step(&mut self, private: &mut PrivateCaches, llc: &mut Cache, charges: &Charges) -> bool {
         // Advance to the next segment with accesses left.
         while self.seg_idx < self.segments.len() && self.segments[self.seg_idx].remaining == 0 {
             self.seg_idx += 1;
         }
-        if self.seg_idx >= self.segments.len() {
+        let Some(seg) = self.segments.get_mut(self.seg_idx) else {
             return false;
-        }
-        let seg = &mut self.segments[self.seg_idx];
+        };
         seg.remaining -= 1;
-        let symbol = seg.symbol;
 
         // Pick a pattern by weight and get the next address.
         let pick: f64 = self.rng.gen_f64();
@@ -395,7 +442,7 @@ impl ThreadState {
             .unwrap_or(seg.cumulative.len() - 1);
         let addr = seg.cursors[idx].next_addr();
 
-        let stats = self.symbols.entry(symbol).or_default();
+        let stats = &mut seg.stats;
         stats.accesses += 1;
 
         // dTLB.
@@ -403,17 +450,12 @@ impl ThreadState {
             TlbLookup::L1Hit => {}
             TlbLookup::L2Hit => {
                 stats.tlb_l1_misses += 1;
-                self.stall_cycles += STLB_HIT_CYCLES;
                 stats.stall_cycles += STLB_HIT_CYCLES;
             }
             TlbLookup::Walk => {
                 stats.tlb_l1_misses += 1;
                 stats.tlb_walks += 1;
-                // Page-walk caches + out-of-order overlap hide most of the
-                // walk; charge the exposed fraction.
-                let c = (private.tlb.walk_cycles() as f64 * exposed).round() as u64;
-                self.stall_cycles += c;
-                stats.stall_cycles += c;
+                stats.stall_cycles += charges.tlb_walk;
             }
         }
 
@@ -431,101 +473,153 @@ impl ThreadState {
                 stats.llc_accesses += 1;
                 if llc.access(addr) == Lookup::Miss {
                     stats.llc_misses += 1;
-                    let c = (dram_cycles as f64 * exposed).round() as u64;
-                    self.stall_cycles += c;
-                    self.dram_stall += c;
-                    stats.stall_cycles += c;
+                    stats.stall_cycles += charges.dram;
+                    self.dram_stall += charges.dram;
                 } else {
-                    let c = (llc.config().hit_cycles as f64 * exposed).round() as u64;
-                    self.stall_cycles += c;
-                    stats.stall_cycles += c;
+                    stats.stall_cycles += charges.llc_hit;
                 }
             } else {
-                let c = (private.l2.config().hit_cycles as f64 * exposed).round() as u64;
-                self.stall_cycles += c;
-                stats.stall_cycles += c;
+                stats.stall_cycles += charges.l2_hit;
             }
         }
         true
     }
+}
 
-    /// Add base IPC cycles, branch mispredict flushes and page faults for a
-    /// segment (not access-sampled; branches use their own sample cap).
-    fn account_segment_overheads(&mut self, seg: &Segment, spec: &PlatformSpec) {
-        let stats = self.symbols.entry(seg.symbol).or_default();
-        stats.instructions += seg.instructions;
-        // L1-resident accesses: hit L1 and the TLB, cost nothing extra.
-        stats.accesses += seg.l1_resident_accesses;
-        let base = (seg.instructions as f64 / spec.core.peak_ipc).round() as u64;
-        self.base_cycles += base;
-        stats.base_cycles += base;
+/// One thread's overhead pass: the `Rng` state it started from and the
+/// exact costs of each segment of the program, in segment order.
+struct Overheads {
+    start: Rng,
+    segments: Vec<SymbolStats>,
+}
 
-        // Branch simulation: sampled outcome stream through gshare.
-        if seg.branches > 0 {
-            let sim = seg.branches.min(BRANCH_SAMPLE_CAP);
-            let scale = seg.branches as f64 / sim as f64;
-            // A stable per-symbol PC: FNV-1a over the symbol *name*.
-            // Hashing the &'static str pointer made the predictor's
-            // alias pattern depend on binary layout, so mispredict
-            // counts — and every downstream cost — drifted across
-            // recompiles of identical source.
-            let mut name_hash = 0xcbf2_9ce4_8422_2325u64;
-            for &b in seg.symbol.as_bytes() {
-                name_hash = (name_hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-            }
-            let pc = 0x400000 + (name_hash & 0xffff) * 64;
-            let mut local = BranchStats::default();
-            for _ in 0..sim {
-                let regular = self.rng.gen_bool(seg.branch_regularity.clamp(0.0, 1.0));
-                // Regular branches are fully predictable (real front-ends
-                // carry loop predictors); the irregular remainder is a
-                // data-dependent coin flip.
-                let taken = regular || self.rng.gen_bool(0.5);
-                let before = self.predictor.stats().mispredicts;
-                self.predictor.predict(pc, taken);
-                local.branches += 1;
-                local.mispredicts += self.predictor.stats().mispredicts - before;
-            }
-            let branches = (local.branches as f64 * scale).round() as u64;
-            let mispredicts = (local.mispredicts as f64 * scale).round() as u64;
-            stats.branches += branches;
-            stats.mispredicts += mispredicts;
-            let flush = mispredicts * spec.core.mispredict_cycles;
-            self.stall_cycles += flush;
-            stats.stall_cycles += flush;
-        }
-
-        if seg.page_faults > 0 {
-            stats.page_faults += seg.page_faults;
-            let c = seg.page_faults * PAGE_FAULT_CYCLES;
-            self.stall_cycles += c;
-            stats.stall_cycles += c;
-        }
+/// Charge base cycles, branch mispredict flushes and page faults for each
+/// segment of `program` (not access-sampled; branches use their own
+/// sample cap). The branches draw from the thread's `Rng` where the cache
+/// walk leaves it: the walk draws one `next_u64` per simulated access,
+/// so skipping that many draws reaches the same state without waiting
+/// for the walk.
+fn overhead_pass(program: &ThreadProgram, spec: &PlatformSpec, rate: f64, seed: u64) -> Overheads {
+    let mut rng = Rng::seed_from_u64(seed);
+    let walk_draws: u64 = program
+        .segments
+        .iter()
+        .map(|seg| sampled_accesses(seg, rate))
+        .sum();
+    for _ in 0..walk_draws {
+        rng.next_u64();
     }
+    let start = rng.clone();
+    let mut predictor = GsharePredictor::default_sized();
+    let segments = program
+        .segments
+        .iter()
+        .map(|seg| segment_overheads(seg, spec, &mut predictor, &mut rng))
+        .collect();
+    Overheads { start, segments }
+}
 
-    /// Scale sampled counters to declared magnitudes.
-    fn scale(&mut self, inv_rate: f64) {
-        assert!(!self.scaled, "scale must run once");
-        self.scaled = true;
+/// The exact costs of one segment; the predictor carries its history
+/// from one segment of the thread to the next.
+fn segment_overheads(
+    seg: &Segment,
+    spec: &PlatformSpec,
+    predictor: &mut GsharePredictor,
+    rng: &mut Rng,
+) -> SymbolStats {
+    let mut stats = SymbolStats {
+        instructions: seg.instructions,
+        // L1-resident accesses: hit L1 and the TLB, cost nothing extra.
+        accesses: seg.l1_resident_accesses,
+        base_cycles: (seg.instructions as f64 / spec.core.peak_ipc).round() as u64,
+        page_faults: seg.page_faults,
+        stall_cycles: seg.page_faults * PAGE_FAULT_CYCLES,
+        ..SymbolStats::default()
+    };
+
+    // Branch simulation: sampled outcome stream through gshare.
+    if seg.branches > 0 {
+        let sim = seg.branches.min(BRANCH_SAMPLE_CAP);
+        let scale = seg.branches as f64 / sim as f64;
+        // A stable per-symbol PC: FNV-1a over the symbol *name*.
+        // Hashing the &'static str pointer made the predictor's alias
+        // pattern depend on binary layout, so mispredict counts — and
+        // every downstream cost — drifted across recompiles of identical
+        // source.
+        let mut name_hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in seg.symbol.as_bytes() {
+            name_hash = (name_hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        let pc = 0x400000 + (name_hash & 0xffff) * 64;
+        let regularity = seg.branch_regularity.clamp(0.0, 1.0);
+        let mut mispredicts = 0u64;
+        for _ in 0..sim {
+            let regular = rng.gen_bool(regularity);
+            // Regular branches are fully predictable (real front-ends
+            // carry loop predictors); the irregular remainder is a
+            // data-dependent coin flip.
+            let taken = regular || rng.gen_bool(0.5);
+            mispredicts += u64::from(!predictor.predict(pc, taken));
+        }
+        stats.branches = (sim as f64 * scale).round() as u64;
+        stats.mispredicts = (mispredicts as f64 * scale).round() as u64;
+        stats.stall_cycles += stats.mispredicts * spec.core.mispredict_cycles;
+    }
+    stats
+}
+
+/// One thread's counters after both passes, at declared magnitudes.
+struct ThreadState {
+    symbols: HashMap<&'static str, SymbolStats>,
+    base_cycles: u64,
+    stall_cycles: u64,
+    extra_stall: u64,
+    dram_stall_scaled: f64,
+    dram_accesses_scaled: f64,
+}
+
+impl ThreadState {
+    /// Fold the walk's segments into a symbol map and scale its sampled
+    /// counters to declared magnitudes FIRST; the exact overheads are
+    /// added afterwards so they are not rescaled.
+    fn new(
+        program: &ThreadProgram,
+        walk: &ThreadWalk,
+        overheads: &[SymbolStats],
+        inv_rate: f64,
+    ) -> ThreadState {
+        let mut symbols: HashMap<&'static str, SymbolStats> =
+            HashMap::with_capacity(program.segments.len());
+        let mut sampled_stall = 0;
+        for seg in &walk.segments {
+            symbols.entry(seg.symbol).or_default().merge(&seg.stats);
+            sampled_stall += seg.stats.stall_cycles;
+        }
         let mut dram_accesses = 0u64;
-        for stats in self.symbols.values_mut() {
+        for stats in symbols.values_mut() {
             stats.scale_sampled(inv_rate);
             dram_accesses += stats.llc_misses;
         }
-        // Stall cycles from the sampled loop scale too; branch/fault/base
-        // contributions were exact, but they were accumulated separately in
-        // base_cycles/stall via account_segment_overheads *after* the loop,
-        // so partition: dram_stall was sampled.
-        self.dram_stall_scaled = self.dram_stall as f64 * inv_rate;
-        self.dram_accesses_scaled = dram_accesses as f64;
-        let sampled_other = self.stall_cycles - self.dram_stall;
-        // Approximation: branch-flush and fault stalls were exact; they are
-        // small relative to memory stalls, so we scale the whole sampled
-        // portion uniformly. Exact components were added to stall_cycles in
-        // account_segment_overheads which runs after stepping; separate them
-        // is unnecessary at the fidelity level of this model.
-        self.stall_cycles =
-            (self.dram_stall_scaled + sampled_other as f64 * inv_rate).round() as u64;
+        // The DRAM share is scaled apart so the bandwidth correction can
+        // inflate it.
+        let dram_stall_scaled = walk.dram_stall as f64 * inv_rate;
+        let sampled_other = sampled_stall - walk.dram_stall;
+        let mut stall_cycles = (dram_stall_scaled + sampled_other as f64 * inv_rate).round() as u64;
+
+        let mut base_cycles = 0;
+        for (seg, exact) in program.segments.iter().zip(overheads) {
+            symbols.entry(seg.symbol).or_default().merge(exact);
+            base_cycles += exact.base_cycles;
+            stall_cycles += exact.stall_cycles;
+        }
+        ThreadState {
+            symbols,
+            base_cycles,
+            stall_cycles,
+            extra_stall: 0,
+            dram_stall_scaled,
+            dram_accesses_scaled: dram_accesses as f64,
+        }
     }
 
     fn cycles(&self) -> u64 {
