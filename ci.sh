@@ -64,16 +64,19 @@ for exp in "${GOLDEN_EXPERIMENTS[@]}"; do
 done
 
 # One-CPU golden gate: a sample's searches run concurrently through
-# rt::par::map_ordered, and no output may depend on the host's CPU
-# count. Pinned to one CPU, map_ordered takes its plain-loop path; the
-# serve and table4 goldens must still match byte for byte.
+# rt::par::map_ordered, simarch's overhead pass runs beside its cache
+# walk through rt::par::join, and no output may depend on the host's
+# CPU count. Pinned to one CPU, map_ordered takes its plain-loop path
+# and join runs both closures inline; the serve and table4 goldens must
+# still match byte for byte, and the simarch digest its constant.
 if command -v taskset > /dev/null; then
     run taskset -c 0 target/release/afsysbench serve table4 --quick --out "$golden_dir/one-cpu" > /dev/null
     for exp in serve table4; do
         run diff -u "results/quick/$exp.txt" "$golden_dir/one-cpu/$exp.txt"
     done
+    run taskset -c 0 cargo test -q --offline -p afsb-core --test sim_digest
 else
-    echo "==> taskset not found: skipping the one-CPU golden run"
+    echo "==> taskset not found: skipping the one-CPU golden and digest runs"
 fi
 
 # Perf-regression gates. Each side (`a`, `b`) runs one full-mode
