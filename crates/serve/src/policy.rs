@@ -554,68 +554,6 @@ pub fn render_policy_matrix(matrix: &PolicyMatrixReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::default_scenarios;
-
-    fn cold_config(quick: bool) -> ServeConfig {
-        default_scenarios(quick)
-            .into_iter()
-            .find(|s| s.name == "cold")
-            .expect("cold scenario exists")
-            .config
-    }
-
-    fn run(pol: &PolicyConfig) -> PolicyReport {
-        let config = cold_config(true);
-        let mut obs = ObsSession::new();
-        run_serve_policy(
-            &config,
-            pol,
-            &ChaosConfig::none(),
-            CostTable::canonical(true),
-            &mut obs,
-        )
-    }
-
-    #[test]
-    fn preemption_fires_and_is_bounded() {
-        let r = run(&PolicyConfig::sjf_preempt());
-        assert!(r.preemptions > 0, "the cold backlog must trigger yields");
-        assert!(
-            r.preemptions <= r.chaos.admitted as u64 * 2,
-            "per-request preemption budget holds"
-        );
-        assert!(r.preempt_lost_s >= 0.0);
-        assert!(r.chaos.conserves_requests());
-    }
-
-    #[test]
-    fn speculation_degrades_under_backlog() {
-        let r = run(&PolicyConfig::speculative(SPECULATE_DEPTH));
-        assert!(
-            r.chaos.degraded > 0,
-            "the cold queue crosses depth {SPECULATE_DEPTH} almost immediately"
-        );
-        assert!(r.chaos.degraded_attempts >= r.chaos.degraded as u64);
-        assert!(r.chaos.conserves_requests());
-        let fifo = run(&PolicyConfig::fifo());
-        assert!(
-            r.chaos.base.makespan_s < fifo.chaos.base.makespan_s,
-            "depth-capped searches must shorten the makespan"
-        );
-    }
-
-    #[test]
-    fn sjf_reorders_but_conserves_work() {
-        let sjf = run(&PolicyConfig::sjf());
-        let fifo = run(&PolicyConfig::fifo());
-        assert!(sjf.chaos.conserves_requests());
-        assert_eq!(sjf.chaos.admitted, fifo.chaos.admitted);
-        assert_eq!(
-            sjf.chaos.completed + sjf.chaos.degraded,
-            fifo.chaos.completed + fifo.chaos.degraded,
-            "reordering must not lose or invent completions"
-        );
-    }
 
     #[test]
     fn policy_validate_names_preempt_min_ratio() {
@@ -630,15 +568,6 @@ mod tests {
             let err = pol.validate().expect_err("bad ratio");
             assert!(err.contains("preempt_min_ratio"), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "preempt_min_ratio")]
-    fn nan_preempt_ratio_panics_instead_of_preempting_every_arrival() {
-        run(&PolicyConfig {
-            preempt_min_ratio: f64::NAN,
-            ..PolicyConfig::sjf_preempt()
-        });
     }
 
     #[test]

@@ -86,37 +86,3 @@ fn push_serve_block(out: &mut String, report: &crate::server::ServeReport) {
     out.push_str(&report.render_attribution());
     out.push_str(&report.render_p99_waterfall());
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn telemetry_runs_arm_the_sampler_and_monitor() {
-        let report = run_telemetry(true);
-        assert_eq!(report.scenarios.len(), 4);
-        for run in &report.scenarios {
-            let tl = run.report.timeline.as_ref().expect("timeline sampled");
-            assert!(!tl.rows().is_empty(), "{}: timeline has rows", run.name);
-            assert!(run.report.slo.is_some(), "{}: slo evaluated", run.name);
-        }
-        assert!(report.brownout.report.base.timeline.is_some());
-    }
-
-    #[test]
-    fn dashboard_renders_every_section() {
-        let report = run_telemetry(true);
-        let text = render_telemetry(&report);
-        for needle in [
-            "[cold]",
-            "[warm_b1]",
-            "[chaos:storage-brownout]",
-            "timeline (",
-            "latency attribution over",
-            "p99 waterfall",
-            "slo:",
-        ] {
-            assert!(text.contains(needle), "dashboard contains {needle:?}");
-        }
-    }
-}

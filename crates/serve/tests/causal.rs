@@ -20,9 +20,11 @@ use afsb_rt::sim::WaitEdge;
 use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos, ChaosConfig, RecoveryPolicy};
 use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
 use afsb_serve::server::{run_serve, CostTable};
+use afsb_serve::whatif::{scaled_config, scaled_costs};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_serve::{
-    run_whatif, WHATIF_OFF_PATH_DELTA_PP, WHATIF_ON_PATH_SHARE, WHATIF_ON_PATH_TOLERANCE_PP,
+    predict_makespan, run_whatif, WhatIf, WHATIF_OFF_PATH_DELTA_PP, WHATIF_ON_PATH_SHARE,
+    WHATIF_ON_PATH_TOLERANCE_PP,
 };
 
 /// Provenance recording must be a passive observer: every field except
@@ -245,4 +247,42 @@ fn multi_requeue_attribution_stays_closed_and_non_negative() {
         );
     }
     assert!(finished > 0, "campaign must finish requests");
+}
+
+#[test]
+fn projection_is_exact_at_scale_one() {
+    let r = run_whatif(true);
+    // Replaying with a 1× "speedup" must telescope back to the
+    // recorded makespan (float re-accumulation only).
+    let config = default_scenarios(true)[0].config;
+    let identity = predict_makespan(&r.log, &config, WhatIf::ScaleMsa(1.0));
+    let err = (identity - r.baseline_makespan_s).abs() / r.baseline_makespan_s;
+    assert!(err < 1e-9, "identity replay drifted: {err}");
+}
+
+#[test]
+fn scaled_costs_touch_only_their_target() {
+    let costs = CostTable::canonical(true);
+    let msa = scaled_costs(costs, WhatIf::ScaleMsa(2.0));
+    let gpu = scaled_costs(costs, WhatIf::ScaleGpu(2.0));
+    let xla = scaled_costs(costs, WhatIf::ScaleCompile(2.0));
+    for (id, base) in &costs.shapes {
+        assert_eq!(msa.shapes[id].msa_s, base.msa_s / 2.0);
+        assert_eq!(msa.shapes[id].compute_s, base.compute_s);
+        assert_eq!(gpu.shapes[id].compute_s, base.compute_s / 2.0);
+        assert_eq!(gpu.shapes[id].msa_s, base.msa_s);
+        assert_eq!(xla.shapes[id].compile_s, base.compile_s / 2.0);
+        assert_eq!(xla.shapes[id].compute_s, base.compute_s);
+    }
+    assert_eq!(gpu.init_s, costs.init_s / 2.0);
+    assert_eq!(xla.init_s, costs.init_s);
+    let cfg = default_scenarios(true)[0].config;
+    assert_eq!(
+        scaled_config(&cfg, WhatIf::AddWorkers(4)).cpu_workers,
+        cfg.cpu_workers + 4
+    );
+    assert_eq!(
+        scaled_config(&cfg, WhatIf::InfiniteCache).cache_capacity_bytes,
+        u64::MAX
+    );
 }

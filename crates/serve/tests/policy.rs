@@ -17,10 +17,11 @@
 use afsb_rt::obs::ObsSession;
 use afsb_serve::chaos::{chaos_scenarios, ChaosConfig};
 use afsb_serve::policy::{
-    policy_scenarios, run_policy_matrix, run_serve_policy, PolicyMatrixReport,
-    POLICY_WHATIF_TOLERANCE_PP,
+    policy_scenarios, run_policy_matrix, run_serve_policy, PolicyConfig, PolicyMatrixReport,
+    PolicyReport, POLICY_WHATIF_TOLERANCE_PP, SPECULATE_DEPTH,
 };
-use afsb_serve::server::CostTable;
+use afsb_serve::scenario::default_scenarios;
+use afsb_serve::server::{CostTable, ServeConfig};
 use std::sync::OnceLock;
 
 fn matrix() -> &'static PolicyMatrixReport {
@@ -113,4 +114,74 @@ fn matrix_report_renders_every_row_and_the_verdicts() {
     }
     assert!(text.contains("dominance:"), "missing dominance verdict");
     assert!(text.contains("whatif check:"), "missing what-if verdict");
+}
+
+fn cold_config(quick: bool) -> ServeConfig {
+    default_scenarios(quick)
+        .into_iter()
+        .find(|s| s.name == "cold")
+        .expect("cold scenario exists")
+        .config
+}
+
+fn run(pol: &PolicyConfig) -> PolicyReport {
+    let config = cold_config(true);
+    let mut obs = ObsSession::new();
+    run_serve_policy(
+        &config,
+        pol,
+        &ChaosConfig::none(),
+        CostTable::canonical(true),
+        &mut obs,
+    )
+}
+
+#[test]
+fn preemption_fires_and_is_bounded() {
+    let r = run(&PolicyConfig::sjf_preempt());
+    assert!(r.preemptions > 0, "the cold backlog must trigger yields");
+    assert!(
+        r.preemptions <= r.chaos.admitted as u64 * 2,
+        "per-request preemption budget holds"
+    );
+    assert!(r.preempt_lost_s >= 0.0);
+    assert!(r.chaos.conserves_requests());
+}
+
+#[test]
+fn speculation_degrades_under_backlog() {
+    let r = run(&PolicyConfig::speculative(SPECULATE_DEPTH));
+    assert!(
+        r.chaos.degraded > 0,
+        "the cold queue crosses depth {SPECULATE_DEPTH} almost immediately"
+    );
+    assert!(r.chaos.degraded_attempts >= r.chaos.degraded as u64);
+    assert!(r.chaos.conserves_requests());
+    let fifo = run(&PolicyConfig::fifo());
+    assert!(
+        r.chaos.base.makespan_s < fifo.chaos.base.makespan_s,
+        "depth-capped searches must shorten the makespan"
+    );
+}
+
+#[test]
+fn sjf_reorders_but_conserves_work() {
+    let sjf = run(&PolicyConfig::sjf());
+    let fifo = run(&PolicyConfig::fifo());
+    assert!(sjf.chaos.conserves_requests());
+    assert_eq!(sjf.chaos.admitted, fifo.chaos.admitted);
+    assert_eq!(
+        sjf.chaos.completed + sjf.chaos.degraded,
+        fifo.chaos.completed + fifo.chaos.degraded,
+        "reordering must not lose or invent completions"
+    );
+}
+
+#[test]
+#[should_panic(expected = "preempt_min_ratio")]
+fn nan_preempt_ratio_panics_instead_of_preempting_every_arrival() {
+    run(&PolicyConfig {
+        preempt_min_ratio: f64::NAN,
+        ..PolicyConfig::sjf_preempt()
+    });
 }

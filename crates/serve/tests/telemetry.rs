@@ -15,10 +15,10 @@
 use afsb_rt::check::{self, Config, Gen};
 use afsb_rt::obs::ObsSession;
 use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos};
-use afsb_serve::run_telemetry;
 use afsb_serve::scenario::default_scenarios;
 use afsb_serve::server::{run_serve, CostTable, TelemetryConfig, TIMELINE_COLUMNS};
 use afsb_serve::workload::WorkloadConfig;
+use afsb_serve::{render_telemetry, run_telemetry};
 
 /// Telemetry must not perturb the serving results: every field except
 /// `timeline`/`slo` is byte-identical with and without it.
@@ -283,4 +283,33 @@ fn kitchen_sink_counts_degraded_attempts() {
         report.degraded_attempts >= report.degraded as u64,
         "attempts include requests later shed or failed"
     );
+}
+
+#[test]
+fn telemetry_runs_arm_the_sampler_and_monitor() {
+    let report = run_telemetry(true);
+    assert_eq!(report.scenarios.len(), 4);
+    for run in &report.scenarios {
+        let tl = run.report.timeline.as_ref().expect("timeline sampled");
+        assert!(!tl.rows().is_empty(), "{}: timeline has rows", run.name);
+        assert!(run.report.slo.is_some(), "{}: slo evaluated", run.name);
+    }
+    assert!(report.brownout.report.base.timeline.is_some());
+}
+
+#[test]
+fn dashboard_renders_every_section() {
+    let report = run_telemetry(true);
+    let text = render_telemetry(&report);
+    for needle in [
+        "[cold]",
+        "[warm_b1]",
+        "[chaos:storage-brownout]",
+        "timeline (",
+        "latency attribution over",
+        "p99 waterfall",
+        "slo:",
+    ] {
+        assert!(text.contains(needle), "dashboard contains {needle:?}");
+    }
 }
