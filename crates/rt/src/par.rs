@@ -149,8 +149,7 @@ impl Drop for StopOnPanic<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Mutex;
-    use std::time::Duration;
+    use std::sync::{mpsc, Mutex};
 
     #[test]
     fn results_come_back_in_index_order_when_jobs_differ_in_size() {
@@ -256,27 +255,53 @@ mod tests {
     #[test]
     fn a_panic_in_either_closure_reaches_the_caller_after_both_finish() {
         for helper in [true, false] {
-            for a_panics in [true, false] {
-                // The closure that does not panic finishes well after the
-                // one that does, so an early re-raise would leave it
-                // unfinished.
-                let finished = AtomicBool::new(false);
-                let slow = || {
-                    thread::sleep(Duration::from_millis(50));
-                    finished.store(true, Ordering::SeqCst);
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if a_panics {
-                        join_on(helper, || panic!("a failed"), slow);
-                    } else {
-                        join_on(helper, slow, || panic!("b failed"));
-                    }
-                }));
-                let payload = result.expect_err("a panicking closure must not return");
-                let expected = if a_panics { "a failed" } else { "b failed" };
-                assert_eq!(panic_message(&*payload), expected, "helper: {helper}");
-                assert!(finished.load(Ordering::SeqCst), "helper: {helper}");
-            }
+            // `b` waits until `a` has panicked, so a re-raise that did
+            // not wait for `b` would find it unfinished.
+            let finished = AtomicBool::new(false);
+            let done = &finished;
+            let (tx, rx) = mpsc::channel();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                join_on(
+                    helper,
+                    move || {
+                        tx.send(()).expect("b holds the receiver");
+                        panic!("a failed")
+                    },
+                    move || {
+                        rx.recv().expect("a signals before it panics");
+                        done.store(true, Ordering::SeqCst);
+                    },
+                )
+            }));
+            let payload = result.expect_err("a panicking closure must not return");
+            assert_eq!(panic_message(&*payload), "a failed", "helper: {helper}");
+            assert!(finished.load(Ordering::SeqCst), "helper: {helper}");
+
+            // With a helper, `a` waits until `b` has panicked; inline,
+            // `a` runs first and cannot wait.
+            let finished = AtomicBool::new(false);
+            let done = &finished;
+            let (tx, rx) = mpsc::channel();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                join_on(
+                    helper,
+                    move || {
+                        if helper {
+                            rx.recv().expect("b signals before it panics");
+                        }
+                        done.store(true, Ordering::SeqCst);
+                    },
+                    move || {
+                        // Inline, `a` has already returned and dropped
+                        // the receiver.
+                        let _ = tx.send(());
+                        panic!("b failed")
+                    },
+                )
+            }));
+            let payload = result.expect_err("a panicking closure must not return");
+            assert_eq!(panic_message(&*payload), "b failed", "helper: {helper}");
+            assert!(finished.load(Ordering::SeqCst), "helper: {helper}");
         }
     }
 
