@@ -105,18 +105,17 @@ impl SimEngine {
         } else {
             1.0
         };
-        let thread_seed = move |t: usize| seed ^ (t as u64) << 32;
 
         // The walk stays on the calling thread, so the cache model's tag
         // arrays live in the caller's malloc arena (DESIGN §7); every
         // thread's overhead pass runs beside it on one helper.
         let (walks, overheads) = afsb_rt::par::join(
-            || self.walk(programs, rate, clock_ghz, thread_seed),
+            || self.walk(programs, rate, clock_ghz, seed),
             || {
                 programs
                     .iter()
                     .enumerate()
-                    .map(|(t, p)| overhead_pass(p, &self.spec, rate, thread_seed(t)))
+                    .map(|(t, p)| overhead_pass(p, &self.spec, rate, thread_seed(seed, t)))
                     .collect::<Vec<_>>()
             },
         );
@@ -189,7 +188,7 @@ impl SimEngine {
         programs: &[ThreadProgram],
         rate: f64,
         clock_ghz: f64,
-        thread_seed: impl Fn(usize) -> u64,
+        seed: u64,
     ) -> Vec<ThreadWalk> {
         let charges = Charges::new(&self.spec, clock_ghz);
         // The cache model is allocated last, the access loop allocates
@@ -204,7 +203,7 @@ impl SimEngine {
         let mut walks: Vec<ThreadWalk> = programs
             .iter()
             .enumerate()
-            .map(|(t, p)| ThreadWalk::new(&self.spec, p, rate, thread_seed(t)))
+            .map(|(t, p)| ThreadWalk::new(&self.spec, p, rate, thread_seed(seed, t)))
             .collect();
         let mut caches: Vec<PrivateCaches> = Vec::with_capacity(walks.len());
         caches.extend(programs.iter().map(|_| PrivateCaches::new(&self.spec)));
@@ -308,6 +307,12 @@ impl SimResult {
             self.bandwidth_demand_gibs,
         );
     }
+}
+
+/// The seed of thread `t`'s `Rng` and pattern cursors in a run seeded
+/// `seed`.
+fn thread_seed(seed: u64, t: usize) -> u64 {
+    seed ^ (t as u64) << 32
 }
 
 /// Accesses the cache walk simulates for `seg` at sampling `rate`.
