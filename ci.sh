@@ -68,7 +68,10 @@ done
 # walk through rt::par::join, and no output may depend on the host's
 # CPU count. Pinned to one CPU, map_ordered takes its plain-loop path
 # and join runs both closures inline; the serve and table4 goldens must
-# still match byte for byte, and the simarch digest its constant.
+# still match byte for byte, and both digests of
+# crates/core/tests/sim_digest.rs their constants: the simarch digest
+# over the 20 msa-grid cells and the search digest over every (chain
+# entity x database) search of the five quick samples.
 if command -v taskset > /dev/null; then
     run taskset -c 0 target/release/afsysbench serve table4 --quick --out "$golden_dir/one-cpu" > /dev/null
     for exp in serve table4; do

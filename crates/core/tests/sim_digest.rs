@@ -1,24 +1,36 @@
-//! Bit-identity gate for the simarch engine.
+//! Bit-identity gates for the simarch engine and the search engine.
 //!
-//! Runs the MSA phase on the benchmark's 20 msa-grid cells (every sample
-//! × {Server, Desktop} × {1, 4} threads at the quick sampling cap) and
-//! folds the engine's cycle counts, sampling rate, bandwidth demand and
-//! factor and every per-symbol counter into one FNV-1a hash, which must
-//! equal a committed constant. A host-speed change to the engine (cache
-//! layout, bookkeeping hoists, overlapped passes, parallel cells) must
-//! leave this hash alone; a change that moves a simulated counter must
-//! update the constant in the same change and say why.
+//! Both gates read the five quick samples' search data, searched once
+//! per test binary. The simarch gate runs the MSA phase on the
+//! benchmark's 20 msa-grid cells (every sample × {Server, Desktop} ×
+//! {1, 4} threads at the quick sampling cap) and folds the engine's
+//! cycle counts, sampling rate, bandwidth demand and factor and every
+//! per-symbol counter into one FNV-1a hash. The search gate folds every
+//! (chain entity × database) search's work counters, hit and MSA-row
+//! counts, paper bytes and scale factor into another. Each hash must
+//! equal a committed constant. A host-speed change to the engines (cache
+//! layout, bookkeeping hoists, overlapped passes, shared calibration,
+//! filter loop order) must leave both alone; a change that moves a
+//! simulated counter must update the constant in the same change and say
+//! why.
 
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{BenchContext, ContextConfig, DbSearch, SampleSearchData};
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
+use afsb_hmmer::WorkCounters;
 use afsb_seq::samples::SampleId;
 use afsb_simarch::perf::SymbolStats;
 use afsb_simarch::{Platform, SimResult};
+use std::sync::{Arc, OnceLock};
 
 /// FNV-1a over the cells below, in msa-grid order (threads, then
 /// sample, then platform), computed before the per-segment stats, the
 /// hoisted charges and the overlapped overhead pass landed.
 const SIM_DIGEST: u64 = 0x1107_af43_1c15_3c7c;
+
+/// FNV-1a over every sample's searches, in sample, chain entity and
+/// database order, computed before the round-1 calibration was shared
+/// across an entity's databases and before SSV scanned row-wise.
+const SEARCH_DIGEST: u64 = 0xf28c_0e14_1a5d_2660;
 
 struct Fnv(u64);
 
@@ -76,20 +88,97 @@ fn fold_sim(h: &mut Fnv, sim: &SimResult) {
     }
 }
 
+fn fold_search(h: &mut Fnv, search: &DbSearch) {
+    h.bytes(search.db_name.as_bytes());
+    h.u64(search.paper_bytes);
+    h.u64(search.scale_factor.to_bits());
+    h.u64(search.hits as u64);
+    h.u64(search.msa_rows as u64);
+    // Destructured so that a new counter fails to compile here until it
+    // is folded in.
+    let WorkCounters {
+        db_sequences,
+        db_residues,
+        ssv_cells,
+        msv_cells,
+        band_cells_mi,
+        band_cells_ds,
+        forward_cells,
+        traceback_cells,
+        ssv_survivors,
+        msv_survivors,
+        viterbi_survivors,
+        hits,
+        rescans,
+        rescan_bytes,
+        buffer_fills,
+        buffer_peeks,
+        copied_bytes,
+        peak_state_bytes,
+    } = search.counters;
+    for v in [
+        db_sequences,
+        db_residues,
+        ssv_cells,
+        msv_cells,
+        band_cells_mi,
+        band_cells_ds,
+        forward_cells,
+        traceback_cells,
+        ssv_survivors,
+        msv_survivors,
+        viterbi_survivors,
+        hits,
+        rescans,
+        rescan_bytes,
+        buffer_fills,
+        buffer_peeks,
+        copied_bytes,
+        peak_state_bytes,
+    ] {
+        h.u64(v);
+    }
+}
+
+/// Every quick sample's search data, searched once for both gates.
+fn sample_data() -> &'static [Arc<SampleSearchData>] {
+    static DATA: OnceLock<Vec<Arc<SampleSearchData>>> = OnceLock::new();
+    DATA.get_or_init(|| {
+        let mut ctx = BenchContext::new(ContextConfig::test());
+        SampleId::all()
+            .into_iter()
+            .map(|id| ctx.sample_data(id))
+            .collect()
+    })
+}
+
+#[test]
+fn search_counters_match_the_committed_digest() {
+    let mut h = Fnv::new();
+    for d in sample_data() {
+        for chain in &d.chains {
+            h.bytes(chain.chain_id.as_bytes());
+            for search in &chain.per_db {
+                fold_search(&mut h, search);
+            }
+        }
+    }
+    assert_eq!(
+        h.0, SEARCH_DIGEST,
+        "search digest moved: got {:#018x}, expected {SEARCH_DIGEST:#018x}",
+        h.0
+    );
+}
+
 #[test]
 fn simarch_counters_match_the_committed_digest() {
-    let mut ctx = BenchContext::new(ContextConfig::test());
     let options = MsaPhaseOptions {
         sample_cap: 400_000,
         ..MsaPhaseOptions::default()
     };
-    let data: Vec<_> = SampleId::all()
-        .into_iter()
-        .map(|id| ctx.sample_data(id))
-        .collect();
     let mut h = Fnv::new();
     for threads in [1, 4] {
-        for d in &data {
+        for d in sample_data() {
             for platform in Platform::all() {
                 let msa = run_msa_phase(d, platform, threads, &options);
                 let id = d.sample.id;
