@@ -61,6 +61,32 @@ impl Default for PipelineConfig {
     }
 }
 
+impl PipelineConfig {
+    /// Check the thresholds and the calibration budget before anything
+    /// is scored, returning an error that names the offending field (a
+    /// calibration with fewer than 8 samples would otherwise run to the
+    /// end before the Gumbel fit rejects it).
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, p) in [("f1", self.f1), ("f2", self.f2), ("f3", self.f3)] {
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(format!(
+                    "pipeline: {name} must be a P-value in (0, 1], got {p}"
+                ));
+            }
+        }
+        if self.calibration_samples < 8 {
+            return Err(format!(
+                "pipeline: calibration_samples must be at least 8, got {}",
+                self.calibration_samples
+            ));
+        }
+        if self.calibration_target_len == 0 {
+            return Err("pipeline: calibration_target_len must be at least 1".to_owned());
+        }
+        Ok(())
+    }
+}
+
 /// A calibrated search pipeline for one profile.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -77,7 +103,15 @@ impl Pipeline {
     /// Calibration scores `config.calibration_samples` background
     /// sequences through every stage and fits a Gumbel per stage. The work
     /// is *not* charged to search counters (HMMER calibrates offline too).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`PipelineConfig::validate`]'s message if the
+    /// configuration is invalid.
     pub fn new(profile: ProfileHmm, config: PipelineConfig) -> Pipeline {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let mut rng = rng_for("pipeline-calibration", config.seed);
         let mut scratch = WorkCounters::default();
         let mut ssv_scores = Vec::with_capacity(config.calibration_samples);
@@ -210,6 +244,73 @@ mod tests {
     fn query(seed: u64, len: usize) -> Sequence {
         let mut rng = rng_for("plq", seed);
         background_sequence("q", MoleculeKind::Protein, len, &mut rng)
+    }
+
+    /// Assert that `set` makes the default config invalid with an error
+    /// naming `field`, for every value in `bad`.
+    fn rejects<T: Copy + std::fmt::Debug>(field: &str, bad: &[T], set: fn(&mut PipelineConfig, T)) {
+        for &v in bad {
+            let mut config = PipelineConfig::default();
+            set(&mut config, v);
+            let err = config.validate().expect_err(field);
+            assert!(err.contains(field), "{field} = {v:?}: {err}");
+        }
+    }
+
+    const BAD_P: [f64; 5] = [0.0, -0.1, 1.5, f64::NAN, f64::INFINITY];
+
+    #[test]
+    fn validate_accepts_the_defaults_and_a_p_value_of_one() {
+        assert_eq!(PipelineConfig::default().validate(), Ok(()));
+        let edge = PipelineConfig {
+            f1: 1.0,
+            calibration_samples: 8,
+            calibration_target_len: 1,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_f1() {
+        rejects("f1", &BAD_P, |c, v| c.f1 = v);
+    }
+
+    #[test]
+    fn validate_names_f2() {
+        rejects("f2", &BAD_P, |c, v| c.f2 = v);
+    }
+
+    #[test]
+    fn validate_names_f3() {
+        rejects("f3", &BAD_P, |c, v| c.f3 = v);
+    }
+
+    #[test]
+    fn validate_names_calibration_samples() {
+        rejects("calibration_samples", &[0, 1, 7], |c, v| {
+            c.calibration_samples = v
+        });
+    }
+
+    #[test]
+    fn validate_names_calibration_target_len() {
+        rejects("calibration_target_len", &[0], |c, v| {
+            c.calibration_target_len = v
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration_samples must be at least 8")]
+    fn new_panics_before_calibrating_with_too_few_samples() {
+        let profile = ProfileHmm::from_query(&query(9, 20), &SubstitutionMatrix::blosum62());
+        Pipeline::new(
+            profile,
+            PipelineConfig {
+                calibration_samples: 7,
+                ..PipelineConfig::default()
+            },
+        );
     }
 
     #[test]
