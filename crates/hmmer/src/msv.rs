@@ -6,6 +6,13 @@
 //! best Kadane segment of match emission scores; MSV additionally credits
 //! a second, disjoint high-scoring diagonal (multi-hit behaviour,
 //! simplified from HMMER's multi-segment Viterbi — documented deviation).
+//!
+//! The scan runs row by row over the target rather than diagonal by
+//! diagonal, so that its inner loop is a branch-free pass over one
+//! contiguous residue row of the profile that the compiler vectorises.
+//! Every diagonal still sees its cells in the same order, so each
+//! diagonal's running score and best score are bit for bit those of a
+//! per-diagonal Kadane.
 
 use crate::counters::WorkCounters;
 use crate::profile::ProfileHmm;
@@ -29,85 +36,100 @@ pub struct MsvResult {
 ///
 /// Costs `profile.len() * target.len()` cell evaluations, accounted in
 /// `counters.ssv_cells`.
+///
+/// Diagonal `d = i - q` (target index `i`, query column `q`) lives in
+/// slot `d + K - 1` of two arrays: its running Kadane score and its best
+/// score so far. Row `i` touches exactly the slots `[i, i + K)`, slot
+/// `i + m` holding column `K - 1 - m`, so the row is the residue's score
+/// row read in reverse. A slot's first touch is its diagonal's first
+/// cell, and every slot starts at a running score of 0, so the
+/// recurrence matches a per-diagonal Kadane from its first cell on. The
+/// diagonals' bests are then merged in ascending `d` with strict
+/// comparisons, and only the winning diagonal is walked again for the
+/// end and length of its best segment.
 pub fn msv_scan(profile: &ProfileHmm, target: &[u8], counters: &mut WorkCounters) -> MsvResult {
     let k = profile.len();
     let l = target.len();
     counters.ssv_cells += (k as u64) * (l as u64);
 
-    let mut best = SegBest::default();
-    let mut second = SegBest::default();
-
-    // Walk every diagonal d = i - q (i = target index, q = query column).
-    let min_d = -(k as i64 - 1);
-    let max_d = l as i64 - 1;
-    for d in min_d..=max_d {
-        // Kadane over the diagonal.
-        let q_start = if d < 0 { (-d) as usize } else { 0 };
-        let i_start = if d < 0 { 0usize } else { d as usize };
-        let len = (k - q_start).min(l - i_start);
-        let mut run = 0.0f32;
-        let mut run_len = 0usize;
-        let mut diag_best = SegBest::default();
-        for j in 0..len {
-            let s = profile.match_score(q_start + j, target[i_start + j]);
-            if run <= 0.0 {
-                run = s;
-                run_len = 1;
-            } else {
-                run += s;
-                run_len += 1;
-            }
-            if run > diag_best.score {
-                diag_best = SegBest {
-                    score: run,
-                    diag: d,
-                    end: i_start + j + 1,
-                    len: run_len,
-                };
-            }
-        }
-        if diag_best.score > best.score {
-            second = best;
-            best = diag_best;
-        } else if diag_best.score > second.score {
-            second = diag_best;
+    let slots = (k + l).saturating_sub(1);
+    let mut run = vec![0.0f32; slots];
+    let mut diag_best = vec![f32::NEG_INFINITY; slots];
+    for (i, &x) in target.iter().enumerate() {
+        let row = profile.residue_scores(x);
+        let run = &mut run[i..i + k];
+        let diag_best = &mut diag_best[i..i + k];
+        // Selects, not branches: this loop must stay vectorised.
+        for ((r, b), &s) in run
+            .iter_mut()
+            .zip(diag_best.iter_mut())
+            .zip(row.iter().rev())
+        {
+            let v = if *r <= 0.0 { s } else { *r + s };
+            *r = v;
+            *b = if v > *b { v } else { *b };
         }
     }
 
+    let mut best = (f32::NEG_INFINITY, None);
+    let mut second = f32::NEG_INFINITY;
+    let min_d = -(k as i64 - 1);
+    for (d, &score) in (min_d..).zip(&diag_best) {
+        if score > best.0 {
+            second = best.0;
+            best = (score, Some(d));
+        } else if score > second {
+            second = score;
+        }
+    }
+    let (best_diag, best_end, best_len) = match best.1 {
+        Some(d) => {
+            let (end, len) = best_segment(profile, target, d);
+            (d, end, len)
+        }
+        None => (0, 0, 0),
+    };
+
     // Entry cost: one local entry for the single hit, two for multi-hit.
     let entry = profile.entry();
-    let ssv_bits = best.score + entry;
-    let msv_bits = if second.score > 0.0 {
-        ssv_bits + (second.score + entry).max(0.0) * 0.7
+    let ssv_bits = best.0 + entry;
+    let msv_bits = if second > 0.0 {
+        ssv_bits + (second + entry).max(0.0) * 0.7
     } else {
         ssv_bits
     };
     MsvResult {
         ssv_bits,
         msv_bits,
-        best_diag: best.diag,
-        best_end: best.end,
-        best_len: best.len,
+        best_diag,
+        best_end,
+        best_len,
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SegBest {
-    score: f32,
-    diag: i64,
-    end: usize,
-    len: usize,
-}
-
-impl Default for SegBest {
-    fn default() -> SegBest {
-        SegBest {
-            score: f32::NEG_INFINITY,
-            diag: 0,
-            end: 0,
-            len: 0,
+/// Kadane over diagonal `d` alone: the target end (exclusive) and the
+/// length of its first best-scoring segment.
+fn best_segment(profile: &ProfileHmm, target: &[u8], d: i64) -> (usize, usize) {
+    let q_start = if d < 0 { d.unsigned_abs() as usize } else { 0 };
+    let i_start = if d < 0 { 0 } else { d as usize };
+    let len = (profile.len() - q_start).min(target.len() - i_start);
+    let mut run = 0.0f32;
+    let mut run_len = 0;
+    let mut best = (f32::NEG_INFINITY, 0, 0);
+    for j in 0..len {
+        let s = profile.match_score(q_start + j, target[i_start + j]);
+        if run <= 0.0 {
+            run = s;
+            run_len = 1;
+        } else {
+            run += s;
+            run_len += 1;
+        }
+        if run > best.0 {
+            best = (run, i_start + j + 1, run_len);
         }
     }
+    (best.1, best.2)
 }
 
 #[cfg(test)]

@@ -45,13 +45,16 @@ impl Default for Transitions {
 }
 
 /// A profile HMM over one alphabet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileHmm {
     query_id: String,
     kind: MoleculeKind,
     k: usize,
     dim: usize,
-    /// `k * dim` match emission scores in bits.
+    /// `dim * k` match emission scores in bits, residue-major: residue
+    /// `x`'s scores at every column are `match_scores[x * k..(x + 1) * k]`,
+    /// so every DP kernel, which fixes a target residue per row, reads
+    /// one contiguous row.
     match_scores: Vec<f32>,
     transitions: Transitions,
     /// Local-entry score B→Mₖ (uniform over positions).
@@ -74,9 +77,9 @@ impl ProfileHmm {
         let alphabet = query.alphabet();
         let dim = alphabet.len() + 1;
         let k = query.len();
-        let mut match_scores = Vec::with_capacity(k * dim);
-        for &q in query.codes() {
-            for x in 0..dim as u8 {
+        let mut match_scores = Vec::with_capacity(dim * k);
+        for x in 0..dim as u8 {
+            for &q in query.codes() {
                 match_scores.push(matrix.score_bits(q, x));
             }
         }
@@ -112,16 +115,16 @@ impl ProfileHmm {
         let k = counts.len();
         // Pseudocount weight (Dirichlet-ish, flat).
         let tau = 2.0;
-        let mut match_scores = Vec::with_capacity(k * dim);
-        for col in counts {
+        // Every residue row is filled column by column; the ambiguity
+        // code's row stays mildly negative.
+        let mut match_scores = vec![-0.5; dim * k];
+        for (q, col) in counts.iter().enumerate() {
             assert_eq!(col.len(), n, "column width must equal alphabet size");
             let total: f64 = col.iter().sum();
             for x in 0..n {
                 let p = (col[x] + tau * f64::from(bg[x])) / (total + tau);
-                match_scores.push((p / f64::from(bg[x])).log2() as f32);
+                match_scores[x * k + q] = (p / f64::from(bg[x])).log2() as f32;
             }
-            // Ambiguity code: mildly negative.
-            match_scores.push(-0.5);
         }
         ProfileHmm {
             query_id: query_id.into(),
@@ -170,13 +173,22 @@ impl ProfileHmm {
     #[inline]
     pub fn match_score(&self, k: usize, x: u8) -> f32 {
         debug_assert!(k < self.k);
-        self.match_scores[k * self.dim + x as usize]
+        self.match_scores[x as usize * self.k + k]
+    }
+
+    /// Match emission scores (bits) of residue code `x` at every column,
+    /// in column order.
+    #[inline]
+    pub fn residue_scores(&self, x: u8) -> &[f32] {
+        let at = x as usize * self.k;
+        &self.match_scores[at..at + self.k]
     }
 
     /// The highest emission score in column `k`.
     pub fn max_match_score(&self, k: usize) -> f32 {
-        let row = &self.match_scores[k * self.dim..(k + 1) * self.dim];
-        row.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        (0..self.dim as u8)
+            .map(|x| self.match_score(k, x))
+            .fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// In-memory size of the profile's score tables (bytes) — feeds the
@@ -205,6 +217,20 @@ mod tests {
         assert!((p.match_score(0, w) - 5.5).abs() < 1e-6); // W-W = 11 half-bits
         let a = Alphabet::PROTEIN.encode('A').unwrap();
         assert!((p.match_score(1, a) - 2.0).abs() < 1e-6); // A-A = 4 half-bits
+    }
+
+    #[test]
+    fn residue_rows_are_the_matrix_rows_of_the_query() {
+        let m = SubstitutionMatrix::blosum62();
+        let q = query("WAQKY");
+        let p = ProfileHmm::from_query(&q, &m);
+        for x in 0..=Alphabet::PROTEIN.any_code() {
+            let row: Vec<f32> = q.codes().iter().map(|&c| m.score_bits(c, x)).collect();
+            assert_eq!(p.residue_scores(x), row.as_slice(), "residue {x}");
+        }
+        let counts = vec![vec![1.0; 20]; 3];
+        let p = ProfileHmm::from_column_counts("it2", MoleculeKind::Protein, &counts);
+        assert_eq!(p.residue_scores(Alphabet::PROTEIN.any_code()), [-0.5; 3]);
     }
 
     #[test]
