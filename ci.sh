@@ -71,7 +71,8 @@ done
 # still match byte for byte, and both digests of
 # crates/core/tests/sim_digest.rs their constants: the simarch digest
 # over the 20 msa-grid cells and the search digest over every (chain
-# entity x database) search of the five quick samples.
+# entity x database) search of the five quick samples, whose per-entity
+# calibration pass then runs inline too.
 if command -v taskset > /dev/null; then
     run taskset -c 0 target/release/afsysbench serve table4 --quick --out "$golden_dir/one-cpu" > /dev/null
     for exp in serve table4; do

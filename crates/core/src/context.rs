@@ -8,9 +8,11 @@
 //! different hardware models — so they are computed once per sample and
 //! cached.
 //!
-//! A sample's searches are independent of one another, so they run
-//! concurrently through [`afsb_rt::par::map_ordered`] and are assembled
-//! in (chain entity, database) order. Each search itself stays
+//! A sample runs in two [`afsb_rt::par::map_ordered`] passes. The first
+//! calibrates each searched chain entity's round-1 [`Pipeline`] once;
+//! the second runs the sample's (chain entity × database) searches
+//! concurrently, each lent its entity's pipeline, and assembles them in
+//! (chain entity, database) order. Each search itself stays
 //! single-threaded (`threads: 1`), so its counters, including
 //! `peak_state_bytes` and `buffer_fills`, do not depend on how many host
 //! CPUs ran the sample.
@@ -19,7 +21,7 @@ use crate::calib;
 use afsb_hmmer::counters::WorkCounters;
 use afsb_hmmer::jackhmmer::{self, JackhmmerConfig};
 use afsb_hmmer::nhmmer::{self, NhmmerConfig};
-use afsb_hmmer::pipeline::PipelineConfig;
+use afsb_hmmer::pipeline::{Pipeline, PipelineConfig};
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::complexity;
 use afsb_seq::database::{DatabaseSpec, SequenceDatabase, StandardDb};
@@ -298,6 +300,11 @@ impl BenchContext {
             .iter()
             .filter(|c| c.kind().msa_searched())
             .collect();
+        // Every database of an entity searches round 1 with the same
+        // profile and configuration, so it is calibrated once per entity.
+        let round1 = afsb_rt::par::map_ordered(searched.len(), |c| {
+            Pipeline::for_query(searched[c].sequence(), self.config.pipeline())
+        });
         // One job per (chain entity × database), chain-major.
         let jobs: Vec<(usize, StandardDb)> = searched
             .iter()
@@ -306,7 +313,7 @@ impl BenchContext {
             .collect();
         let results = afsb_rt::par::map_ordered(jobs.len(), |j| {
             let (c, db) = jobs[j];
-            self.search(searched[c].sequence(), searched[c].kind(), db)
+            self.search(searched[c].sequence(), searched[c].kind(), db, &round1[c])
         });
         let mut per_chain: Vec<Vec<DbSearch>> = searched.iter().map(|_| Vec::new()).collect();
         for (&(c, _), search) in jobs.iter().zip(results) {
@@ -336,8 +343,15 @@ impl BenchContext {
         }
     }
 
-    /// Run one (chain entity × database) search, single-threaded.
-    fn search(&self, query: &Sequence, kind: MoleculeKind, std_db: StandardDb) -> DbSearch {
+    /// Run one (chain entity × database) search, single-threaded, with
+    /// the entity's calibrated round-1 pipeline.
+    fn search(
+        &self,
+        query: &Sequence,
+        kind: MoleculeKind,
+        std_db: StandardDb,
+        round1: &Pipeline,
+    ) -> DbSearch {
         let spec = self.config.scale.shrink(std_db.spec());
         let db = SequenceDatabase::build_with_queries(spec, std::slice::from_ref(query));
         let (counters, hits, msa_rows) = match kind {
@@ -348,7 +362,7 @@ impl BenchContext {
                     pipeline: self.config.pipeline(),
                     ..JackhmmerConfig::default()
                 };
-                let r = jackhmmer::run(query, &db, &cfg);
+                let r = jackhmmer::run(query, &db, &cfg, round1);
                 (r.counters, r.hits.len(), r.msa.depth())
             }
             MoleculeKind::Rna => {
@@ -357,7 +371,7 @@ impl BenchContext {
                     pipeline: self.config.pipeline(),
                     ..NhmmerConfig::default()
                 };
-                let r = nhmmer::run(query, &db, &cfg);
+                let r = nhmmer::run(query, &db, &cfg, round1);
                 let n = r.hits.len();
                 (r.counters, n, n + 1)
             }
@@ -459,7 +473,9 @@ mod tests {
     #[test]
     fn searches_land_at_their_chain_and_database() {
         // 6QNR has 30 searches: nine protein entities × three protein
-        // databases, then its RNA entity × three RNA databases.
+        // databases, then its RNA entity × three RNA databases. Each
+        // placed search shares its entity's round-1 calibration; the
+        // direct one calibrates its own.
         let mut ctx = BenchContext::new(ContextConfig::test());
         let data = ctx.sample_data(SampleId::S6qnr);
         let searched: Vec<_> = data
@@ -474,7 +490,9 @@ mod tests {
         assert_eq!(searched[rna].kind(), MoleculeKind::Rna);
         for (c, d) in [(0, 0), (4, 1), (rna - 1, 2), (rna, 0), (rna, 2)] {
             let chain = searched[c];
-            let direct = ctx.search(chain.sequence(), chain.kind(), databases(chain.kind())[d]);
+            let own = Pipeline::for_query(chain.sequence(), ctx.config.pipeline());
+            let db = databases(chain.kind())[d];
+            let direct = ctx.search(chain.sequence(), chain.kind(), db, &own);
             let placed = &data.chains[c].per_db[d];
             assert_eq!(data.chains[c].chain_id, chain.ids()[0], "chain {c}");
             assert_eq!(placed.db_name, direct.db_name, "chain {c} db {d}");

@@ -13,7 +13,6 @@ use crate::msa::Msa;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::profile::ProfileHmm;
 use crate::search::{search_database, SearchResult};
-use crate::substitution::SubstitutionMatrix;
 use afsb_rt::fault::{FaultInjector, FaultSite};
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::database::SequenceDatabase;
@@ -134,11 +133,22 @@ pub enum ResumableRun {
 
 /// Run jackhmmer for a protein query against a database.
 ///
+/// Round 1 searches with `round1`, the query's calibrated
+/// [`Pipeline::for_query`] pipeline, which a caller searching several
+/// databases builds once and lends to each search; every later round
+/// calibrates the profile re-estimated from the previous round's MSA.
+///
 /// # Panics
 ///
-/// Panics if the query is not a protein or `max_iterations == 0`.
-pub fn run(query: &Sequence, db: &SequenceDatabase, config: &JackhmmerConfig) -> JackhmmerResult {
-    match run_resumable(query, db, config, None, &mut FaultInjector::none()) {
+/// Panics if the query is not a protein, `max_iterations == 0`, or
+/// `round1` was not built for this query and `config.pipeline`.
+pub fn run(
+    query: &Sequence,
+    db: &SequenceDatabase,
+    config: &JackhmmerConfig,
+    round1: &Pipeline,
+) -> JackhmmerResult {
+    match run_resumable(query, db, config, round1, None, &mut FaultInjector::none()) {
         ResumableRun::Complete(result) => result,
         ResumableRun::Killed { .. } => unreachable!("empty injector cannot kill"),
     }
@@ -156,12 +166,15 @@ pub fn run(query: &Sequence, db: &SequenceDatabase, config: &JackhmmerConfig) ->
 ///
 /// # Panics
 ///
-/// Panics if the query is not a protein, `max_iterations == 0`, or the
-/// checkpoint claims more rounds than `max_iterations`.
+/// Panics if the query is not a protein, `max_iterations == 0`,
+/// `round1` was not built for this query and `config.pipeline` (see
+/// [`run`]), or the checkpoint claims more rounds than
+/// `max_iterations`.
 pub fn run_resumable(
     query: &Sequence,
     db: &SequenceDatabase,
     config: &JackhmmerConfig,
+    round1: &Pipeline,
     resume: Option<JackhmmerCheckpoint>,
     injector: &mut FaultInjector,
 ) -> ResumableRun {
@@ -171,6 +184,10 @@ pub fn run_resumable(
         "jackhmmer searches proteins"
     );
     assert!(config.max_iterations > 0, "need at least one iteration");
+    assert!(
+        round1.is_for_query(query, &config.pipeline),
+        "round-1 pipeline was built for another query or configuration"
+    );
 
     let by_id: HashMap<&str, &Sequence> = db.sequences().iter().map(|s| (s.id(), s)).collect();
 
@@ -196,7 +213,7 @@ pub fn run_resumable(
                 WorkCounters::default(),
                 Vec::new(),
                 Vec::new(),
-                ProfileHmm::from_query(query, &SubstitutionMatrix::blosum62()),
+                round1.profile().clone(),
                 Msa::seed(query),
                 Vec::new(),
             ),
@@ -213,9 +230,15 @@ pub fn run_resumable(
     }
 
     for round in start_round..config.max_iterations {
-        let pipeline = Pipeline::new(profile.clone(), config.pipeline);
+        let later;
+        let pipeline = if round == 0 {
+            round1
+        } else {
+            later = Pipeline::new(profile.clone(), config.pipeline);
+            &later
+        };
         let killed = injector.poll(FaultSite::MsaAbort).is_some();
-        let result = search_database(&pipeline, db, config.threads);
+        let result = search_database(pipeline, db, config.threads);
         if killed {
             // The kill lands mid-round: this round's work is lost, the
             // state of every completed round survives in the checkpoint.
@@ -300,6 +323,11 @@ mod tests {
         (query, db)
     }
 
+    /// Round 1's pipeline for `query` under `config`.
+    fn round1(query: &Sequence, config: &JackhmmerConfig) -> Pipeline {
+        Pipeline::for_query(query, config.pipeline)
+    }
+
     fn fast_config(threads: usize) -> JackhmmerConfig {
         JackhmmerConfig {
             threads,
@@ -315,7 +343,8 @@ mod tests {
     #[test]
     fn builds_msa_from_planted_family() {
         let (query, db) = setup();
-        let r = run(&query, &db, &fast_config(1));
+        let config = fast_config(1);
+        let r = run(&query, &db, &config, &round1(&query, &config));
         assert!(r.msa.depth() >= 4, "MSA depth {}", r.msa.depth());
         assert_eq!(r.msa.columns(), 60);
         assert!(r.iterations_run >= 1 && r.iterations_run <= 2);
@@ -325,6 +354,7 @@ mod tests {
     #[test]
     fn second_iteration_deepens_or_maintains_msa() {
         let (query, db) = setup();
+        let pipeline = round1(&query, &fast_config(1));
         let one = run(
             &query,
             &db,
@@ -332,8 +362,9 @@ mod tests {
                 max_iterations: 1,
                 ..fast_config(1)
             },
+            &pipeline,
         );
-        let two = run(&query, &db, &fast_config(1));
+        let two = run(&query, &db, &fast_config(1), &pipeline);
         assert!(
             two.msa.depth() >= one.msa.depth(),
             "iteration 2 depth {} < iteration 1 depth {}",
@@ -345,8 +376,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs_and_threads() {
         let (query, db) = setup();
-        let a = run(&query, &db, &fast_config(1));
-        let b = run(&query, &db, &fast_config(4));
+        let pipeline = round1(&query, &fast_config(1));
+        let a = run(&query, &db, &fast_config(1), &pipeline);
+        let b = run(&query, &db, &fast_config(4), &pipeline);
         let ids_a: Vec<&str> = a.hits.iter().map(|h| h.target_id.as_str()).collect();
         let ids_b: Vec<&str> = b.hits.iter().map(|h| h.target_id.as_str()).collect();
         assert_eq!(ids_a, ids_b);
@@ -358,12 +390,13 @@ mod tests {
         use afsb_rt::fault::{FaultKind, FaultPlan};
         let (query, db) = setup();
         let config = fast_config(1);
-        let clean = run(&query, &db, &config);
+        let pipeline = round1(&query, &config);
+        let clean = run(&query, &db, &config, &pipeline);
 
         let mut inj = FaultPlan::none()
             .with(FaultKind::OomKill { at_fraction: 0.7 })
             .injector();
-        let killed = run_resumable(&query, &db, &config, None, &mut inj);
+        let killed = run_resumable(&query, &db, &config, &pipeline, None, &mut inj);
         let ResumableRun::Killed { checkpoint, wasted } = killed else {
             panic!("armed kill must abort the run");
         };
@@ -372,7 +405,7 @@ mod tests {
 
         // Resume: the fault is consumed, so the retry completes, and the
         // result is identical to the uninterrupted run.
-        let resumed = run_resumable(&query, &db, &config, Some(*checkpoint), &mut inj);
+        let resumed = run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj);
         let ResumableRun::Complete(result) = resumed else {
             panic!("resume must complete");
         };
@@ -389,7 +422,8 @@ mod tests {
         use afsb_rt::fault::{FaultKind, FaultPlan};
         let (query, db) = setup();
         let config = fast_config(1);
-        let clean = run(&query, &db, &config);
+        let pipeline = round1(&query, &config);
+        let clean = run(&query, &db, &config, &pipeline);
 
         // Two armed kills: the first run dies, the first resume dies
         // again, the second resume finally completes. Each kill wastes
@@ -401,14 +435,14 @@ mod tests {
         let ResumableRun::Killed {
             checkpoint,
             wasted: wasted_a,
-        } = run_resumable(&query, &db, &config, None, &mut inj)
+        } = run_resumable(&query, &db, &config, &pipeline, None, &mut inj)
         else {
             panic!("first kill must abort");
         };
         let ResumableRun::Killed {
             checkpoint,
             wasted: wasted_b,
-        } = run_resumable(&query, &db, &config, Some(*checkpoint), &mut inj)
+        } = run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj)
         else {
             panic!("second kill must abort");
         };
@@ -417,7 +451,7 @@ mod tests {
         assert_eq!(wasted_a, wasted_b);
         assert_eq!(checkpoint.rounds_done, 0);
         let ResumableRun::Complete(result) =
-            run_resumable(&query, &db, &config, Some(*checkpoint), &mut inj)
+            run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj)
         else {
             panic!("resume with an exhausted plan completes");
         };
@@ -430,7 +464,8 @@ mod tests {
     #[test]
     fn trace_rounds_tile_the_window_with_stage_children() {
         let (query, db) = setup();
-        let r = run(&query, &db, &fast_config(2));
+        let config = fast_config(2);
+        let r = run(&query, &db, &config, &round1(&query, &config));
         let mut tracer = afsb_rt::Tracer::new();
         let root = tracer.begin("msa_search");
         tracer.advance(50.0);
@@ -446,6 +481,45 @@ mod tests {
         assert_eq!(m.counter("msa.calc_band_9.cells"), r.counters.band_cells_mi);
         assert_eq!(m.counter("msa.copy_to_iter.bytes"), r.counters.copied_bytes);
         assert_eq!(m.counter("msa.addbuf.ops"), r.counters.buffer_fills);
+    }
+
+    #[test]
+    fn a_lent_pipeline_searches_like_a_fresh_one() {
+        // The lent pipeline is what `run` would have calibrated itself:
+        // the same hits, MSA and counters as a freshly built one.
+        let (query, db) = setup();
+        let config = fast_config(1);
+        let lent = round1(&query, &config);
+        let a = run(&query, &db, &config, &lent);
+        let b = run(&query, &db, &config, &round1(&query, &config));
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.msa.depth(), b.msa.depth());
+        assert_eq!(a.iterations_run, 2, "round 2 calibrates its own profile");
+    }
+
+    #[test]
+    #[should_panic(expected = "round-1 pipeline was built for another query or configuration")]
+    fn a_pipeline_for_another_query_is_refused() {
+        let (query, db) = setup();
+        let mut rng = rng_for("jh", 2);
+        let other = background_sequence("q", MoleculeKind::Protein, 60, &mut rng);
+        let config = fast_config(1);
+        run(&query, &db, &config, &round1(&other, &config));
+    }
+
+    #[test]
+    #[should_panic(expected = "round-1 pipeline was built for another query or configuration")]
+    fn a_pipeline_for_another_config_is_refused() {
+        let (query, db) = setup();
+        let config = fast_config(1);
+        let looser = JackhmmerConfig {
+            pipeline: PipelineConfig {
+                f1: 0.05,
+                ..config.pipeline
+            },
+            ..config
+        };
+        run(&query, &db, &config, &round1(&query, &looser));
     }
 
     #[test]

@@ -15,9 +15,7 @@
 use crate::counters::WorkCounters;
 use crate::hits::Hit;
 use crate::pipeline::{Pipeline, PipelineConfig};
-use crate::profile::ProfileHmm;
 use crate::search::{search_records, SearchResult};
-use crate::substitution::SubstitutionMatrix;
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::database::SequenceDatabase;
 use afsb_seq::sequence::Sequence;
@@ -100,19 +98,28 @@ pub struct NhmmerResult {
 /// Run nhmmer for an RNA query against a nucleotide database.
 ///
 /// Long targets are scanned in overlapping windows per
-/// [`NhmmerConfig::window_len`].
+/// [`NhmmerConfig::window_len`]. The search runs `pipeline`, the query's
+/// calibrated [`Pipeline::for_query`] pipeline, which a caller searching
+/// several databases builds once and lends to each search.
 ///
 /// # Panics
 ///
-/// Panics if the query is not RNA/DNA.
-pub fn run(query: &Sequence, db: &SequenceDatabase, config: &NhmmerConfig) -> NhmmerResult {
+/// Panics if the query is not RNA/DNA, or `pipeline` was not built for
+/// this query and `config.pipeline`.
+pub fn run(
+    query: &Sequence,
+    db: &SequenceDatabase,
+    config: &NhmmerConfig,
+    pipeline: &Pipeline,
+) -> NhmmerResult {
     assert!(
         matches!(query.kind(), MoleculeKind::Rna | MoleculeKind::Dna),
         "nhmmer searches nucleotide queries"
     );
-    let matrix = SubstitutionMatrix::for_kind(query.kind());
-    let profile = ProfileHmm::from_query(query, &matrix);
-    let pipeline = Pipeline::new(profile, config.pipeline);
+    assert!(
+        pipeline.is_for_query(query, &config.pipeline),
+        "pipeline was built for another query or configuration"
+    );
     // Windows must comfortably exceed the query so alignments fit.
     let window_len = config.window_len.max(2 * query.len());
     let overlap = config
@@ -120,7 +127,7 @@ pub fn run(query: &Sequence, db: &SequenceDatabase, config: &NhmmerConfig) -> Nh
         .min(window_len - 1)
         .max(query.len().min(window_len - 1));
     let windows = window_targets(db.sequences(), window_len, overlap);
-    let search = search_records(&pipeline, &windows, config.threads);
+    let search = search_records(pipeline, &windows, config.threads);
     NhmmerResult {
         hits: search.hits.clone(),
         counters: search.total,
@@ -216,7 +223,13 @@ mod tests {
     #[test]
     fn finds_planted_rna_family() {
         let (query, db) = setup();
-        let r = run(&query, &db, &fast_config());
+        let config = fast_config();
+        let r = run(
+            &query,
+            &db,
+            &config,
+            &Pipeline::for_query(&query, config.pipeline),
+        );
         assert!(!r.hits.is_empty(), "planted RNA homologs must be found");
         assert!(r.hits.iter().all(|h| h.target_id.contains("fam")));
         assert!(r.counters.db_residues > 0);
@@ -227,8 +240,26 @@ mod tests {
         let mut rng = rng_for("nh", 2);
         let q = background_sequence("p", MoleculeKind::Protein, 50, &mut rng);
         let db = SequenceDatabase::build(DatabaseSpec::tiny(MoleculeKind::Rna));
-        let result = std::panic::catch_unwind(|| run(&q, &db, &NhmmerConfig::default()));
-        assert!(result.is_err());
+        let config = fast_config();
+        let pipeline = Pipeline::for_query(&q, config.pipeline);
+        let result = std::panic::catch_unwind(|| run(&q, &db, &config, &pipeline));
+        let message = *result
+            .expect_err("a protein query")
+            .downcast::<&str>()
+            .unwrap();
+        assert_eq!(message, "nhmmer searches nucleotide queries");
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline was built for another query or configuration")]
+    fn a_pipeline_for_another_config_is_refused() {
+        let (query, db) = setup();
+        let config = fast_config();
+        let stricter = PipelineConfig {
+            f1: 0.02,
+            ..config.pipeline
+        };
+        run(&query, &db, &config, &Pipeline::for_query(&query, stricter));
     }
 
     #[test]
@@ -293,7 +324,12 @@ mod tests {
             window_overlap: 60,
             ..fast_config()
         };
-        let r = run(&query, &db, &cfg);
+        let r = run(
+            &query,
+            &db,
+            &cfg,
+            &Pipeline::for_query(&query, cfg.pipeline),
+        );
         assert!(r.windows_scanned > db.len(), "long targets must split");
         assert!(!r.hits.is_empty());
     }

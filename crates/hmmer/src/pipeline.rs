@@ -21,6 +21,7 @@ use crate::evalue::GumbelFit;
 use crate::hits::Hit;
 use crate::msv::msv_scan;
 use crate::profile::ProfileHmm;
+use crate::substitution::SubstitutionMatrix;
 use afsb_seq::complexity;
 use afsb_seq::generate::{background_sequence, rng_for};
 use afsb_seq::sequence::Sequence;
@@ -143,6 +144,28 @@ impl Pipeline {
         }
     }
 
+    /// Build and calibrate round 1's pipeline for `query`: its
+    /// single-query profile, scored with the substitution matrix of the
+    /// query's kind. Both search drivers take this pipeline for their
+    /// first round instead of calibrating it themselves, so a caller
+    /// that searches one query against several databases calibrates it
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query's kind has no substitution matrix, or as
+    /// [`Pipeline::new`] does.
+    pub fn for_query(query: &Sequence, config: PipelineConfig) -> Pipeline {
+        Pipeline::new(query_profile(query), config)
+    }
+
+    /// Whether this is [`Pipeline::for_query`]'s pipeline for `query`
+    /// and `config`: the same profile and configuration, hence the same
+    /// calibration.
+    pub fn is_for_query(&self, query: &Sequence, config: &PipelineConfig) -> bool {
+        self.config == *config && self.profile == query_profile(query)
+    }
+
     /// The profile being searched.
     pub fn profile(&self) -> &ProfileHmm {
         &self.profile
@@ -222,10 +245,14 @@ impl Pipeline {
     }
 }
 
+/// Round 1's profile of `query`.
+fn query_profile(query: &Sequence) -> ProfileHmm {
+    ProfileHmm::from_query(query, &SubstitutionMatrix::for_kind(query.kind()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::substitution::SubstitutionMatrix;
     use afsb_seq::alphabet::MoleculeKind;
     use afsb_seq::generate::{insert_homopolymer, mutate_homolog};
 

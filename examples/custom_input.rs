@@ -9,6 +9,7 @@
 use afsysbench::core::estimator::MemoryEstimator;
 use afsysbench::core::inference_phase::{run_inference_phase, InferenceOptions};
 use afsysbench::hmmer::jackhmmer::{self, JackhmmerConfig};
+use afsysbench::hmmer::Pipeline;
 use afsysbench::model::ModelConfig;
 use afsysbench::seq::database::{SequenceDatabase, StandardDb};
 use afsysbench::seq::input;
@@ -45,7 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::slice::from_ref(protein),
     );
     println!("\nsearching {} sequences with jackhmmer…", db.len());
-    let result = jackhmmer::run(protein, &db, &JackhmmerConfig::default());
+    // Round 1's calibrated pipeline; searching more databases with the
+    // same query would lend each search this one pipeline.
+    let config = JackhmmerConfig::default();
+    let round1 = Pipeline::for_query(protein, config.pipeline);
+    let result = jackhmmer::run(protein, &db, &config, &round1);
     println!(
         "  {} hits, MSA depth {}, {:.1}e9 DP cells executed",
         result.hits.len(),
