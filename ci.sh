@@ -7,6 +7,8 @@
 # registry cache.
 set -euo pipefail
 cd "$(dirname "$0")"
+# GOLDEN_EXPERIMENTS and QUICK_PROFILES, shared with rebaseline.sh.
+source ./ci-manifest.sh
 
 # Step markers go to stderr, so a step whose stdout is redirected to
 # /dev/null still shows in the log before its own failure.
@@ -57,7 +59,6 @@ run cmp "$trace_dir/a/flame.txt" "$trace_dir/b/flame.txt"
 # show up as an intentional update to results/quick/, not silently.
 golden_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$golden_dir"' EXIT
-GOLDEN_EXPERIMENTS=(table1 table2 fig2 estimator table4 table6 ablation-persistent ablation-storage serve serve-xl serve-chaos serve-telemetry serve-whatif serve-policy)
 run target/release/afsysbench "${GOLDEN_EXPERIMENTS[@]}" --quick --out "$golden_dir/quick" > /dev/null
 for exp in "${GOLDEN_EXPERIMENTS[@]}"; do
     run diff -u "results/quick/$exp.txt" "$golden_dir/quick/$exp.txt"
@@ -99,7 +100,6 @@ fi
 #
 # The two runs land in a fixed target/ci-profiles/{a,b} so the CI
 # workflow can upload run `a` as an artifact without re-running them.
-QUICK_PROFILES=(msa-sweep serve serve-xl serve-chaos serve-whatif serve-policy)
 profile_dir=target/ci-profiles
 rm -rf "$profile_dir"
 for side in a b; do
@@ -119,9 +119,10 @@ done
 # Committed-baseline byte-identity gate: every artifact of run `a`
 # that has a committed copy in results/ must match it byte for byte,
 # so a re-baseline cannot leave a stale BENCH, profile, collapsed or
-# critpath file behind. results/ keeps serve.timeline.txt and
-# serve.latency.csv from a full-mode run, so those two are skipped
-# (the quick timeline is diffed against its golden above).
+# critpath file behind (rebaseline.sh regenerates them all). results/
+# keeps serve.timeline.txt and serve.latency.csv from a full-mode run,
+# so those two are skipped (the quick timeline is diffed against its
+# golden above).
 for artifact in "$profile_dir"/a/*; do
     name="$(basename "$artifact")"
     case "$name" in
