@@ -484,20 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn a_lent_pipeline_searches_like_a_fresh_one() {
-        // The lent pipeline is what `run` would have calibrated itself:
-        // the same hits, MSA and counters as a freshly built one.
-        let (query, db) = setup();
-        let config = fast_config(1);
-        let lent = round1(&query, &config);
-        let a = run(&query, &db, &config, &lent);
-        let b = run(&query, &db, &config, &round1(&query, &config));
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.msa.depth(), b.msa.depth());
-        assert_eq!(a.iterations_run, 2, "round 2 calibrates its own profile");
-    }
-
-    #[test]
     #[should_panic(expected = "round-1 pipeline was built for another query or configuration")]
     fn a_pipeline_for_another_query_is_refused() {
         let (query, db) = setup();
