@@ -323,11 +323,6 @@ mod tests {
         (query, db)
     }
 
-    /// Round 1's pipeline for `query` under `config`.
-    fn round1(query: &Sequence, config: &JackhmmerConfig) -> Pipeline {
-        Pipeline::for_query(query, config.pipeline)
-    }
-
     fn fast_config(threads: usize) -> JackhmmerConfig {
         JackhmmerConfig {
             threads,
@@ -344,7 +339,12 @@ mod tests {
     fn builds_msa_from_planted_family() {
         let (query, db) = setup();
         let config = fast_config(1);
-        let r = run(&query, &db, &config, &round1(&query, &config));
+        let r = run(
+            &query,
+            &db,
+            &config,
+            &Pipeline::for_query(&query, config.pipeline),
+        );
         assert!(r.msa.depth() >= 4, "MSA depth {}", r.msa.depth());
         assert_eq!(r.msa.columns(), 60);
         assert!(r.iterations_run >= 1 && r.iterations_run <= 2);
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn second_iteration_deepens_or_maintains_msa() {
         let (query, db) = setup();
-        let pipeline = round1(&query, &fast_config(1));
+        let pipeline = Pipeline::for_query(&query, fast_config(1).pipeline);
         let one = run(
             &query,
             &db,
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs_and_threads() {
         let (query, db) = setup();
-        let pipeline = round1(&query, &fast_config(1));
+        let pipeline = Pipeline::for_query(&query, fast_config(1).pipeline);
         let a = run(&query, &db, &fast_config(1), &pipeline);
         let b = run(&query, &db, &fast_config(4), &pipeline);
         let ids_a: Vec<&str> = a.hits.iter().map(|h| h.target_id.as_str()).collect();
@@ -390,7 +390,7 @@ mod tests {
         use afsb_rt::fault::{FaultKind, FaultPlan};
         let (query, db) = setup();
         let config = fast_config(1);
-        let pipeline = round1(&query, &config);
+        let pipeline = Pipeline::for_query(&query, config.pipeline);
         let clean = run(&query, &db, &config, &pipeline);
 
         let mut inj = FaultPlan::none()
@@ -422,7 +422,7 @@ mod tests {
         use afsb_rt::fault::{FaultKind, FaultPlan};
         let (query, db) = setup();
         let config = fast_config(1);
-        let pipeline = round1(&query, &config);
+        let pipeline = Pipeline::for_query(&query, config.pipeline);
         let clean = run(&query, &db, &config, &pipeline);
 
         // Two armed kills: the first run dies, the first resume dies
@@ -465,7 +465,12 @@ mod tests {
     fn trace_rounds_tile_the_window_with_stage_children() {
         let (query, db) = setup();
         let config = fast_config(2);
-        let r = run(&query, &db, &config, &round1(&query, &config));
+        let r = run(
+            &query,
+            &db,
+            &config,
+            &Pipeline::for_query(&query, config.pipeline),
+        );
         let mut tracer = afsb_rt::Tracer::new();
         let root = tracer.begin("msa_search");
         tracer.advance(50.0);
@@ -490,7 +495,12 @@ mod tests {
         let mut rng = rng_for("jh", 2);
         let other = background_sequence("q", MoleculeKind::Protein, 60, &mut rng);
         let config = fast_config(1);
-        run(&query, &db, &config, &round1(&other, &config));
+        run(
+            &query,
+            &db,
+            &config,
+            &Pipeline::for_query(&other, config.pipeline),
+        );
     }
 
     #[test]
@@ -505,7 +515,12 @@ mod tests {
             },
             ..config
         };
-        run(&query, &db, &config, &round1(&query, &looser));
+        run(
+            &query,
+            &db,
+            &config,
+            &Pipeline::for_query(&query, looser.pipeline),
+        );
     }
 
     #[test]
