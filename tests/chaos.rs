@@ -5,7 +5,8 @@
 //! yields the same terminal [`RunOutcome`], the same retry/recovery
 //! accounting and byte-identical serialized reports. `AFSB_CHAOS_SEED`
 //! overrides the default seed set so CI can sweep seeds without a
-//! recompile.
+//! recompile. The executor digest reads fixed seeds only, so every such
+//! re-run checks it again.
 
 use afsysbench::core::context::{BenchContext, ChainSearch, ContextConfig, SampleSearchData};
 use afsysbench::core::msa_phase::{run_msa_phase, MsaPhaseOptions};
@@ -431,6 +432,130 @@ fn traced_chaos_run_is_deterministic_and_names_fired_faults() {
     );
     assert!(obs_a.metrics.counter("resilience.retries") >= 2);
     assert!(obs_a.metrics.counter("msa.hmmer.calc_band_9.cells") > 0);
+}
+
+/// FNV-1a over the report, Chrome trace and flamegraph of every traced
+/// run in [`executor_output_matches_the_pinned_digest`], in its order,
+/// computed before the executor moved off `SimEngine` onto a plain
+/// clock.
+const EXECUTOR_DIGEST: u64 = 0x42f7_8122_da55_b2f0;
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, text: &str) {
+        self.bytes(&(text.len() as u64).to_le_bytes());
+        self.bytes(text.as_bytes());
+    }
+}
+
+/// One pinned executor run: data, platform, threads, options, plan.
+type PinnedRun<'a> = (
+    &'a SampleSearchData,
+    Platform,
+    usize,
+    ResilienceOptions,
+    FaultPlan,
+);
+
+#[test]
+fn executor_output_matches_the_pinned_digest() {
+    let s7rce: &SampleSearchData = &shared_data(SampleId::S7rce);
+    let s2pv7: &SampleSearchData = &shared_data(SampleId::S2pv7);
+    let (cxl, window_cap, exhausted) = (rna_probe(1335), rna_probe(2000), rna_probe(1135));
+    let kill = || FaultPlan::none().with(FaultKind::OomKill { at_fraction: 0.7 });
+    let clean_inference = run_pipeline(s2pv7, Platform::Server, 2, &options())
+        .inference
+        .wall_seconds();
+    let stall_deadline = ResilienceOptions {
+        inference_deadline_s: Some(clean_inference * 1.2),
+        ..ResilienceOptions::default()
+    };
+    let rerun = ResilienceOptions {
+        checkpointing: false,
+        ..ResilienceOptions::default()
+    };
+    let default = ResilienceOptions::default();
+    let mut four_kills = FaultPlan::none();
+    for _ in 0..4 {
+        four_kills = four_kills.with(FaultKind::OomKill { at_fraction: 0.5 });
+    }
+    let mut runs: Vec<PinnedRun> = vec![
+        (s7rce, Platform::Server, 4, default, FaultPlan::none()),
+        (s7rce, Platform::Server, 4, default, kill()),
+        (s7rce, Platform::Server, 4, rerun, kill()),
+        (&cxl, Platform::Server, 8, default, FaultPlan::none()),
+        (&window_cap, Platform::Server, 8, default, FaultPlan::none()),
+        (&exhausted, Platform::Desktop, 8, default, FaultPlan::none()),
+        (
+            s2pv7,
+            Platform::Desktop,
+            2,
+            default,
+            FaultPlan::none().with(FaultKind::GpuInitFailure),
+        ),
+        (s2pv7, Platform::Server, 4, default, four_kills),
+        (
+            s7rce,
+            Platform::Desktop,
+            4,
+            default,
+            FaultPlan::none()
+                .with(FaultKind::StorageStall {
+                    stall_seconds: 25.0,
+                })
+                .with(FaultKind::Straggler { factor: 1.5 }),
+        ),
+        (
+            s7rce,
+            Platform::Server,
+            4,
+            default,
+            kill()
+                .with(FaultKind::StorageStall {
+                    stall_seconds: 30.0,
+                })
+                .with(FaultKind::GpuInitFailure),
+        ),
+        (
+            s2pv7,
+            Platform::Server,
+            2,
+            stall_deadline,
+            FaultPlan::none().with(FaultKind::XlaCompileStall { factor: 10.0 }),
+        ),
+    ];
+    for seed in [101, 202, 303] {
+        runs.push((s7rce, Platform::Server, 4, default, FaultPlan::seeded(seed)));
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (data, platform, threads, resilience, plan) in &runs {
+        let mut obs = ObsSession::new();
+        let r = run_resilient_traced(
+            data,
+            *platform,
+            *threads,
+            &options(),
+            resilience,
+            plan,
+            &mut obs,
+        );
+        h.text(&report_bytes(&r));
+        h.text(&obs.chrome_trace_text());
+        h.text(&obs.tracer.flamegraph());
+    }
+    assert_eq!(
+        h.0, EXECUTOR_DIGEST,
+        "executor digest moved to {:#018x}: the report, trace or flamegraph of a pinned run changed",
+        h.0
+    );
 }
 
 #[test]
