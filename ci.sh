@@ -31,8 +31,11 @@ run cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # Chaos determinism sweep: re-run the fault-injection suite under three
 # fixed seeds. The suite asserts that every seeded plan reaches the same
 # terminal outcome with byte-identical reports on repeat runs, and that
-# a fault-free plan reproduces the baseline pipeline exactly. The
-# chaos_serving suite (a module of the one `serve` test binary) rides
+# a fault-free plan reproduces the baseline pipeline exactly. Its
+# executor digest (executor_output_matches_the_pinned_digest) reads
+# fixed plans and seeds, not AFSB_CHAOS_SEED, so every re-run checks the
+# executor's reports, traces and flamegraphs against the pinned hash
+# again. The chaos_serving suite (a module of the one `serve` test binary) rides
 # the same seeds: every seeded fault schedule over the serving engine
 # must conserve requests (admitted = completed + degraded + shed +
 # failed) and wake coalesced waiters exactly once.

@@ -8,15 +8,15 @@
 //!
 //! - [`RetryPolicy`] — capped exponential backoff with deterministic
 //!   jitter, charged in *simulated* seconds,
-//! - [`Deadline`] — per-phase wall-time budgets (an XLA compile stall
-//!   becomes a timeout instead of a hang),
+//! - [`Deadline`] — the wall-time budget of one inference attempt (an
+//!   XLA compile stall becomes a timeout instead of a hang),
 //! - [`CircuitBreaker`] — consecutive failures open the circuit and the
 //!   job lands in a terminal [`RunOutcome::Failed`],
 //! - the graceful-degradation ladder ([`DegradeStep`]) driven by the
 //!   §VI static estimator: CXL-tier expansion, then an nhmmer window
 //!   cap, then reduced MSA depth — each trading quality for survival,
 //! - [`run_resilient`] — the executor tying it together over a seeded
-//!   [`FaultPlan`], with per-iteration checkpointing so a mid-MSA kill
+//!   [`FaultPlan`], with per-search checkpointing so a mid-MSA kill
 //!   redoes only the non-durable tail of the work.
 //!
 //! Everything is deterministic: the same inputs, options and fault plan
@@ -26,13 +26,12 @@
 use crate::context::SampleSearchData;
 use crate::estimator::MemoryEstimator;
 use crate::inference_phase::{self, InferenceOptions, InferencePhaseResult};
-use crate::msa_phase::{self, MsaPhaseResult};
+use crate::msa_phase::{self, MsaPhaseOptions, MsaPhaseResult};
 use crate::pipeline::{PipelineOptions, PipelineResult};
 use afsb_model::ModelConfig;
 use afsb_rt::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite};
 use afsb_rt::obs::ObsSession;
 use afsb_rt::rng::{mix, Rng};
-use afsb_rt::sim::{Event, SimEngine, TimerId};
 use afsb_rt::Json;
 use afsb_simarch::memory::CapacityModel;
 use afsb_simarch::Platform;
@@ -60,11 +59,6 @@ impl RunOutcome {
     /// Whether the run produced a structure (possibly degraded).
     pub fn finished(self) -> bool {
         matches!(self, RunOutcome::Completed | RunOutcome::Degraded)
-    }
-
-    /// Whether the run finished at full quality.
-    pub fn is_completed(self) -> bool {
-        self == RunOutcome::Completed
     }
 
     /// Stable serialization label.
@@ -157,7 +151,8 @@ impl RetryPolicy {
     }
 }
 
-/// A per-phase wall-time budget in simulated seconds.
+/// A wall-time budget in simulated seconds: one inference attempt's
+/// here, one request's latency in the serving loop.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Deadline {
     limit_s: Option<f64>,
@@ -246,43 +241,54 @@ impl fmt::Display for DegradeStep {
     }
 }
 
-/// Options for the resilient executor.
+/// Rung 1 of the ladder: CXL bytes attached when the stock capacity
+/// rejects the job.
+const CXL_EXPANSION_BYTES: u64 = 256 << 30;
+
+/// Rung 2 of the ladder: the nhmmer window cap in nucleotides.
+const RNA_WINDOW_CAP: usize = 900;
+
+/// The MsaDepthCap rung's MSA depth ceiling, shared by this executor's
+/// ladder (rung 3, which also drops searches to one thread) and the
+/// serving loop's degradation rung.
+pub const DEGRADED_MSA_DEPTH: usize = 128;
+
+/// Consecutive failures before the executor's circuit opens.
+const BREAKER_THRESHOLD: u32 = 4;
+
+/// Options for the resilient executor. Retries follow
+/// `RetryPolicy::default()`; the ladder is always armed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceOptions {
-    /// Retry/backoff policy shared by both phases.
-    pub retry: RetryPolicy,
-    /// Wall-time budget for the MSA phase (simulated seconds).
-    pub msa_deadline_s: Option<f64>,
     /// Wall-time budget for one inference attempt (simulated seconds).
     pub inference_deadline_s: Option<f64>,
-    /// Consecutive failures before the circuit opens.
-    pub breaker_threshold: u32,
     /// Checkpoint completed per-database searches so a kill redoes only
     /// the non-durable tail.
     pub checkpointing: bool,
-    /// Enable the pre-flight graceful-degradation ladder.
-    pub degradation: bool,
-    /// Rung 1: CXL bytes to attach when the stock capacity rejects.
-    pub cxl_expansion_bytes: u64,
-    /// Rung 2: nhmmer window cap in nucleotides.
-    pub rna_window_cap: usize,
-    /// Rung 3: MSA depth ceiling (searches also drop to one thread).
-    pub degraded_msa_depth: usize,
 }
 
 impl Default for ResilienceOptions {
     fn default() -> ResilienceOptions {
         ResilienceOptions {
-            retry: RetryPolicy::default(),
-            msa_deadline_s: None,
             inference_deadline_s: None,
-            breaker_threshold: 4,
             checkpointing: true,
-            degradation: true,
-            cxl_expansion_bytes: 256 << 30,
-            rna_window_cap: 900,
-            degraded_msa_depth: 128,
         }
+    }
+}
+
+impl ResilienceOptions {
+    /// Check the inference deadline, returning an error that names the
+    /// field: a NaN, infinite or non-positive budget would decide every
+    /// attempt's timeout wrongly instead of failing up front.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(limit) = self.inference_deadline_s {
+            if !(limit > 0.0 && limit.is_finite()) {
+                return Err(format!(
+                    "resilience: inference_deadline_s must be positive and finite, got {limit}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -323,161 +329,6 @@ fn abort_fraction(kind: FaultKind) -> f64 {
     }
 }
 
-/// Record an instant event when a session is attached (the traced
-/// executor's narration points: retries, deadline kills, breaker
-/// transitions, checkpoint restores).
-fn note(obs: &mut Option<&mut ObsSession>, at_s: f64, name: &str, attrs: &[(&str, Json)]) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.tracer.instant_at(at_s, name);
-        for (k, v) in attrs {
-            o.tracer.instant_attr(*k, v.clone());
-        }
-    }
-}
-
-/// Record one retry: the instant plus a `backoff` span covering the
-/// charged wait.
-fn note_retry(
-    obs: &mut Option<&mut ObsSession>,
-    at_s: f64,
-    phase: &str,
-    attempt: u64,
-    backoff_s: f64,
-) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.tracer.instant_at(at_s, "retry");
-        o.tracer.instant_attr("phase", phase);
-        o.tracer.instant_attr("attempt", attempt);
-        o.tracer.instant_attr("backoff_seconds", backoff_s);
-        o.tracer.closed_span("backoff", at_s, backoff_s);
-        o.metrics.inc("resilience.retries", 1);
-    }
-}
-
-/// The resilient executor's wall clock, expressed on the shared
-/// discrete-event engine ([`SimEngine`]): work is charged with
-/// [`ExecClock::advance`], retry backoffs sleep through a scheduled
-/// wake-up event ([`ExecClock::wait`]), and phase budgets are armed as
-/// cancellable `DeadlineExpired` timers. A timer counts as *expired*
-/// only once the clock has moved **strictly** past its firing time —
-/// exactly [`Deadline`]'s strict-`>` rule, so the engine-timer
-/// executor accounts bit-identically to the old float arithmetic.
-struct ExecClock {
-    engine: SimEngine,
-    /// `(timer, at_s)` of every `DeadlineExpired` pop so far. A timer
-    /// popped exactly at the current clock has not elapsed yet; it
-    /// becomes expired when the clock moves past `at_s`.
-    fired: Vec<(TimerId, f64)>,
-    waits: usize,
-}
-
-impl ExecClock {
-    fn new() -> ExecClock {
-        ExecClock {
-            engine: SimEngine::new(),
-            fired: Vec::new(),
-            waits: 0,
-        }
-    }
-
-    fn now(&self) -> f64 {
-        self.engine.now_seconds()
-    }
-
-    /// Charge `seconds` of simulated work.
-    fn advance(&mut self, seconds: f64) {
-        self.engine.advance(seconds);
-    }
-
-    /// Arm `deadline` as a timer `limit` seconds from now (`None` when
-    /// the deadline is unbounded).
-    fn arm(&mut self, deadline: &Deadline) -> Option<TimerId> {
-        deadline.limit_seconds().map(|l| {
-            self.engine
-                .schedule_in(l, Event::DeadlineExpired { request: 0 })
-        })
-    }
-
-    /// Sleep through a retry backoff: schedule a wake-up event and pop
-    /// the queue up to it. Deadline timers overtaken by the sleep are
-    /// recorded for [`ExecClock::expired`].
-    fn wait(&mut self, seconds: f64) {
-        let wake = self.engine.schedule_in(
-            seconds,
-            Event::Arrival {
-                request: self.waits,
-            },
-        );
-        self.waits += 1;
-        while let Some((at_s, event, id)) = self.engine.pop_with_id() {
-            if id == wake {
-                break;
-            }
-            debug_assert!(matches!(event, Event::DeadlineExpired { .. }));
-            self.fired.push((id, at_s));
-        }
-    }
-
-    /// Whether an armed timer has elapsed: drains everything strictly
-    /// before the clock, then checks whether `timer` fired strictly in
-    /// the past.
-    fn expired(&mut self, timer: Option<TimerId>) -> bool {
-        let Some(t) = timer else { return false };
-        while self
-            .engine
-            .peek_time()
-            .is_some_and(|at| at < self.engine.now_seconds())
-        {
-            let (at_s, _, id) = self.engine.pop_with_id().expect("peeked event exists");
-            self.fired.push((id, at_s));
-        }
-        let now = self.engine.now_seconds();
-        self.fired.iter().any(|&(id, at)| id == t && at < now)
-    }
-
-    /// Disarm a timer whose phase succeeded.
-    fn disarm(&mut self, timer: Option<TimerId>) {
-        if let Some(t) = timer {
-            self.engine.cancel(t);
-        }
-    }
-}
-
-/// One attempt's budget: a `DeadlineExpired` timer on an attempt-local
-/// clock. Each attempt measures its own wall time from zero, so the
-/// strict `spent > limit` comparison stays exact no matter how far the
-/// global clock has advanced.
-struct AttemptBudget {
-    engine: SimEngine,
-    timer: Option<TimerId>,
-}
-
-impl AttemptBudget {
-    fn arm(deadline: &Deadline) -> AttemptBudget {
-        let mut engine = SimEngine::new();
-        let timer = deadline
-            .limit_seconds()
-            .map(|l| engine.schedule_in(l, Event::DeadlineExpired { request: 0 }));
-        AttemptBudget { engine, timer }
-    }
-
-    /// Charge the attempt's `seconds`; returns whether the budget
-    /// timer fired strictly inside them.
-    fn charge(&mut self, seconds: f64) -> bool {
-        self.engine.advance(seconds);
-        let expired = self.timer.is_some()
-            && self
-                .engine
-                .peek_time()
-                .is_some_and(|at| at < self.engine.now_seconds());
-        if expired {
-            self.engine.pop();
-            self.timer = None;
-        }
-        expired
-    }
-}
-
 /// Execute the pipeline under a fault plan with retries, deadlines,
 /// checkpointing and graceful degradation.
 ///
@@ -488,7 +339,9 @@ impl AttemptBudget {
 /// # Panics
 ///
 /// Panics if `threads == 0`, or with the [`FaultPlan::validate`] error
-/// of a plan holding a non-finite or out-of-range fault parameter.
+/// of a plan holding a non-finite or out-of-range fault parameter, or
+/// with the [`ResilienceOptions::validate`] error of a degenerate
+/// inference deadline.
 pub fn run_resilient(
     data: &SampleSearchData,
     platform: Platform,
@@ -571,404 +424,344 @@ fn run_resilient_impl(
     pipeline_options: &PipelineOptions,
     options: &ResilienceOptions,
     plan: &FaultPlan,
-    mut obs: Option<&mut ObsSession>,
+    obs: Option<&mut ObsSession>,
 ) -> ResilientResult {
     assert!(threads > 0, "need at least one thread");
-    if let Err(e) = plan.validate() {
+    if let Err(e) = plan.validate().and_then(|()| options.validate()) {
         panic!("{e}");
     }
-    let mut injector = plan.injector();
-    let mut retries = 0u64;
-    let mut recovery_seconds = 0.0;
-    // The wall clock: one engine drives work charges, backoff sleeps
-    // and deadline timers, and the injector is kept on it via
-    // `sync_to` — one clock across executor and fault delivery.
-    let mut clock = ExecClock::new();
     let mut degrade_steps = Vec::new();
     let mut msa_opts = pipeline_options.msa;
     let mut eff_threads = threads;
     let mut msa_depth = data.msa_depth;
-    let seed = pipeline_options.seed;
 
     // Pre-flight: the §VI static estimator drives the degradation
     // ladder *before* any simulated work is spent, which is the whole
     // point — the paper's pipeline discovers OOM only after hours.
-    if options.degradation {
-        let estimator = MemoryEstimator::new(threads);
-        let assembly = &data.sample.assembly;
-        let stock = CapacityModel::new(&platform.spec());
-        let peak = estimator.msa_peak_bytes(assembly);
-        if !stock.admit(peak).completes() {
-            msa_opts.cxl_expansion_bytes = options.cxl_expansion_bytes;
-            degrade_steps.push(DegradeStep::CxlExpansion {
-                bytes: options.cxl_expansion_bytes,
+    let estimator = MemoryEstimator::new(threads);
+    let assembly = &data.sample.assembly;
+    let stock = CapacityModel::new(&platform.spec());
+    let peak = estimator.msa_peak_bytes(assembly);
+    if !stock.admit(peak).completes() {
+        msa_opts.cxl_expansion_bytes = CXL_EXPANSION_BYTES;
+        degrade_steps.push(DegradeStep::CxlExpansion {
+            bytes: CXL_EXPANSION_BYTES,
+        });
+        let expanded = stock.with_extra_cxl(CXL_EXPANSION_BYTES);
+        if !expanded.admit(peak).completes() {
+            msa_opts.rna_window_cap = Some(RNA_WINDOW_CAP);
+            degrade_steps.push(DegradeStep::RnaWindowCap {
+                cap: RNA_WINDOW_CAP,
             });
-            let expanded = stock.clone().with_extra_cxl(options.cxl_expansion_bytes);
-            if !expanded.admit(peak).completes() {
-                msa_opts.rna_window_cap = Some(options.rna_window_cap);
-                degrade_steps.push(DegradeStep::RnaWindowCap {
-                    cap: options.rna_window_cap,
+            let capped = estimator.msa_peak_bytes_capped(assembly, Some(RNA_WINDOW_CAP));
+            if !expanded.admit(capped).completes() {
+                eff_threads = 1;
+                msa_depth = msa_depth.min(DEGRADED_MSA_DEPTH);
+                degrade_steps.push(DegradeStep::MsaDepthCap {
+                    depth: DEGRADED_MSA_DEPTH,
                 });
-                let capped =
-                    estimator.msa_peak_bytes_capped(assembly, Some(options.rna_window_cap));
-                if !expanded.admit(capped).completes() {
-                    eff_threads = 1;
-                    msa_depth = msa_depth.min(options.degraded_msa_depth);
-                    degrade_steps.push(DegradeStep::MsaDepthCap {
-                        depth: options.degraded_msa_depth,
-                    });
-                }
             }
         }
     }
 
-    let fail = |outcome: RunOutcome,
-                retries: u64,
-                recovery_seconds: f64,
-                degrade_steps: Vec<DegradeStep>,
-                injector: &FaultInjector,
-                wall_seconds: f64| ResilientResult {
-        sample: data.sample.id.name().to_owned(),
-        platform,
-        threads,
-        outcome,
-        pipeline: None,
-        retries,
-        recovery_seconds,
-        degrade_steps,
-        fault_events: injector.events().to_vec(),
-        wall_seconds,
+    let mut run = Attempts {
+        now: 0.0,
+        retries: 0,
+        recovery_seconds: 0.0,
+        breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
+        breaker_tripped: false,
+        injector: plan.injector(),
+        obs,
+        seed: pipeline_options.seed,
     };
-
-    // ---- MSA phase: attempt loop with checkpoint-aware recovery ----
-    //
-    // Durable progress is tracked as a fraction of the phase; the
-    // checkpoint granularity is one completed per-database search, so a
-    // kill at fraction `k` preserves `floor(k·units)/units` of the work
-    // when checkpointing is on, and nothing otherwise.
-    let units = data
-        .chains
-        .iter()
-        .map(|c| c.per_db.len())
-        .sum::<usize>()
-        .max(1) as f64;
-    let mut breaker = CircuitBreaker::new(options.breaker_threshold);
-    let mut breaker_tripped = false;
-    // The MSA budget as an engine timer: the phase starts at clock
-    // zero, so the timer sits at the limit itself and `expired` is the
-    // strict `spent > limit` rule on the shared clock.
-    let msa_timer = clock.arm(&Deadline::new(options.msa_deadline_s));
-    let mut progress = 0.0f64;
-
-    let msa: MsaPhaseResult = loop {
-        if let Some(kind) = injector.poll(FaultSite::MsaAbort) {
-            // The attempt dies part-way through its remaining work.
-            let clean = msa_phase::run_msa_phase(data, platform, eff_threads, &msa_opts);
-            if !clean.outcome.finished() {
-                // Genuine OOM: the kill is moot, the admission check
-                // already rejects the job.
-                note(
-                    &mut obs,
-                    clock.now(),
-                    "admission-reject",
-                    &[("phase", "msa".into())],
-                );
-                return fail(
-                    RunOutcome::Oom,
-                    retries,
-                    recovery_seconds,
-                    degrade_steps,
-                    &injector,
-                    clock.now(),
-                );
-            }
-            let full = clean.wall_seconds();
-            let kill_at = progress + abort_fraction(kind) * (1.0 - progress);
-            let spent_this = (kill_at - progress) * full;
-            let durable = if options.checkpointing {
-                ((kill_at * units).floor() / units).max(progress)
-            } else {
-                0.0
-            };
-            let wasted = (kill_at - durable) * full;
-            injector.charge(wasted);
-            if let Some(o) = obs.as_deref_mut() {
-                let id = o
-                    .tracer
-                    .closed_span("msa_attempt_aborted", clock.now(), spent_this);
-                o.tracer.span_attr(id, "fault", kind.label());
-                o.tracer.span_attr(id, "kill_fraction", kill_at);
-                o.tracer.span_attr(id, "durable_fraction", durable);
-                o.tracer.span_attr(id, "wasted_seconds", wasted);
-            }
-            retries += 1;
-            clock.advance(spent_this);
-            let open = breaker.record_failure();
-            breaker_tripped = true;
-            if open || retries > options.retry.max_retries as u64 {
-                let name = if open {
-                    "circuit-open"
-                } else {
-                    "retry-budget-exhausted"
-                };
-                note(&mut obs, clock.now(), name, &[("phase", "msa".into())]);
-                return fail(
-                    RunOutcome::Failed,
-                    retries,
-                    recovery_seconds,
-                    degrade_steps,
-                    &injector,
-                    clock.now(),
-                );
-            }
-            let backoff = options.retry.backoff_seconds(retries as u32, seed);
-            note_retry(&mut obs, clock.now(), "msa", retries, backoff);
-            recovery_seconds += wasted + backoff;
-            clock.wait(backoff);
-            injector.sync_to(clock.now());
-            progress = durable;
-            if options.checkpointing && progress > 0.0 {
-                note(
-                    &mut obs,
-                    clock.now(),
-                    "checkpoint-restore",
-                    &[("durable_fraction", progress.into())],
-                );
-                if let Some(o) = obs.as_deref_mut() {
-                    o.metrics.inc("resilience.checkpoint_restores", 1);
-                }
-            }
-            if clock.expired(msa_timer) {
-                note(
-                    &mut obs,
-                    clock.now(),
-                    "deadline-exceeded",
-                    &[("phase", "msa".into())],
-                );
-                return fail(
-                    RunOutcome::Failed,
-                    retries,
-                    recovery_seconds,
-                    degrade_steps,
-                    &injector,
-                    clock.now(),
-                );
-            }
-            continue;
-        }
-
-        // No abort pending: run the attempt, absorbing storage and
-        // straggler faults into its wall time.
-        let r =
-            msa_phase::run_msa_phase_faulted(data, platform, eff_threads, &msa_opts, &mut injector);
-        if !r.outcome.finished() {
-            note(
-                &mut obs,
-                clock.now(),
-                "admission-reject",
-                &[("phase", "msa".into())],
-            );
-            return fail(
-                RunOutcome::Oom,
-                retries,
-                recovery_seconds,
-                degrade_steps,
-                &injector,
-                clock.now(),
-            );
-        }
-        breaker.record_success();
-        if breaker_tripped {
-            note(&mut obs, clock.now(), "circuit-closed", &[]);
-            breaker_tripped = false;
-        }
-        let attempt = (1.0 - progress) * r.wall_seconds();
-        if let Some(o) = obs.as_deref_mut() {
-            o.tracer.set_clock(clock.now());
-            crate::trace::record_msa_phase_window(data, &r, o, attempt);
-        }
-        clock.advance(attempt);
-        injector.sync_to(clock.now());
-        if clock.expired(msa_timer) {
-            note(
-                &mut obs,
-                clock.now(),
-                "deadline-exceeded",
-                &[("phase", "msa".into())],
-            );
-            return fail(
-                RunOutcome::Failed,
-                retries,
-                recovery_seconds,
-                degrade_steps,
-                &injector,
-                clock.now(),
-            );
-        }
-        clock.disarm(msa_timer);
-        break r;
-    };
-
-    // ---- Inference phase: init-failure retries + compile deadline ----
     let inference_options = InferenceOptions {
         model: pipeline_options.model.unwrap_or_else(ModelConfig::paper),
         msa_depth,
         threads,
-        seed: seed ^ 0x99,
+        seed: pipeline_options.seed ^ 0x99,
     };
-    let inference_deadline = Deadline::new(options.inference_deadline_s);
-
-    let inference: InferencePhaseResult = loop {
-        // Each attempt arms its own budget timer on an attempt-local
-        // clock (per-attempt budgets restart from zero).
-        let mut budget = AttemptBudget::arm(&inference_deadline);
-        match inference_phase::run_inference_phase_faulted(
-            &data.sample.assembly,
-            platform,
-            &inference_options,
-            &mut injector,
-        ) {
-            Err(fault) => {
-                if let Some(o) = obs.as_deref_mut() {
-                    let id = o.tracer.closed_span(
-                        "inference_attempt_failed",
-                        clock.now(),
-                        fault.wasted_seconds,
-                    );
-                    o.tracer
-                        .span_attr(id, "wasted_seconds", fault.wasted_seconds);
-                }
-                retries += 1;
-                clock.advance(fault.wasted_seconds);
-                let open = breaker.record_failure();
-                breaker_tripped = true;
-                if open || retries > options.retry.max_retries as u64 {
-                    let name = if open {
-                        "circuit-open"
-                    } else {
-                        "retry-budget-exhausted"
-                    };
-                    note(
-                        &mut obs,
-                        clock.now(),
-                        name,
-                        &[("phase", "inference".into())],
-                    );
-                    return fail(
-                        RunOutcome::Failed,
-                        retries,
-                        recovery_seconds,
-                        degrade_steps,
-                        &injector,
-                        clock.now(),
-                    );
-                }
-                let backoff = options.retry.backoff_seconds(retries as u32, seed);
-                note_retry(&mut obs, clock.now(), "inference", retries, backoff);
-                recovery_seconds += fault.wasted_seconds + backoff;
-                clock.wait(backoff);
-                injector.sync_to(clock.now());
-            }
-            Ok(r) => {
-                let t = r.wall_seconds();
-                if budget.charge(t) {
-                    // A stalled compile blew the phase budget: the
-                    // attempt is killed at the deadline and retried
-                    // (the stall fault is consumed, so the retry
-                    // compiles at normal speed).
-                    let limit = inference_deadline
-                        .limit_seconds()
-                        .expect("an expired budget implies a limit");
-                    if let Some(o) = obs.as_deref_mut() {
-                        let id =
-                            o.tracer
-                                .closed_span("inference_attempt_timeout", clock.now(), limit);
-                        o.tracer.span_attr(id, "limit_seconds", limit);
-                    }
-                    note(
-                        &mut obs,
-                        clock.now() + limit,
-                        "deadline-exceeded",
-                        &[("phase", "inference".into())],
-                    );
-                    retries += 1;
-                    clock.advance(limit);
-                    let open = breaker.record_failure();
-                    breaker_tripped = true;
-                    if open || retries > options.retry.max_retries as u64 {
-                        let name = if open {
-                            "circuit-open"
-                        } else {
-                            "retry-budget-exhausted"
-                        };
-                        note(
-                            &mut obs,
-                            clock.now(),
-                            name,
-                            &[("phase", "inference".into())],
-                        );
-                        return fail(
-                            RunOutcome::Failed,
-                            retries,
-                            recovery_seconds,
-                            degrade_steps,
-                            &injector,
-                            clock.now(),
-                        );
-                    }
-                    let backoff = options.retry.backoff_seconds(retries as u32, seed);
-                    note_retry(&mut obs, clock.now(), "inference", retries, backoff);
-                    recovery_seconds += limit + backoff;
-                    clock.wait(backoff);
-                    injector.sync_to(clock.now());
-                    continue;
-                }
-                breaker.record_success();
-                if breaker_tripped {
-                    note(&mut obs, clock.now(), "circuit-closed", &[]);
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.tracer.set_clock(clock.now());
-                    crate::trace::record_inference_phase(&r, o);
-                }
-                clock.advance(t);
-                injector.sync_to(clock.now());
-                break r;
-            }
-        }
-    };
-
-    let mut inference = inference;
-    if degrade_steps
-        .iter()
-        .any(|s| matches!(s, DegradeStep::MsaDepthCap { .. }))
-    {
-        inference.outcome = inference.outcome.max(RunOutcome::Degraded);
-    }
-    let pipeline = PipelineResult {
-        sample: data.sample.id.name().to_owned(),
+    let phases = match run.msa(
+        data,
         platform,
-        threads,
-        msa,
-        inference,
+        eff_threads,
+        &msa_opts,
+        options.checkpointing,
+    ) {
+        Ok(msa) => run
+            .inference(
+                data,
+                platform,
+                &inference_options,
+                Deadline::new(options.inference_deadline_s),
+            )
+            .map(|inference| (msa, inference)),
+        Err(outcome) => Err(outcome),
     };
-    let ladder = if degrade_steps.is_empty() {
-        RunOutcome::Completed
-    } else {
-        RunOutcome::Degraded
+    let (outcome, pipeline) = match phases {
+        Ok((msa, mut inference)) => {
+            if degrade_steps
+                .iter()
+                .any(|s| matches!(s, DegradeStep::MsaDepthCap { .. }))
+            {
+                inference.outcome = inference.outcome.max(RunOutcome::Degraded);
+            }
+            let pipeline = PipelineResult {
+                sample: data.sample.id.name().to_owned(),
+                platform,
+                threads,
+                msa,
+                inference,
+            };
+            let ladder = if degrade_steps.is_empty() {
+                RunOutcome::Completed
+            } else {
+                RunOutcome::Degraded
+            };
+            (pipeline.outcome().max(ladder), Some(pipeline))
+        }
+        Err(outcome) => (outcome, None),
     };
-    let outcome = pipeline.outcome().max(ladder);
     ResilientResult {
         sample: data.sample.id.name().to_owned(),
         platform,
         threads,
         outcome,
-        pipeline: Some(pipeline),
-        retries,
-        recovery_seconds,
+        pipeline,
+        retries: run.retries,
+        recovery_seconds: run.recovery_seconds,
         degrade_steps,
-        fault_events: injector.events().to_vec(),
-        wall_seconds: clock.now(),
+        fault_events: run.injector.events().to_vec(),
+        wall_seconds: run.now,
+    }
+}
+
+/// The executor's running accounts: the simulated wall clock, the retry
+/// budget, the circuit breaker and the trace they narrate into. Once
+/// the plan and the options are validated every charge is finite and
+/// non-negative, so the clock is a plain sum.
+struct Attempts<'a> {
+    now: f64,
+    retries: u64,
+    recovery_seconds: f64,
+    breaker: CircuitBreaker,
+    breaker_tripped: bool,
+    injector: FaultInjector,
+    obs: Option<&'a mut ObsSession>,
+    seed: u64,
+}
+
+impl Attempts<'_> {
+    /// Record an instant event when a session is attached (the traced
+    /// executor's narration points: retries, deadline kills, breaker
+    /// transitions, checkpoint restores).
+    fn note(&mut self, at_s: f64, name: &str, attrs: &[(&str, Json)]) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.tracer.instant_at(at_s, name);
+            for (k, v) in attrs {
+                o.tracer.instant_attr(*k, v.clone());
+            }
+        }
+    }
+
+    /// One failed attempt of `phase` that ran `spent_s` and lost
+    /// `lost_s`: count it against the retry budget and the breaker,
+    /// then either stop (`false`, naming why) or sleep through the
+    /// backoff, recorded as a `retry` instant and a `backoff` span, and
+    /// book the loss plus the backoff as recovery (`true`).
+    fn retry(&mut self, phase: &str, spent_s: f64, lost_s: f64) -> bool {
+        let policy = RetryPolicy::default();
+        self.retries += 1;
+        self.now += spent_s;
+        let open = self.breaker.record_failure();
+        self.breaker_tripped = true;
+        if open || self.retries > policy.max_retries as u64 {
+            let name = if open {
+                "circuit-open"
+            } else {
+                "retry-budget-exhausted"
+            };
+            self.note(self.now, name, &[("phase", phase.into())]);
+            return false;
+        }
+        let backoff = policy.backoff_seconds(self.retries as u32, self.seed);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.tracer.instant_at(self.now, "retry");
+            o.tracer.instant_attr("phase", phase);
+            o.tracer.instant_attr("attempt", self.retries);
+            o.tracer.instant_attr("backoff_seconds", backoff);
+            o.tracer.closed_span("backoff", self.now, backoff);
+            o.metrics.inc("resilience.retries", 1);
+        }
+        self.recovery_seconds += lost_s + backoff;
+        self.now += backoff;
+        self.injector.sync_to(self.now);
+        true
+    }
+
+    /// A phase attempt succeeded: close the breaker.
+    fn succeed(&mut self) {
+        self.breaker.record_success();
+        if self.breaker_tripped {
+            self.note(self.now, "circuit-closed", &[]);
+            self.breaker_tripped = false;
+        }
+    }
+
+    /// The MSA phase's attempt loop with checkpoint-aware recovery.
+    ///
+    /// Durable progress is tracked as a fraction of the phase; the
+    /// checkpoint granularity is one completed per-database search, so
+    /// a kill at fraction `k` preserves `floor(k·units)/units` of the
+    /// work when checkpointing is on, and nothing otherwise.
+    fn msa(
+        &mut self,
+        data: &SampleSearchData,
+        platform: Platform,
+        threads: usize,
+        opts: &MsaPhaseOptions,
+        checkpointing: bool,
+    ) -> Result<MsaPhaseResult, RunOutcome> {
+        let units = data
+            .chains
+            .iter()
+            .map(|c| c.per_db.len())
+            .sum::<usize>()
+            .max(1) as f64;
+        let mut progress = 0.0f64;
+        loop {
+            // A pending abort kills the attempt part-way through its
+            // remaining work, priced from the clean run; otherwise the
+            // attempt absorbs storage and straggler faults into its
+            // wall time.
+            let abort = self.injector.poll(FaultSite::MsaAbort);
+            let r = match abort {
+                Some(_) => msa_phase::run_msa_phase(data, platform, threads, opts),
+                None => msa_phase::run_msa_phase_faulted(
+                    data,
+                    platform,
+                    threads,
+                    opts,
+                    &mut self.injector,
+                ),
+            };
+            if !r.outcome.finished() {
+                // Genuine OOM: a pending kill is moot, the admission
+                // check already rejects the job.
+                self.note(self.now, "admission-reject", &[("phase", "msa".into())]);
+                return Err(RunOutcome::Oom);
+            }
+            let Some(kind) = abort else {
+                self.succeed();
+                let attempt = (1.0 - progress) * r.wall_seconds();
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.tracer.set_clock(self.now);
+                    crate::trace::record_msa_phase_window(data, &r, o, attempt);
+                }
+                self.now += attempt;
+                self.injector.sync_to(self.now);
+                return Ok(r);
+            };
+            let full = r.wall_seconds();
+            let kill_at = progress + abort_fraction(kind) * (1.0 - progress);
+            let spent_this = (kill_at - progress) * full;
+            let durable = if checkpointing {
+                ((kill_at * units).floor() / units).max(progress)
+            } else {
+                0.0
+            };
+            let wasted = (kill_at - durable) * full;
+            self.injector.charge(wasted);
+            if let Some(o) = self.obs.as_deref_mut() {
+                let id = o
+                    .tracer
+                    .closed_span("msa_attempt_aborted", self.now, spent_this);
+                o.tracer.span_attr(id, "fault", kind.label());
+                o.tracer.span_attr(id, "kill_fraction", kill_at);
+                o.tracer.span_attr(id, "durable_fraction", durable);
+                o.tracer.span_attr(id, "wasted_seconds", wasted);
+            }
+            if !self.retry("msa", spent_this, wasted) {
+                return Err(RunOutcome::Failed);
+            }
+            progress = durable;
+            if checkpointing && progress > 0.0 {
+                self.note(
+                    self.now,
+                    "checkpoint-restore",
+                    &[("durable_fraction", progress.into())],
+                );
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.metrics.inc("resilience.checkpoint_restores", 1);
+                }
+            }
+        }
+    }
+
+    /// The inference phase's attempt loop: an injected init failure
+    /// retries, and an attempt past `deadline` is killed at the limit
+    /// and retried (the stall fault is consumed, so the retry compiles
+    /// at normal speed).
+    fn inference(
+        &mut self,
+        data: &SampleSearchData,
+        platform: Platform,
+        options: &InferenceOptions,
+        deadline: Deadline,
+    ) -> Result<InferencePhaseResult, RunOutcome> {
+        loop {
+            let r = match inference_phase::run_inference_phase_faulted(
+                &data.sample.assembly,
+                platform,
+                options,
+                &mut self.injector,
+            ) {
+                Ok(r) => r,
+                Err(fault) => {
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        let id = o.tracer.closed_span(
+                            "inference_attempt_failed",
+                            self.now,
+                            fault.wasted_seconds,
+                        );
+                        o.tracer
+                            .span_attr(id, "wasted_seconds", fault.wasted_seconds);
+                    }
+                    if !self.retry("inference", fault.wasted_seconds, fault.wasted_seconds) {
+                        return Err(RunOutcome::Failed);
+                    }
+                    continue;
+                }
+            };
+            let t = r.wall_seconds();
+            if deadline.exceeded(t) {
+                let limit = deadline
+                    .limit_seconds()
+                    .expect("an exceeded deadline has a limit");
+                if let Some(o) = self.obs.as_deref_mut() {
+                    let id = o
+                        .tracer
+                        .closed_span("inference_attempt_timeout", self.now, limit);
+                    o.tracer.span_attr(id, "limit_seconds", limit);
+                }
+                self.note(
+                    self.now + limit,
+                    "deadline-exceeded",
+                    &[("phase", "inference".into())],
+                );
+                if !self.retry("inference", limit, limit) {
+                    return Err(RunOutcome::Failed);
+                }
+                continue;
+            }
+            self.succeed();
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.tracer.set_clock(self.now);
+                crate::trace::record_inference_phase(&r, o);
+            }
+            self.now += t;
+            self.injector.sync_to(self.now);
+            return Ok(r);
+        }
     }
 }
 
@@ -1017,6 +810,20 @@ mod tests {
         assert!(!d.exceeded(100.0));
         assert!(d.exceeded(100.1));
         assert!(!Deadline::new(None).exceeded(1e12));
+    }
+
+    #[test]
+    fn options_validate_the_inference_deadline() {
+        assert_eq!(ResilienceOptions::default().validate(), Ok(()));
+        let with = |limit| ResilienceOptions {
+            inference_deadline_s: Some(limit),
+            ..ResilienceOptions::default()
+        };
+        assert_eq!(with(1.5).validate(), Ok(()));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let err = with(bad).validate().expect_err("degenerate deadline");
+            assert!(err.contains("inference_deadline_s"), "{bad}: {err}");
+        }
     }
 
     #[test]

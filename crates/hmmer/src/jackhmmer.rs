@@ -13,7 +13,6 @@ use crate::msa::Msa;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::profile::ProfileHmm;
 use crate::search::{search_database, SearchResult};
-use afsb_rt::fault::{FaultInjector, FaultSite};
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::database::SequenceDatabase;
 use afsb_seq::sequence::Sequence;
@@ -89,48 +88,6 @@ impl JackhmmerResult {
     }
 }
 
-/// Durable per-iteration state of a jackhmmer run: everything a retry
-/// needs to resume from the last *completed* round instead of redoing the
-/// whole search after a mid-run kill. Real AF3 has no such mechanism —
-/// the paper's long-RNA OOM kill throws away hours of MSA — which is
-/// exactly why the resilient executor wants one.
-#[derive(Debug, Clone)]
-pub struct JackhmmerCheckpoint {
-    /// Rounds fully completed and persisted.
-    pub rounds_done: usize,
-    /// Target ids included after the last completed round (the
-    /// convergence test's state).
-    pub included: Vec<String>,
-    /// Profile to search with in the next round.
-    pub profile: ProfileHmm,
-    /// MSA after the last completed round.
-    pub msa: Msa,
-    /// Final-round hits so far.
-    pub hits: Vec<Hit>,
-    /// Aggregate counters over completed rounds only.
-    pub counters: WorkCounters,
-    /// Per-round results of completed rounds.
-    pub rounds: Vec<SearchResult>,
-}
-
-/// Outcome of a fault-injectable, resumable jackhmmer run.
-#[derive(Debug, Clone)]
-pub enum ResumableRun {
-    /// The run finished; the result is identical to a fault-free
-    /// [`run`].
-    Complete(JackhmmerResult),
-    /// An injected kill destroyed the in-flight round. `checkpoint`
-    /// holds the durable state to resume from; `wasted` counts the
-    /// killed round's lost work.
-    Killed {
-        /// Durable state as of the last completed round (boxed — the
-        /// checkpoint carries the whole MSA and profile).
-        checkpoint: Box<JackhmmerCheckpoint>,
-        /// Work counters of the round that was killed (lost work).
-        wasted: WorkCounters,
-    },
-}
-
 /// Run jackhmmer for a protein query against a database.
 ///
 /// Round 1 searches with `round1`, the query's calibrated
@@ -148,36 +105,6 @@ pub fn run(
     config: &JackhmmerConfig,
     round1: &Pipeline,
 ) -> JackhmmerResult {
-    match run_resumable(query, db, config, round1, None, &mut FaultInjector::none()) {
-        ResumableRun::Complete(result) => result,
-        ResumableRun::Killed { .. } => unreachable!("empty injector cannot kill"),
-    }
-}
-
-/// Run jackhmmer with per-iteration checkpointing under fault injection.
-///
-/// Before each round the injector's [`FaultSite::MsaAbort`] is polled:
-/// a due abort fault kills the in-flight round — its work is counted as
-/// `wasted` and the state of the last *completed* round is returned as a
-/// [`JackhmmerCheckpoint`]. Passing that checkpoint back as `resume`
-/// continues exactly where the killed run left off; a killed-and-resumed
-/// run produces a result identical to an uninterrupted one, having redone
-/// only the killed round.
-///
-/// # Panics
-///
-/// Panics if the query is not a protein, `max_iterations == 0`,
-/// `round1` was not built for this query and `config.pipeline` (see
-/// [`run`]), or the checkpoint claims more rounds than
-/// `max_iterations`.
-pub fn run_resumable(
-    query: &Sequence,
-    db: &SequenceDatabase,
-    config: &JackhmmerConfig,
-    round1: &Pipeline,
-    resume: Option<JackhmmerCheckpoint>,
-    injector: &mut FaultInjector,
-) -> ResumableRun {
     assert_eq!(
         query.kind(),
         MoleculeKind::Protein,
@@ -190,106 +117,46 @@ pub fn run_resumable(
     );
 
     let by_id: HashMap<&str, &Sequence> = db.sequences().iter().map(|s| (s.id(), s)).collect();
+    let mut counters = WorkCounters::default();
+    let mut rounds = Vec::new();
+    let mut included = Vec::new();
+    let mut later: Option<Pipeline> = None;
 
-    let (start_round, mut counters, mut rounds, mut included, mut profile, mut msa, mut hits) =
-        match resume {
-            Some(cp) => {
-                assert!(
-                    cp.rounds_done <= config.max_iterations,
-                    "checkpoint beyond the round limit"
-                );
-                (
-                    cp.rounds_done,
-                    cp.counters,
-                    cp.rounds,
-                    cp.included,
-                    cp.profile,
-                    cp.msa,
-                    cp.hits,
-                )
-            }
-            None => (
-                0,
-                WorkCounters::default(),
-                Vec::new(),
-                Vec::new(),
-                round1.profile().clone(),
-                Msa::seed(query),
-                Vec::new(),
-            ),
-        };
-    if start_round == config.max_iterations {
-        // The checkpoint already holds the final round.
-        return ResumableRun::Complete(JackhmmerResult {
-            msa,
-            hits,
-            counters,
-            iterations_run: start_round,
-            rounds,
-        });
-    }
-
-    for round in start_round..config.max_iterations {
-        let later;
-        let pipeline = if round == 0 {
-            round1
-        } else {
-            later = Pipeline::new(profile.clone(), config.pipeline);
-            &later
-        };
-        let killed = injector.poll(FaultSite::MsaAbort).is_some();
-        let result = search_database(pipeline, db, config.threads);
-        if killed {
-            // The kill lands mid-round: this round's work is lost, the
-            // state of every completed round survives in the checkpoint.
-            return ResumableRun::Killed {
-                checkpoint: Box::new(JackhmmerCheckpoint {
-                    rounds_done: round,
-                    included,
-                    profile,
-                    msa,
-                    hits,
-                    counters,
-                    rounds,
-                }),
-                wasted: result.total,
-            };
-        }
+    for round in 0..config.max_iterations {
+        let result = search_database(later.as_ref().unwrap_or(round1), db, config.threads);
         counters.merge_concurrent(&result.total);
 
-        let mut round_msa = Msa::seed(query);
+        let mut msa = Msa::seed(query);
         let mut new_included = Vec::new();
         for hit in &result.hits {
             if hit.evalue <= config.inclusion_evalue {
                 if let Some(target) = by_id.get(hit.target_id.as_str()) {
-                    round_msa.add_aligned_row(hit, target);
+                    msa.add_aligned_row(hit, target);
                     new_included.push(hit.target_id.clone());
                 }
             }
         }
-        // A resumed run restores `included` from the checkpoint, so this
-        // test behaves identically whether or not the run was ever killed.
         let converged = new_included == included;
         included = new_included;
-        msa = round_msa;
-        hits = result.hits.clone();
+        let hits = result.hits.clone();
         rounds.push(result);
 
         if converged || round + 1 == config.max_iterations {
-            return ResumableRun::Complete(JackhmmerResult {
+            return JackhmmerResult {
                 msa,
                 hits,
                 counters,
                 iterations_run: round + 1,
                 rounds,
-            });
+            };
         }
         // Re-estimate the profile from the MSA for the next round.
-        profile = ProfileHmm::from_column_counts(
+        let profile = ProfileHmm::from_column_counts(
             format!("{}-r{}", query.id(), round + 2),
             query.kind(),
             &msa.column_counts(),
         );
+        later = Some(Pipeline::new(profile, config.pipeline));
     }
     unreachable!("loop always returns");
 }
@@ -383,82 +250,6 @@ mod tests {
         let ids_b: Vec<&str> = b.hits.iter().map(|h| h.target_id.as_str()).collect();
         assert_eq!(ids_a, ids_b);
         assert_eq!(a.msa.depth(), b.msa.depth());
-    }
-
-    #[test]
-    fn killed_run_resumes_from_checkpoint_identically() {
-        use afsb_rt::fault::{FaultKind, FaultPlan};
-        let (query, db) = setup();
-        let config = fast_config(1);
-        let pipeline = Pipeline::for_query(&query, config.pipeline);
-        let clean = run(&query, &db, &config, &pipeline);
-
-        let mut inj = FaultPlan::none()
-            .with(FaultKind::OomKill { at_fraction: 0.7 })
-            .injector();
-        let killed = run_resumable(&query, &db, &config, &pipeline, None, &mut inj);
-        let ResumableRun::Killed { checkpoint, wasted } = killed else {
-            panic!("armed kill must abort the run");
-        };
-        assert_eq!(checkpoint.rounds_done, 0);
-        assert!(wasted.db_sequences > 0, "the killed round did real work");
-
-        // Resume: the fault is consumed, so the retry completes, and the
-        // result is identical to the uninterrupted run.
-        let resumed = run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj);
-        let ResumableRun::Complete(result) = resumed else {
-            panic!("resume must complete");
-        };
-        assert_eq!(result.msa.depth(), clean.msa.depth());
-        assert_eq!(result.iterations_run, clean.iterations_run);
-        assert_eq!(result.counters, clean.counters);
-        let ids: Vec<&str> = result.hits.iter().map(|h| h.target_id.as_str()).collect();
-        let clean_ids: Vec<&str> = clean.hits.iter().map(|h| h.target_id.as_str()).collect();
-        assert_eq!(ids, clean_ids);
-    }
-
-    #[test]
-    fn repeated_kills_still_converge_to_the_clean_result() {
-        use afsb_rt::fault::{FaultKind, FaultPlan};
-        let (query, db) = setup();
-        let config = fast_config(1);
-        let pipeline = Pipeline::for_query(&query, config.pipeline);
-        let clean = run(&query, &db, &config, &pipeline);
-
-        // Two armed kills: the first run dies, the first resume dies
-        // again, the second resume finally completes. Each kill wastes
-        // exactly one round of work and loses no durable state.
-        let mut inj = FaultPlan::none()
-            .with(FaultKind::OomKill { at_fraction: 0.3 })
-            .with(FaultKind::WorkerCrash { at_fraction: 0.6 })
-            .injector();
-        let ResumableRun::Killed {
-            checkpoint,
-            wasted: wasted_a,
-        } = run_resumable(&query, &db, &config, &pipeline, None, &mut inj)
-        else {
-            panic!("first kill must abort");
-        };
-        let ResumableRun::Killed {
-            checkpoint,
-            wasted: wasted_b,
-        } = run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj)
-        else {
-            panic!("second kill must abort");
-        };
-        // Both kills land on the same (first) round, so the lost work is
-        // identical and the durable state never advances.
-        assert_eq!(wasted_a, wasted_b);
-        assert_eq!(checkpoint.rounds_done, 0);
-        let ResumableRun::Complete(result) =
-            run_resumable(&query, &db, &config, &pipeline, Some(*checkpoint), &mut inj)
-        else {
-            panic!("resume with an exhausted plan completes");
-        };
-        assert_eq!(result.counters, clean.counters);
-        assert_eq!(result.iterations_run, clean.iterations_run);
-        assert_eq!(result.msa.depth(), clean.msa.depth());
-        assert_eq!(inj.events().len(), 2);
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 pub mod banded;
 pub mod counters;
-pub mod domains;
 pub mod dp;
 pub mod evalue;
 pub mod hits;

@@ -40,11 +40,7 @@ impl Default for NhmmerConfig {
     fn default() -> NhmmerConfig {
         NhmmerConfig {
             threads: 1,
-            pipeline: PipelineConfig {
-                // Nucleotide scores are coarser; slightly looser stage-1.
-                f1: 0.03,
-                ..PipelineConfig::default()
-            },
+            pipeline: PipelineConfig::default(),
             window_len: 512,
             window_overlap: 128,
         }

@@ -12,7 +12,6 @@ use crate::counters::WorkCounters;
 use crate::hits::Hit;
 use crate::io_model::BufferedDbReader;
 use crate::pipeline::Pipeline;
-use afsb_rt::fault::{FaultInjector, FaultKind, FaultSite};
 use afsb_seq::database::SequenceDatabase;
 use afsb_seq::sequence::Sequence;
 
@@ -94,70 +93,6 @@ pub fn search_records(pipeline: &Pipeline, records: &[Sequence], threads: usize)
         total,
         threads,
     }
-}
-
-/// A search attempt aborted by an injected worker crash: the crashed
-/// worker takes the whole search process down (HMMER workers share one
-/// address space), and the attempt's partial work is lost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchCrash {
-    /// Fraction of the attempt's total work completed — and wasted — when
-    /// the worker died, in `(0, 1]`.
-    pub wasted_fraction: f64,
-}
-
-/// A completed fault-injected search attempt.
-#[derive(Debug, Clone)]
-pub struct FaultedSearch {
-    /// The (deterministic) search result — identical to the fault-free
-    /// result: faults here cost time, never correctness.
-    pub result: SearchResult,
-    /// Wall-time inflation from an injected straggler worker (`1.0` when
-    /// none fired). The slowest worker gates the scan, so the whole
-    /// attempt's wall time stretches by this factor.
-    pub straggler_factor: f64,
-}
-
-/// Search a database under fault injection.
-///
-/// Polls [`FaultSite::MsaAbort`] once before scanning: a due
-/// [`FaultKind::WorkerCrash`] (or [`FaultKind::OomKill`], which at this
-/// granularity behaves the same) aborts the attempt with the wasted-work
-/// fraction. A due [`FaultKind::Straggler`] at [`FaultSite::MsaCompute`]
-/// completes the scan but reports the wall-time inflation. With an empty
-/// injector this is exactly [`search_database`].
-///
-/// # Errors
-///
-/// Returns [`SearchCrash`] when an abort-class fault was due.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn search_database_faulted(
-    pipeline: &Pipeline,
-    db: &SequenceDatabase,
-    threads: usize,
-    injector: &mut FaultInjector,
-) -> Result<FaultedSearch, SearchCrash> {
-    assert!(threads > 0, "need at least one thread");
-    if let Some(kind) = injector.poll(FaultSite::MsaAbort) {
-        let wasted_fraction = match kind {
-            FaultKind::WorkerCrash { at_fraction } | FaultKind::OomKill { at_fraction } => {
-                at_fraction.clamp(0.0, 1.0)
-            }
-            _ => 1.0,
-        };
-        return Err(SearchCrash { wasted_fraction });
-    }
-    let straggler_factor = match injector.poll(FaultSite::MsaCompute) {
-        Some(FaultKind::Straggler { factor }) => factor.max(1.0),
-        _ => 1.0,
-    };
-    Ok(FaultedSearch {
-        result: search_database(pipeline, db, threads),
-        straggler_factor,
-    })
 }
 
 #[cfg(test)]
@@ -285,47 +220,6 @@ mod tests {
                 "sorted hit list must not depend on worker count ({threads} workers)"
             );
         }
-    }
-
-    #[test]
-    fn faulted_search_without_faults_matches_clean_search() {
-        use afsb_rt::fault::FaultInjector;
-        let (pipeline, db) = setup();
-        let clean = search_database(&pipeline, &db, 2);
-        let faulted = search_database_faulted(&pipeline, &db, 2, &mut FaultInjector::none())
-            .expect("no faults armed");
-        assert_eq!(faulted.straggler_factor, 1.0);
-        assert_eq!(faulted.result.total, clean.total);
-        assert_eq!(faulted.result.hits.len(), clean.hits.len());
-    }
-
-    #[test]
-    fn worker_crash_aborts_then_retry_succeeds() {
-        use afsb_rt::fault::{FaultKind, FaultPlan};
-        let (pipeline, db) = setup();
-        let mut inj = FaultPlan::none()
-            .with(FaultKind::WorkerCrash { at_fraction: 0.6 })
-            .injector();
-        let crash = search_database_faulted(&pipeline, &db, 4, &mut inj)
-            .expect_err("armed crash must abort the attempt");
-        assert_eq!(crash.wasted_fraction, 0.6);
-        // The fault is consumed: the retry completes with clean results.
-        let retry = search_database_faulted(&pipeline, &db, 4, &mut inj).expect("retry");
-        let clean = search_database(&pipeline, &db, 4);
-        assert_eq!(retry.result.hits.len(), clean.hits.len());
-    }
-
-    #[test]
-    fn straggler_inflates_wall_but_not_results() {
-        use afsb_rt::fault::{FaultKind, FaultPlan};
-        let (pipeline, db) = setup();
-        let mut inj = FaultPlan::none()
-            .with(FaultKind::Straggler { factor: 2.5 })
-            .injector();
-        let s = search_database_faulted(&pipeline, &db, 4, &mut inj).expect("completes");
-        assert_eq!(s.straggler_factor, 2.5);
-        let clean = search_database(&pipeline, &db, 4);
-        assert_eq!(s.result.total, clean.total);
     }
 
     #[test]

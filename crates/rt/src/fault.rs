@@ -26,7 +26,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Aborts the in-flight MSA attempt (OOM kill, worker crash). Polled
-    /// by the resilient runner and by the checkpointing jackhmmer driver.
+    /// by the resilient executor and by the serving loop.
     MsaAbort,
     /// Slows the MSA attempt without aborting it (straggler worker).
     MsaCompute,

@@ -28,7 +28,7 @@
 //! - [`sim`] — the discrete-event simulation engine
 //!   ([`sim::SimEngine`]): one monotone clock, one `(time, seq)`-ordered
 //!   binary-heap event queue with cancellable timers, shared by the
-//!   serving scheduler, the fault injector and the resilient executor.
+//!   serving scheduler and the fault injector.
 //!
 //! The suite-wide policy is **zero external registry dependencies**: if a
 //! capability is needed, it is implemented here or in the crate that needs

@@ -1,16 +1,16 @@
 //! `rt::sim` — the deterministic discrete-event simulation engine.
 //!
-//! Everything in the suite that pretends to be a running system — the
-//! multi-query server, the fault injector, the resilient executor — used
-//! to keep its own ad-hoc notion of simulated time: the serving
-//! scheduler re-scanned per-request state on every step (O(steps ·
-//! requests)), the injector compared a private clock against
-//! `not_before` stamps, the retry loop summed floats by hand. This
-//! module replaces all of that with the one structure a discrete-event
+//! The multi-query server and the fault injector used to keep their own
+//! ad-hoc notion of simulated time: the serving scheduler re-scanned
+//! per-request state on every step (O(steps · requests)), and the
+//! injector compared a private clock against `not_before` stamps. This
+//! module replaces both with the one structure a discrete-event
 //! simulator needs (the LLMServingSim shape): a **binary-heap event
 //! queue** keyed on `(sim_time, seq)` driving a **monotone clock**, so
 //! a sweep over N requests costs O(events · log n) instead of a rescan
-//! per step.
+//! per step. The resilient executor (`core::resilience`) is a
+//! sequential retry loop with no interleaving events, so it keeps a
+//! plain `f64` clock instead.
 //!
 //! Determinism rules:
 //!
@@ -30,10 +30,10 @@
 //!   (an event scheduled "in the past" fires immediately, it does not
 //!   rewind time).
 //!
-//! The typed event vocabulary ([`Event`]) is shared by every consumer:
-//! `serve` drives arrivals, MSA completions, cache fills and GPU
-//! batching through it; `rt::fault` schedules `Fault(kind)` deliveries;
-//! `core::resilience` arms `DeadlineExpired` timers and retry wake-ups.
+//! The typed event vocabulary ([`Event`]) is shared by both consumers:
+//! `serve` drives arrivals, MSA completions, cache fills, GPU batching,
+//! deadlines, requeues and breaker cooldowns through it; `rt::fault`
+//! schedules `Fault(kind)` deliveries.
 //!
 //! # Provenance (the causal profiler's substrate)
 //!
@@ -97,7 +97,7 @@ pub enum Event {
     GpuDone,
     /// A deadline armed for `request` elapsed without being cancelled.
     DeadlineExpired {
-        /// The request (or phase ordinal) whose budget ran out.
+        /// The request whose budget ran out.
         request: usize,
     },
     /// A scheduled fault becomes deliverable ([`crate::fault`]).
@@ -367,17 +367,6 @@ impl SimEngine {
         TimerId(seq)
     }
 
-    /// Schedule `event` `delay_s` seconds after the current clock
-    /// (negative or non-finite delays clamp to zero).
-    pub fn schedule_in(&mut self, delay_s: f64, event: Event) -> TimerId {
-        let d = if delay_s.is_finite() {
-            delay_s.max(0.0)
-        } else {
-            0.0
-        };
-        self.schedule(self.now_s + d, event)
-    }
-
     /// Cancel a scheduled event in O(1). Returns whether the handle was
     /// live (scheduled, not yet popped, not already cancelled). A
     /// cancelled event is never returned by [`SimEngine::pop`].
@@ -530,16 +519,6 @@ mod tests {
         let (t, _) = e.pop().unwrap();
         assert_eq!(t, 10.0);
         assert_eq!(e.now_seconds(), 10.0);
-    }
-
-    #[test]
-    fn schedule_in_clamps_bad_delays() {
-        let mut e = SimEngine::new();
-        e.advance(5.0);
-        e.schedule_in(-3.0, Event::BatchClose);
-        e.schedule_in(f64::NAN, Event::BatchClose);
-        assert_eq!(e.pop().unwrap().0, 5.0);
-        assert_eq!(e.pop().unwrap().0, 5.0);
     }
 
     #[test]

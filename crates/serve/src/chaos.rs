@@ -16,14 +16,16 @@
 //!   running MSA job), GPU init failures force a priced re-init that
 //!   drops the in-process XLA cache, and compile stalls inflate the
 //!   next batch's `xla_compile` spans.
-//! - **Recovery policy** — a per-request attempt budget with capped
-//!   exponential backoff ([`RetryPolicy`]) requeues killed MSA jobs, a
-//!   worker-pool `CircuitBreaker` parks requeues while open,
-//!   deadline-aware load shedding drops still-waiting requests whose
-//!   deadline expired, and a request that enters the MSA queue behind a
-//!   deep backlog steps down the `DegradeStep::MsaDepthCap` rung of
-//!   the `core::resilience` ladder (reduced MSA depth ⇒ cheaper
-//!   searches at lower quality).
+//! - **Recovery policy** — a per-request attempt budget
+//!   (`MAX_ATTEMPTS`) with capped exponential backoff
+//!   ([`RetryPolicy`](afsb_core::resilience::RetryPolicy)) requeues
+//!   killed MSA jobs, a worker-pool `CircuitBreaker` parks requeues
+//!   while open, deadline-aware load shedding drops still-waiting
+//!   requests whose deadline expired, and a request that enters the MSA
+//!   queue behind a backlog of [`ChaosConfig::degrade_queue_depth`]
+//!   steps down the `DegradeStep::MsaDepthCap` rung of the
+//!   `core::resilience` ladder (reduced MSA depth ⇒ cheaper searches at
+//!   lower quality). Only that depth varies; the rest are constants.
 //! - **Dispositions** — every admitted request terminates in exactly
 //!   one [`Disposition`] (completed | degraded | shed | failed), the
 //!   request-conservation invariant checked by
@@ -36,9 +38,8 @@
 
 use crate::policy::PolicyConfig;
 use crate::scheduler::run_serve_policy;
-use crate::server::{non_negative, CostTable, ServeConfig, ServeReport};
+use crate::server::{CostTable, ServeConfig, ServeReport};
 use afsb_core::report::ascii_table;
-use afsb_core::resilience::RetryPolicy;
 use afsb_rt::fault::{FaultEvent, FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use std::fmt;
@@ -79,108 +80,47 @@ impl fmt::Display for Disposition {
     }
 }
 
-/// The serving-level recovery policy: what happens after a fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Backoff schedule between MSA attempts of one request.
-    pub retry: RetryPolicy,
-    /// Total MSA attempts a request may consume before it is
-    /// [`Disposition::Failed`] (its *attempt budget*).
-    pub max_attempts: u32,
-    /// Consecutive kill-failures across the pool before the circuit
-    /// opens and requeues park until the cooldown elapses.
-    pub breaker_threshold: u32,
-    /// Seconds the open circuit waits before half-closing and
-    /// re-dispatching parked requests.
-    pub breaker_cooldown_s: f64,
-    /// Shed still-queued requests when their deadline expires instead
-    /// of letting them finish arbitrarily late.
-    pub shed_expired: bool,
-    /// Queue depth (queued MSA requests + parked requests) at which a
-    /// request entering the MSA queue degrades to the reduced-depth MSA
-    /// rung. `0` disables degradation.
-    pub degrade_queue_depth: usize,
-    /// MSA duration multiplier under degradation (in `(0, 1]`: a
-    /// shallower search finishes faster). Speculative admission
-    /// ([`crate::policy::PolicyConfig::speculate_queue_depth`]) uses
-    /// the same rung.
-    pub degrade_msa_factor: f64,
-    /// MSA depth cap reported for the degradation rung (the ladder's
-    /// `DegradeStep::MsaDepthCap` parameter).
-    pub degraded_msa_depth: usize,
-    /// Checkpoint granularity of the jackhmmer driver: durable progress
-    /// is a stopped attempt's progress (killed or preempted) floored to
-    /// `1/checkpoint_units` steps, so a retry redoes only the
-    /// non-durable tail.
-    pub checkpoint_units: usize,
-}
+/// MSA attempts a request may consume before it is
+/// [`Disposition::Failed`] (its *attempt budget*). Retries back off by
+/// `RetryPolicy::default()`.
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
 
-impl RecoveryPolicy {
-    /// The canonical policy the `serve-chaos` matrix runs with.
-    pub fn standard() -> RecoveryPolicy {
-        RecoveryPolicy {
-            retry: RetryPolicy::default(),
-            max_attempts: 4,
-            breaker_threshold: 3,
-            breaker_cooldown_s: 900.0,
-            shed_expired: true,
-            degrade_queue_depth: 0,
-            degrade_msa_factor: 0.6,
-            degraded_msa_depth: 128,
-            checkpoint_units: 8,
-        }
-    }
+/// Consecutive kill-failures across the pool before the circuit opens
+/// and requeues park until the cooldown elapses.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
 
-    /// Check every number for a degenerate value, returning an error
-    /// that names the field: a NaN backoff or cooldown would reach the
-    /// engine as a non-finite event time.
-    pub fn validate(&self) -> Result<(), String> {
-        let r = &self.retry;
-        for (field, value) in [
-            ("retry.base_backoff_s", r.base_backoff_s),
-            ("retry.multiplier", r.multiplier),
-            ("retry.cap_s", r.cap_s),
-            ("retry.jitter_fraction", r.jitter_fraction),
-            ("breaker_cooldown_s", self.breaker_cooldown_s),
-        ] {
-            non_negative(&format!("recovery: {field}"), value)?;
-        }
-        if !(self.degrade_msa_factor > 0.0 && self.degrade_msa_factor <= 1.0) {
-            return Err(format!(
-                "recovery: degrade_msa_factor must be in (0, 1], got {}",
-                self.degrade_msa_factor
-            ));
-        }
-        for (field, value) in [
-            ("max_attempts", self.max_attempts as usize),
-            ("degraded_msa_depth", self.degraded_msa_depth),
-            ("checkpoint_units", self.checkpoint_units),
-        ] {
-            if value == 0 {
-                return Err(format!("recovery: {field} must be at least 1"));
-            }
-        }
-        Ok(())
-    }
-}
+/// Seconds the open circuit waits before half-closing and re-dispatching
+/// parked requests.
+pub(crate) const BREAKER_COOLDOWN_S: f64 = 900.0;
 
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy::standard()
-    }
-}
+/// MSA duration multiplier of the degradation rung (a shallower search
+/// finishes faster), shared by the recovery rung and speculative
+/// admission ([`crate::policy::PolicyConfig::speculate_queue_depth`]).
+/// Its depth is
+/// [`DEGRADED_MSA_DEPTH`](afsb_core::resilience::DEGRADED_MSA_DEPTH).
+pub(crate) const DEGRADE_MSA_FACTOR: f64 = 0.6;
 
-/// A fault plan plus the recovery policy that answers it.
+/// Checkpoint granularity of the jackhmmer driver: durable progress is
+/// a stopped attempt's progress (killed or preempted) floored to
+/// `1/CHECKPOINT_UNITS` steps, so a retry redoes only the non-durable
+/// tail.
+pub(crate) const CHECKPOINT_UNITS: usize = 8;
+
+/// A fault plan plus the one recovery number a run chooses, the
+/// degradation threshold. Retries, the circuit breaker, deadline
+/// shedding and the checkpoint grid run at the constants above.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosConfig {
     /// The faults to inject (empty = the fault-free baseline).
     pub plan: FaultPlan,
-    /// How the serving layer recovers. Inert while the plan is empty.
-    pub policy: RecoveryPolicy,
+    /// Queue depth (queued MSA requests + parked requests) at which a
+    /// request entering the MSA queue degrades to the reduced-depth MSA
+    /// rung while the plan is armed. `0` disables degradation.
+    pub degrade_queue_depth: usize,
 }
 
 impl ChaosConfig {
-    /// No faults, default policy: the byte-identical baseline.
+    /// No faults: the byte-identical baseline.
     pub fn none() -> ChaosConfig {
         ChaosConfig::default()
     }
@@ -298,7 +238,7 @@ impl ChaosReport {
 /// # Panics
 ///
 /// Panics with the validation error of a degenerate config, cost
-/// table, recovery policy or fault plan.
+/// table or fault plan.
 pub fn run_serve_chaos(
     config: &ServeConfig,
     chaos: &ChaosConfig,
@@ -316,7 +256,7 @@ pub struct ChaosScenario {
     /// The serving configuration (shared across the matrix — the
     /// canonical `cold` config, so `baseline` is byte-identical to it).
     pub config: ServeConfig,
-    /// The fault plan + recovery policy.
+    /// The fault plan and degradation threshold.
     pub chaos: ChaosConfig,
 }
 
@@ -341,7 +281,6 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
         .find(|s| s.name == "cold")
         .expect("cold scenario exists")
         .config;
-    let policy = RecoveryPolicy::standard();
 
     let worker_churn = FaultPlan::none()
         .with_at(FaultKind::WorkerCrash { at_fraction: 0.3 }, 600.0)
@@ -423,7 +362,7 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
             config,
             chaos: ChaosConfig {
                 plan: worker_churn,
-                policy,
+                degrade_queue_depth: 0,
             },
         },
         ChaosScenario {
@@ -431,7 +370,7 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
             config,
             chaos: ChaosConfig {
                 plan: storage_brownout,
-                policy,
+                degrade_queue_depth: 0,
             },
         },
         ChaosScenario {
@@ -439,7 +378,7 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
             config,
             chaos: ChaosConfig {
                 plan: gpu_flap,
-                policy,
+                degrade_queue_depth: 0,
             },
         },
         ChaosScenario {
@@ -447,10 +386,7 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
             config,
             chaos: ChaosConfig {
                 plan: kitchen_sink,
-                policy: RecoveryPolicy {
-                    degrade_queue_depth: 64,
-                    ..policy
-                },
+                degrade_queue_depth: 64,
             },
         },
     ]
@@ -521,36 +457,6 @@ mod tests {
     use afsb_seq::samples::SampleId;
     use afsb_simarch::Platform;
 
-    #[test]
-    fn recovery_policy_validate_names_each_bad_field() {
-        assert_eq!(RecoveryPolicy::standard().validate(), Ok(()));
-        type Set = fn(&mut RecoveryPolicy);
-        let cases: [(&str, Set); 12] = [
-            ("retry.base_backoff_s", |p| {
-                p.retry.base_backoff_s = f64::NAN
-            }),
-            ("retry.multiplier", |p| p.retry.multiplier = -2.0),
-            ("retry.cap_s", |p| p.retry.cap_s = f64::INFINITY),
-            ("retry.jitter_fraction", |p| {
-                p.retry.jitter_fraction = f64::NAN
-            }),
-            ("breaker_cooldown_s", |p| p.breaker_cooldown_s = f64::NAN),
-            ("breaker_cooldown_s", |p| p.breaker_cooldown_s = -1.0),
-            ("degrade_msa_factor", |p| p.degrade_msa_factor = f64::NAN),
-            ("degrade_msa_factor", |p| p.degrade_msa_factor = 0.0),
-            ("degrade_msa_factor", |p| p.degrade_msa_factor = 1.5),
-            ("max_attempts", |p| p.max_attempts = 0),
-            ("degraded_msa_depth", |p| p.degraded_msa_depth = 0),
-            ("checkpoint_units", |p| p.checkpoint_units = 0),
-        ];
-        for (field, set) in cases {
-            let mut policy = RecoveryPolicy::standard();
-            set(&mut policy);
-            let err = policy.validate().expect_err(field);
-            assert!(err.contains(field), "error names {field}: {err}");
-        }
-    }
-
     /// Serve eight requests on a flat synthetic cost table under `chaos`.
     fn tiny_chaos_run(chaos: &ChaosConfig) -> ChaosReport {
         let shape = ShapeCost {
@@ -579,25 +485,11 @@ mod tests {
         run_serve_chaos(&config, chaos, &costs, &mut ObsSession::new())
     }
 
-    #[test]
-    #[should_panic(expected = "breaker_cooldown_s")]
-    fn nan_breaker_cooldown_panics_naming_the_field() {
-        // Used to surface as "event time must be finite" once the
-        // breaker opened and scheduled its close.
-        tiny_chaos_run(&ChaosConfig {
-            plan: FaultPlan::none().with_at(FaultKind::WorkerCrash { at_fraction: 0.0 }, 1.0),
-            policy: RecoveryPolicy {
-                breaker_cooldown_s: f64::NAN,
-                ..RecoveryPolicy::standard()
-            },
-        });
-    }
-
     /// A plan whose one fault is a storage stall of `stall_seconds`.
     fn stall(stall_seconds: f64) -> ChaosConfig {
         ChaosConfig {
             plan: FaultPlan::none().with_at(FaultKind::StorageStall { stall_seconds }, 5.0),
-            policy: RecoveryPolicy::standard(),
+            degrade_queue_depth: 0,
         }
     }
 

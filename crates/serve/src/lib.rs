@@ -71,7 +71,7 @@ pub mod workload;
 pub use cache::FeatureCache;
 pub use chaos::{
     chaos_scenarios, render_chaos_summary, run_chaos, run_serve_chaos, ChaosConfig, ChaosReport,
-    ChaosScenario, ChaosScenarioRun, Disposition, RecoveryPolicy,
+    ChaosScenario, ChaosScenarioRun, Disposition,
 };
 pub use policy::{
     policy_scenarios, render_policy_matrix, run_policy_matrix, PolicyConfig, PolicyMatrixReport,

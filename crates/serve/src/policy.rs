@@ -21,9 +21,9 @@
 //! - **checkpoint-yield preemption** — when a predicted-short request
 //!   arrives and every worker is busy, the job with the most remaining
 //!   work parks at its last durable jackhmmer checkpoint (the
-//!   `1/checkpoint_units` salvage grid of the run's
-//!   [`RecoveryPolicy`](crate::chaos::RecoveryPolicy), shared with
-//!   kills) and re-queues; only the non-durable tail is redone,
+//!   `1/CHECKPOINT_UNITS` salvage
+//!   grid, shared with kills) and re-queues; only the non-durable tail
+//!   is redone,
 //! - **speculative admission** — a request that joins a backlog past a
 //!   threshold steps down the `core::resilience`
 //!   `DegradeStep::MsaDepthCap` rung (shallower, faster searches at
@@ -33,13 +33,22 @@
 //! request-conservation invariant ([`ChaosReport::conserves_requests`])
 //! is testable across the whole matrix.
 
-use crate::chaos::{ChaosConfig, ChaosReport};
+use crate::chaos::{ChaosConfig, ChaosReport, DEGRADE_MSA_FACTOR};
 pub use crate::scheduler::run_serve_policy;
-use crate::server::{non_negative, CostTable, ServeConfig};
+use crate::server::{CostTable, ServeConfig};
 use crate::whatif::{predict_makespan, WhatIf};
 use afsb_core::report::ascii_table;
 use afsb_rt::obs::ObsSession;
 use std::fmt::Write as _;
+
+/// Preempt only when the victim's remaining seconds exceed the arriving
+/// job's full MSA seconds by this factor (hysteresis so near-peers never
+/// thrash).
+pub(crate) const PREEMPT_MIN_RATIO: f64 = 2.0;
+
+/// Per-request preemption budget: a job yields at most this many times,
+/// then runs to completion.
+pub(crate) const MAX_PREEMPTIONS: u32 = 2;
 
 /// Which queued MSA request a freed pool worker takes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +77,7 @@ impl QueueDiscipline {
 
 /// One scheduling policy: a queue discipline plus the optional
 /// load-adaptive mechanisms layered on it. The checkpoint grid and the
-/// degraded rung's cost come from the run's
-/// [`RecoveryPolicy`](crate::chaos::RecoveryPolicy).
+/// degraded rung's cost are the constants of [`crate::chaos`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// MSA queue discipline.
@@ -80,15 +88,8 @@ pub struct PolicyConfig {
     pub shape_batching: bool,
     /// Checkpoint-yield preemption: an arriving short job may park the
     /// longest-remaining running MSA job at its last durable
-    /// checkpoint.
+    /// checkpoint, within `PREEMPT_MIN_RATIO` and `MAX_PREEMPTIONS`.
     pub preempt: bool,
-    /// Preempt only when the victim's remaining seconds exceed the
-    /// arriving job's full MSA seconds by this factor (hysteresis so
-    /// near-peers never thrash).
-    pub preempt_min_ratio: f64,
-    /// Per-request preemption budget (a job yields at most this many
-    /// times, then runs to completion).
-    pub max_preemptions: u32,
     /// Speculative admission: queue depth (queued + parked) at which a
     /// request entering the queue steps down the MSA-depth degradation
     /// rung. `0` disables speculation.
@@ -103,8 +104,6 @@ impl PolicyConfig {
             queue: QueueDiscipline::Fifo,
             shape_batching: false,
             preempt: false,
-            preempt_min_ratio: 2.0,
-            max_preemptions: 2,
             speculate_queue_depth: 0,
         }
     }
@@ -185,14 +184,6 @@ impl PolicyConfig {
             parts.push(format!("spec{}", self.speculate_queue_depth));
         }
         parts.join("+")
-    }
-
-    /// Check the numbers for degenerate values, returning an error that
-    /// names the field: a NaN `preempt_min_ratio` fails every
-    /// `remaining <= ratio · incoming` test, so every arrival would
-    /// preempt.
-    pub fn validate(&self) -> Result<(), String> {
-        non_negative("policy: preempt_min_ratio", self.preempt_min_ratio)
     }
 }
 
@@ -283,8 +274,7 @@ pub struct PolicyRun {
 pub struct PolicyWhatIf {
     /// The winning (dominating, speculation-armed) row.
     pub winner: &'static str,
-    /// The matching virtual MSA speedup (`1 / degrade_msa_factor` of
-    /// the run's [`RecoveryPolicy`](crate::chaos::RecoveryPolicy)).
+    /// The matching virtual MSA speedup (`1 / DEGRADE_MSA_FACTOR`).
     pub speedup: f64,
     /// Makespan [`predict_makespan`] projects for that speedup from the
     /// FIFO run's causal log.
@@ -437,7 +427,7 @@ pub fn run_policy_matrix(quick: bool) -> PolicyMatrixReport {
         })
         .map(|r| (r.name, r.report.chaos.base.makespan_s));
     if let Some((name, measured_makespan_s)) = winner {
-        let speedup = 1.0 / chaos.policy.degrade_msa_factor;
+        let speedup = 1.0 / DEGRADE_MSA_FACTOR;
         let predicted_makespan_s =
             predict_makespan(&causal, &fifo_config, WhatIf::ScaleMsa(speedup));
         let predicted_delta_pct = (fifo_makespan - predicted_makespan_s) / fifo_makespan * 100.0;
@@ -554,21 +544,6 @@ pub fn render_policy_matrix(matrix: &PolicyMatrixReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_validate_names_preempt_min_ratio() {
-        for pol in policy_scenarios(true).iter().map(|s| s.policy) {
-            assert_eq!(pol.validate(), Ok(()), "{}", pol.label());
-        }
-        for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let pol = PolicyConfig {
-                preempt_min_ratio: bad,
-                ..PolicyConfig::sjf_preempt()
-            };
-            let err = pol.validate().expect_err("bad ratio");
-            assert!(err.contains("preempt_min_ratio"), "{bad}: {err}");
-        }
-    }
 
     #[test]
     fn policy_labels_are_stable() {

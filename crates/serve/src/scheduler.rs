@@ -53,8 +53,8 @@
 //! **Degradation at admission.** One rule serves speculation and the
 //! chaos recovery policy: the MsaDepthCap rung is decided when a
 //! request enters the queue (a miss arrival or a requeue), against the
-//! backlog it joins (queued + parked), at the factor and depth of the
-//! run's [`RecoveryPolicy`](crate::chaos::RecoveryPolicy). Deciding it
+//! backlog it joins (queued + parked), at `DEGRADE_MSA_FACTOR` of the
+//! cost and [`DEGRADED_MSA_DEPTH`]. Deciding it
 //! at dispatch would consult the backlog left *behind* the request,
 //! which in an overloaded run stays past the threshold until the queue
 //! drains: the requests dispatched first — the early arrivals, the
@@ -80,14 +80,19 @@
 //! the loop makes no extra engine or tracer call.
 
 use crate::cache::FeatureCache;
-use crate::chaos::{ChaosConfig, ChaosReport, Disposition};
-use crate::policy::{PolicyConfig, PolicyReport, QueueDiscipline};
+use crate::chaos::{
+    ChaosConfig, ChaosReport, Disposition, BREAKER_COOLDOWN_S, BREAKER_THRESHOLD, CHECKPOINT_UNITS,
+    DEGRADE_MSA_FACTOR, MAX_ATTEMPTS,
+};
+use crate::policy::{
+    PolicyConfig, PolicyReport, QueueDiscipline, MAX_PREEMPTIONS, PREEMPT_MIN_RATIO,
+};
 use crate::server::{
     CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
     LATENCY_BOUNDS, TIMELINE_COLUMNS,
 };
 use crate::workload::{self, Request};
-use afsb_core::resilience::{CircuitBreaker, DegradeStep};
+use afsb_core::resilience::{CircuitBreaker, DegradeStep, RetryPolicy, DEGRADED_MSA_DEPTH};
 use afsb_rt::fault::{FaultInjector, FaultKind};
 use afsb_rt::obs::timeline::{SloMonitor, TimelineSampler};
 use afsb_rt::obs::{Histogram, ObsSession};
@@ -122,14 +127,13 @@ fn total_order(x: f64) -> i64 {
 struct Scheduler<'a> {
     config: &'a ServeConfig,
     pol: &'a PolicyConfig,
-    chaos: &'a ChaosConfig,
     costs: &'a CostTable,
     obs: &'a mut ObsSession,
     requests: Vec<Request>,
     engine: SimEngine,
     cache: FeatureCache,
     /// Whether a fault plan is armed. It gates shedding, the recovery
-    /// policy's degradation threshold and the chaos metrics, which keeps
+    /// degradation threshold and the chaos metrics, which keeps
     /// the empty-plan run bit-identical to the frozen seed scheduler.
     /// State that only a fired fault fills needs no gate.
     active: bool,
@@ -208,23 +212,19 @@ impl<'a> Scheduler<'a> {
     /// # Panics
     ///
     /// Panics with the first error of [`ServeConfig::validate`],
-    /// [`CostTable::validate`],
-    /// [`RecoveryPolicy::validate`](crate::chaos::RecoveryPolicy::validate),
-    /// [`FaultPlan::validate`](afsb_rt::fault::FaultPlan::validate) or
-    /// [`PolicyConfig::validate`].
+    /// [`CostTable::validate`] or
+    /// [`FaultPlan::validate`](afsb_rt::fault::FaultPlan::validate).
     fn new(
         config: &'a ServeConfig,
         pol: &'a PolicyConfig,
-        chaos: &'a ChaosConfig,
+        chaos: &ChaosConfig,
         costs: &'a CostTable,
         obs: &'a mut ObsSession,
     ) -> Scheduler<'a> {
         let valid = config
             .validate()
             .and_then(|()| costs.validate())
-            .and_then(|()| chaos.policy.validate())
-            .and_then(|()| chaos.plan.validate())
-            .and_then(|()| pol.validate());
+            .and_then(|()| chaos.plan.validate());
         if let Err(e) = valid {
             panic!("{e}");
         }
@@ -258,14 +258,13 @@ impl<'a> Scheduler<'a> {
         let deg_depth = if pol.speculate_queue_depth > 0 {
             pol.speculate_queue_depth
         } else if active {
-            chaos.policy.degrade_queue_depth
+            chaos.degrade_queue_depth
         } else {
             0
         };
         Scheduler {
             config,
             pol,
-            chaos,
             costs,
             obs,
             requests,
@@ -303,7 +302,7 @@ impl<'a> Scheduler<'a> {
             requeue_timers: vec![None; n],
             wait_since: vec![0.0; n],
             parked: Vec::new(),
-            breaker: CircuitBreaker::new(chaos.policy.breaker_threshold),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
             breaker_open: false,
             requeues: 0,
             breaker_opens: 0,
@@ -346,7 +345,6 @@ impl<'a> Scheduler<'a> {
                 // and still waiting.
                 Event::DeadlineExpired { request } => {
                     if self.active
-                        && self.chaos.policy.shed_expired
                         && !self.outcomes[request].rejected
                         && self.disposition[request].is_none()
                         && self.shed_waiting(request)
@@ -550,10 +548,14 @@ impl<'a> Scheduler<'a> {
         {
             self.degraded_req[r] = true;
             self.degraded_attempts += 1;
-            let depth = self.chaos.policy.degraded_msa_depth;
             self.obs.tracer.instant_at(
                 now,
-                format!("degrade:{}", DegradeStep::MsaDepthCap { depth }),
+                format!(
+                    "degrade:{}",
+                    DegradeStep::MsaDepthCap {
+                        depth: DEGRADED_MSA_DEPTH
+                    }
+                ),
             );
         }
         self.enqueue(r, now);
@@ -580,7 +582,7 @@ impl<'a> Scheduler<'a> {
         let mut msa_s =
             (1.0 - self.durable[r]).max(0.0) * self.costs.shape(self.requests[r].sample).msa_s;
         if self.degraded_req[r] {
-            msa_s *= self.chaos.policy.degrade_msa_factor;
+            msa_s *= DEGRADE_MSA_FACTOR;
         }
         let enqueued_at = self.enqueued_at[r];
         let start = self.workers[w].max(enqueued_at);
@@ -638,7 +640,7 @@ impl<'a> Scheduler<'a> {
             ((now - j.start_s) / span).clamp(0.0, 1.0)
         };
         let before = self.durable[r];
-        let units = self.chaos.policy.checkpoint_units as f64;
+        let units = CHECKPOINT_UNITS as f64;
         self.durable[r] = ((before + progress * (1.0 - before)) * units).floor() / units;
         let salvaged = (self.durable[r] - before) * self.costs.shape(self.requests[r].sample).msa_s;
         (r, ((now - j.start_s).max(0.0) - salvaged).max(0.0))
@@ -688,9 +690,7 @@ impl<'a> Scheduler<'a> {
             return;
         };
         let r = self.running[w].expect("victim worker is running").request;
-        if rem <= incoming_msa_s * self.pol.preempt_min_ratio
-            || self.preempt_count[r] >= self.pol.max_preemptions
-        {
+        if rem <= incoming_msa_s * PREEMPT_MIN_RATIO || self.preempt_count[r] >= MAX_PREEMPTIONS {
             return;
         }
         // Identical salvage to a chaos kill, but voluntary.
@@ -872,17 +872,16 @@ impl<'a> Scheduler<'a> {
     /// after a jittered backoff and count the failure against the
     /// circuit breaker.
     fn retry_or_fail(&mut self, r: usize, now: f64) {
-        let policy = &self.chaos.policy;
         self.wait_since[r] = now;
         self.attempts[r] += 1;
-        if self.attempts[r] >= policy.max_attempts.max(1) {
+        if self.attempts[r] >= MAX_ATTEMPTS {
             self.fail(r, now);
             for waiter in self.release_waiters(r) {
                 self.fail(waiter, now);
             }
             return;
         }
-        let backoff = policy.retry.backoff_seconds(
+        let backoff = RetryPolicy::default().backoff_seconds(
             self.attempts[r],
             mix(self.config.workload.seed, BACKOFF_SALT ^ r as u64),
         );
@@ -896,7 +895,7 @@ impl<'a> Scheduler<'a> {
             self.breaker_opens += 1;
             self.obs.tracer.instant_at(now, "circuit-open");
             self.engine.schedule_tagged(
-                now + policy.breaker_cooldown_s,
+                now + BREAKER_COOLDOWN_S,
                 Event::BreakerClose,
                 WaitEdge::Admission,
             );

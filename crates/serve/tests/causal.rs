@@ -17,7 +17,7 @@
 use afsb_rt::fault::{FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use afsb_rt::sim::WaitEdge;
-use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos, ChaosConfig, RecoveryPolicy};
+use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos, ChaosConfig};
 use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
 use afsb_serve::server::{run_serve, CostTable};
 use afsb_serve::whatif::{scaled_config, scaled_costs};
@@ -215,7 +215,7 @@ fn multi_requeue_attribution_stays_closed_and_non_negative() {
     }
     let chaos = ChaosConfig {
         plan,
-        policy: RecoveryPolicy::standard(),
+        degrade_queue_depth: 0,
     };
 
     let mut obs = ObsSession::new();

@@ -20,7 +20,7 @@ use afsb_core::resilience::Deadline;
 use afsb_rt::fault::{FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
-use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport, Disposition, RecoveryPolicy};
+use afsb_serve::chaos::{run_serve_chaos, ChaosConfig, ChaosReport, Disposition};
 use afsb_serve::policy::{policy_scenarios, run_serve_policy};
 use afsb_serve::server::{CostTable, ServeConfig, ShapeCost};
 use afsb_serve::workload::WorkloadConfig;
@@ -145,7 +145,7 @@ fn seeded_fault_sweeps_conserve_every_request() {
     for seed in sweep_seeds() {
         let chaos = ChaosConfig {
             plan: FaultPlan::seeded(seed),
-            policy: RecoveryPolicy::standard(),
+            degrade_queue_depth: 0,
         };
         for (name, config) in [
             ("loose", base_config()),
@@ -192,7 +192,7 @@ fn one_chaos_config_drives_many_runs_without_double_firing() {
                 120.0,
             )
             .with_at(FaultKind::GpuInitFailure, 200.0),
-        policy: RecoveryPolicy::standard(),
+        degrade_queue_depth: 0,
     };
     let mut first_obs = ObsSession::new();
     let first = run_serve_chaos(&base_config(), &chaos, &costs, &mut first_obs);
@@ -238,7 +238,7 @@ fn killing_a_producer_wakes_coalesced_waiters_exactly_once() {
     // entity are piggybacked on the in-flight fill.
     let chaos = ChaosConfig {
         plan: FaultPlan::none().with_at(FaultKind::WorkerCrash { at_fraction: 0.0 }, 30.0),
-        policy: RecoveryPolicy::standard(),
+        degrade_queue_depth: 0,
     };
     let mut obs = ObsSession::new();
     let report = run_serve_chaos(&coalescing_config(), &chaos, &costs, &mut obs);
@@ -295,7 +295,7 @@ fn storage_faults_during_coalesced_fills_wake_waiters_exactly_once() {
     ] {
         let chaos = ChaosConfig {
             plan,
-            policy: RecoveryPolicy::standard(),
+            degrade_queue_depth: 0,
         };
         let plan_len = chaos.plan.faults().len();
         let mut obs = ObsSession::new();
@@ -313,7 +313,7 @@ fn seeded_fault_schedules_over_coalescing_streams_conserve_wakeups() {
     for seed in sweep_seeds() {
         let chaos = ChaosConfig {
             plan: FaultPlan::seeded(seed),
-            policy: RecoveryPolicy::standard(),
+            degrade_queue_depth: 0,
         };
         for (name, config) in [
             ("loose", coalescing_config()),
@@ -347,7 +347,7 @@ fn every_policy_coalesces_and_wakes_waiters_exactly_once() {
     for seed in sweep_seeds() {
         let chaos = ChaosConfig {
             plan: FaultPlan::seeded(seed),
-            policy: RecoveryPolicy::standard(),
+            degrade_queue_depth: 0,
         };
         plans.push((format!("seed {seed}"), chaos));
     }

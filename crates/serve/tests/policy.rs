@@ -176,12 +176,3 @@ fn sjf_reorders_but_conserves_work() {
         "reordering must not lose or invent completions"
     );
 }
-
-#[test]
-#[should_panic(expected = "preempt_min_ratio")]
-fn nan_preempt_ratio_panics_instead_of_preempting_every_arrival() {
-    run(&PolicyConfig {
-        preempt_min_ratio: f64::NAN,
-        ..PolicyConfig::sjf_preempt()
-    });
-}

@@ -270,6 +270,24 @@ fn invalid_fault_plan_panics_naming_the_fault_and_field() {
 }
 
 #[test]
+#[should_panic(expected = "inference_deadline_s must be positive and finite, got NaN")]
+fn nan_inference_deadline_panics_naming_the_field() {
+    // Refused before any simulated work: no attempt can be measured
+    // against a NaN budget.
+    run_resilient(
+        &rna_probe(200),
+        Platform::Server,
+        4,
+        &options(),
+        &ResilienceOptions {
+            inference_deadline_s: Some(f64::NAN),
+            ..ResilienceOptions::default()
+        },
+        &FaultPlan::none(),
+    );
+}
+
+#[test]
 fn gpu_init_failure_retries_to_the_clean_result() {
     let data = shared_data(SampleId::S2pv7);
     let baseline = run_pipeline(&data, Platform::Desktop, 2, &options());
