@@ -480,23 +480,19 @@ fn run_resilient_impl(
         threads,
         seed: pipeline_options.seed ^ 0x99,
     };
-    let phases = match run.msa(
-        data,
-        platform,
-        eff_threads,
-        &msa_opts,
-        options.checkpointing,
-    ) {
-        Ok(msa) => run
-            .inference(
-                data,
-                platform,
-                &inference_options,
-                Deadline::new(options.inference_deadline_s),
-            )
-            .map(|inference| (msa, inference)),
-        Err(outcome) => Err(outcome),
-    };
+    let deadline = Deadline::new(options.inference_deadline_s);
+    let phases = run
+        .msa(
+            data,
+            platform,
+            eff_threads,
+            &msa_opts,
+            options.checkpointing,
+        )
+        .and_then(|msa| {
+            let inference = run.inference(data, platform, &inference_options, deadline)?;
+            Ok((msa, inference))
+        });
     let (outcome, pipeline) = match phases {
         Ok((msa, mut inference)) => {
             if degrade_steps
