@@ -471,6 +471,39 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_due_earlier_fires_first_until_both_are_due() {
+        // The plan lists a fault due at 100 s before one due at 10 s.
+        let plan = FaultPlan::none()
+            .with_at(FaultKind::StorageStall { stall_seconds: 1.0 }, 100.0)
+            .with_at(FaultKind::StorageReadError, 10.0);
+        // At 20 s only the second is due, so it fires first.
+        let mut inj = plan.injector();
+        inj.sync_to(20.0);
+        assert_eq!(
+            inj.poll(FaultSite::Storage),
+            Some(FaultKind::StorageReadError)
+        );
+        assert_eq!(inj.poll(FaultSite::Storage), None);
+        inj.sync_to(100.0);
+        assert_eq!(
+            inj.poll(FaultSite::Storage),
+            Some(FaultKind::StorageStall { stall_seconds: 1.0 })
+        );
+        // Once both are due, plan order wins.
+        let mut inj = plan.injector();
+        inj.sync_to(100.0);
+        assert_eq!(
+            inj.poll(FaultSite::Storage),
+            Some(FaultKind::StorageStall { stall_seconds: 1.0 })
+        );
+        assert_eq!(
+            inj.poll(FaultSite::Storage),
+            Some(FaultKind::StorageReadError)
+        );
+        assert_eq!(inj.poll(FaultSite::Storage), None);
+    }
+
+    #[test]
     fn charge_attributes_loss_to_last_event() {
         let mut inj = FaultPlan::none()
             .with(FaultKind::StorageStall { stall_seconds: 5.0 })
