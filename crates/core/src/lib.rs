@@ -39,7 +39,6 @@ pub mod msa_phase;
 pub mod pipeline;
 pub mod report;
 pub mod resilience;
-pub mod results;
 pub mod runner;
 pub mod trace;
 

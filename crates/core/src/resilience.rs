@@ -70,17 +70,6 @@ impl RunOutcome {
             RunOutcome::Failed => "failed",
         }
     }
-
-    /// Parse a label produced by [`Self::as_str`].
-    pub fn parse(s: &str) -> Option<RunOutcome> {
-        match s {
-            "completed" => Some(RunOutcome::Completed),
-            "degraded" => Some(RunOutcome::Degraded),
-            "oom" => Some(RunOutcome::Oom),
-            "failed" => Some(RunOutcome::Failed),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for RunOutcome {
@@ -774,17 +763,16 @@ mod tests {
     }
 
     #[test]
-    fn outcome_labels_roundtrip() {
-        for o in [
-            RunOutcome::Completed,
-            RunOutcome::Degraded,
-            RunOutcome::Oom,
-            RunOutcome::Failed,
+    fn outcome_labels_display_as_themselves() {
+        for (o, label) in [
+            (RunOutcome::Completed, "completed"),
+            (RunOutcome::Degraded, "degraded"),
+            (RunOutcome::Oom, "oom"),
+            (RunOutcome::Failed, "failed"),
         ] {
-            assert_eq!(RunOutcome::parse(o.as_str()), Some(o));
-            assert_eq!(o.to_string(), o.as_str());
+            assert_eq!(o.as_str(), label);
+            assert_eq!(o.to_string(), label);
         }
-        assert_eq!(RunOutcome::parse("nope"), None);
     }
 
     #[test]

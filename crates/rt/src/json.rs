@@ -1,9 +1,9 @@
 //! Minimal JSON value type, parser and emitter.
 //!
-//! Covers the record shapes the suite actually serializes: result-export
-//! rows (`afsb-core::results`), AF3 job documents (`afsb-seq::input`) and
-//! ad-hoc report payloads. Two properties matter more here than general
-//! serde compatibility:
+//! Covers the record shapes the suite actually serializes: perf
+//! baselines (`afsb-perf`), AF3 job documents (`afsb-seq::input`),
+//! Chrome traces and ad-hoc report payloads. Two properties matter more
+//! here than general serde compatibility:
 //!
 //! - **Determinism** — objects preserve insertion order and numbers are
 //!   formatted by a fixed rule (integers without a fraction, everything

@@ -28,7 +28,6 @@ pub mod alphabet;
 pub mod chain;
 pub mod complexity;
 pub mod database;
-pub mod fasta;
 pub mod generate;
 pub mod input;
 pub mod samples;
