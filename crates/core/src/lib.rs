@@ -18,9 +18,9 @@
 //! - [`pipeline`]: end-to-end runs combining both phases (Figs. 3 & 7),
 //! - [`estimator`]: the static memory estimator proposed in §VI,
 //! - [`resilience`]: the fault-tolerant executor — retries with capped
-//!   exponential backoff, per-phase deadlines, a circuit breaker,
-//!   checkpoint/resume for the MSA phase and the graceful-degradation
-//!   ladder driven by the estimator's pre-flight verdict,
+//!   exponential backoff, an inference deadline, checkpoint/resume for
+//!   the MSA phase and the graceful-degradation ladder driven by the
+//!   estimator's pre-flight verdict,
 //! - [`runner`]: thread sweeps, repeat handling and the adaptive
 //!   thread-count recommendation,
 //! - [`trace`]: the observability adapters — every phase recorded into
@@ -46,7 +46,7 @@ pub use context::BenchContext;
 pub use estimator::MemoryEstimator;
 pub use pipeline::{run_pipeline, PipelineResult};
 pub use resilience::{
-    run_resilient, run_resilient_traced, CircuitBreaker, Deadline, DegradeStep, ResilienceOptions,
-    ResilientResult, RetryPolicy, RunOutcome,
+    run_resilient, run_resilient_traced, Deadline, DegradeStep, ResilienceOptions, ResilientResult,
+    RetryPolicy, RunOutcome,
 };
 pub use trace::{record_pipeline, run_pipeline_traced};

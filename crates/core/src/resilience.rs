@@ -7,11 +7,10 @@
 //! This module is the serving-stack answer the paper's §VI gestures at:
 //!
 //! - [`RetryPolicy`] — capped exponential backoff with deterministic
-//!   jitter, charged in *simulated* seconds,
+//!   jitter, charged in *simulated* seconds; a run that spends its retry
+//!   budget lands in a terminal [`RunOutcome::Failed`],
 //! - [`Deadline`] — the wall-time budget of one inference attempt (an
 //!   XLA compile stall becomes a timeout instead of a hang),
-//! - [`CircuitBreaker`] — consecutive failures open the circuit and the
-//!   job lands in a terminal [`RunOutcome::Failed`],
 //! - the graceful-degradation ladder ([`DegradeStep`]) driven by the
 //!   §VI static estimator: CXL-tier expansion, then an nhmmer window
 //!   cap, then reduced MSA depth — each trading quality for survival,
@@ -50,8 +49,7 @@ pub enum RunOutcome {
     Degraded,
     /// Killed by the memory admission check (the paper's Fig. 2 OOM).
     Oom,
-    /// Terminally failed: retry budget exhausted, circuit open, or a
-    /// phase deadline exceeded.
+    /// Terminally failed: the retry budget ran out.
     Failed,
 }
 
@@ -164,39 +162,6 @@ impl Deadline {
     }
 }
 
-/// Opens after a run of consecutive failures; any success closes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    consecutive: u32,
-}
-
-impl CircuitBreaker {
-    /// A breaker that opens at `threshold` consecutive failures.
-    pub fn new(threshold: u32) -> CircuitBreaker {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            consecutive: 0,
-        }
-    }
-
-    /// Record a failure; returns whether the circuit is now open.
-    pub fn record_failure(&mut self) -> bool {
-        self.consecutive += 1;
-        self.is_open()
-    }
-
-    /// Record a success, closing the circuit.
-    pub fn record_success(&mut self) {
-        self.consecutive = 0;
-    }
-
-    /// Whether the circuit is open (job must stop).
-    pub fn is_open(&self) -> bool {
-        self.consecutive >= self.threshold
-    }
-}
-
 /// One rung of the graceful-degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeStep {
@@ -241,9 +206,6 @@ const RNA_WINDOW_CAP: usize = 900;
 /// ladder (rung 3, which also drops searches to one thread) and the
 /// serving loop's degradation rung.
 pub const DEGRADED_MSA_DEPTH: usize = 128;
-
-/// Consecutive failures before the executor's circuit opens.
-const BREAKER_THRESHOLD: u32 = 4;
 
 /// Options for the resilient executor. Retries follow
 /// `RetryPolicy::default()`; the ladder is always armed.
@@ -354,7 +316,7 @@ pub fn run_resilient(
 /// `resilient_run` root span holding every attempt span, phase trace and
 /// backoff window, plus one instant event per injected fault
 /// (`fault:<kind>` at its simulated firing time), retry, checkpoint
-/// restore, circuit-breaker transition, deadline kill and degradation
+/// restore, deadline kill, exhausted retry budget and degradation
 /// rung. Identical accounting to the untraced executor — the returned
 /// result is byte-for-byte the same.
 pub fn run_resilient_traced(
@@ -457,8 +419,6 @@ fn run_resilient_impl(
         now: 0.0,
         retries: 0,
         recovery_seconds: 0.0,
-        breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
-        breaker_tripped: false,
         injector: plan.injector(),
         obs,
         seed: pipeline_options.seed,
@@ -521,15 +481,13 @@ fn run_resilient_impl(
 }
 
 /// The executor's running accounts: the simulated wall clock, the retry
-/// budget, the circuit breaker and the trace they narrate into. Once
+/// budget and the trace they narrate into. Once
 /// the plan and the options are validated every charge is finite and
 /// non-negative, so the clock is a plain sum.
 struct Attempts<'a> {
     now: f64,
     retries: u64,
     recovery_seconds: f64,
-    breaker: CircuitBreaker,
-    breaker_tripped: bool,
     injector: FaultInjector,
     obs: Option<&'a mut ObsSession>,
     seed: u64,
@@ -537,8 +495,8 @@ struct Attempts<'a> {
 
 impl Attempts<'_> {
     /// Record an instant event when a session is attached (the traced
-    /// executor's narration points: retries, deadline kills, breaker
-    /// transitions, checkpoint restores).
+    /// executor's narration points: deadline kills, an exhausted retry
+    /// budget, checkpoint restores, admission rejects).
     fn note(&mut self, at_s: f64, name: &str, attrs: &[(&str, Json)]) {
         if let Some(o) = self.obs.as_deref_mut() {
             o.tracer.instant_at(at_s, name);
@@ -549,23 +507,20 @@ impl Attempts<'_> {
     }
 
     /// One failed attempt of `phase` that ran `spent_s` and lost
-    /// `lost_s`: count it against the retry budget and the breaker,
-    /// then either stop (`false`, naming why) or sleep through the
+    /// `lost_s`: count it against the retry budget, then either stop
+    /// (`false`, noted as `retry-budget-exhausted`) or sleep through the
     /// backoff, recorded as a `retry` instant and a `backoff` span, and
     /// book the loss plus the backoff as recovery (`true`).
     fn retry(&mut self, phase: &str, spent_s: f64, lost_s: f64) -> bool {
         let policy = RetryPolicy::default();
         self.retries += 1;
         self.now += spent_s;
-        let open = self.breaker.record_failure();
-        self.breaker_tripped = true;
-        if open || self.retries > policy.max_retries as u64 {
-            let name = if open {
-                "circuit-open"
-            } else {
-                "retry-budget-exhausted"
-            };
-            self.note(self.now, name, &[("phase", phase.into())]);
+        if self.retries > policy.max_retries as u64 {
+            self.note(
+                self.now,
+                "retry-budget-exhausted",
+                &[("phase", phase.into())],
+            );
             return false;
         }
         let backoff = policy.backoff_seconds(self.retries as u32, self.seed);
@@ -581,15 +536,6 @@ impl Attempts<'_> {
         self.now += backoff;
         self.injector.sync_to(self.now);
         true
-    }
-
-    /// A phase attempt succeeded: close the breaker.
-    fn succeed(&mut self) {
-        self.breaker.record_success();
-        if self.breaker_tripped {
-            self.note(self.now, "circuit-closed", &[]);
-            self.breaker_tripped = false;
-        }
     }
 
     /// The MSA phase's attempt loop with checkpoint-aware recovery.
@@ -636,7 +582,6 @@ impl Attempts<'_> {
                 return Err(RunOutcome::Oom);
             }
             let Some(kind) = abort else {
-                self.succeed();
                 let attempt = (1.0 - progress) * r.wall_seconds();
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.tracer.set_clock(self.now);
@@ -738,7 +683,6 @@ impl Attempts<'_> {
                 }
                 continue;
             }
-            self.succeed();
             if let Some(o) = self.obs.as_deref_mut() {
                 o.tracer.set_clock(self.now);
                 crate::trace::record_inference_phase(&r, o);
@@ -808,16 +752,6 @@ mod tests {
             let err = with(bad).validate().expect_err("degenerate deadline");
             assert!(err.contains("inference_deadline_s"), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn breaker_opens_and_closes() {
-        let mut b = CircuitBreaker::new(2);
-        assert!(!b.record_failure());
-        assert!(b.record_failure());
-        assert!(b.is_open());
-        b.record_success();
-        assert!(!b.is_open());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! - **Recovery policy** — a per-request attempt budget
 //!   (`MAX_ATTEMPTS`) with capped exponential backoff
 //!   ([`RetryPolicy`](afsb_core::resilience::RetryPolicy)) requeues
-//!   killed MSA jobs, a worker-pool `CircuitBreaker` parks requeues
-//!   while open, deadline-aware load shedding drops still-waiting
+//!   killed MSA jobs, a worker-pool circuit breaker (a count of
+//!   consecutive kills) parks requeues while open, deadline-aware load shedding drops still-waiting
 //!   requests whose deadline expired, and a request that enters the MSA
 //!   queue behind a backlog of [`ChaosConfig::degrade_queue_depth`]
 //!   steps down the `DegradeStep::MsaDepthCap` rung of the

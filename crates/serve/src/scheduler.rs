@@ -92,7 +92,7 @@ use crate::server::{
     LATENCY_BOUNDS, TIMELINE_COLUMNS,
 };
 use crate::workload::{self, Request};
-use afsb_core::resilience::{CircuitBreaker, DegradeStep, RetryPolicy, DEGRADED_MSA_DEPTH};
+use afsb_core::resilience::{DegradeStep, RetryPolicy, DEGRADED_MSA_DEPTH};
 use afsb_rt::fault::{FaultInjector, FaultKind};
 use afsb_rt::obs::timeline::{SloMonitor, TimelineSampler};
 use afsb_rt::obs::{Histogram, ObsSession};
@@ -188,7 +188,9 @@ struct Scheduler<'a> {
     /// breaker park, consumed by the next requeue dispatch).
     wait_since: Vec<f64>,
     parked: Vec<usize>,
-    breaker: CircuitBreaker,
+    /// MSA kills since the circuit last closed; the circuit opens when
+    /// this reaches `BREAKER_THRESHOLD`.
+    consecutive_kills: u32,
     breaker_open: bool,
     requeues: u64,
     breaker_opens: u64,
@@ -302,7 +304,7 @@ impl<'a> Scheduler<'a> {
             requeue_timers: vec![None; n],
             wait_since: vec![0.0; n],
             parked: Vec::new(),
-            breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
+            consecutive_kills: 0,
             breaker_open: false,
             requeues: 0,
             breaker_opens: 0,
@@ -890,7 +892,8 @@ impl<'a> Scheduler<'a> {
             Event::Requeue { request: r },
             WaitEdge::Admission,
         ));
-        if self.breaker.record_failure() && !self.breaker_open {
+        self.consecutive_kills += 1;
+        if self.consecutive_kills >= BREAKER_THRESHOLD && !self.breaker_open {
             self.breaker_open = true;
             self.breaker_opens += 1;
             self.obs.tracer.instant_at(now, "circuit-open");
@@ -924,7 +927,7 @@ impl<'a> Scheduler<'a> {
 
     /// The circuit half-closes: re-dispatch every parked request.
     fn close_breaker(&mut self, now: f64) {
-        self.breaker.record_success();
+        self.consecutive_kills = 0;
         self.breaker_open = false;
         self.obs.tracer.instant_at(now, "circuit-closed");
         for r in self.parked.drain(..) {

@@ -468,9 +468,10 @@ fn traced_chaos_run_is_deterministic_and_names_fired_faults() {
 
 /// FNV-1a over the report, Chrome trace and flamegraph of every traced
 /// run in [`executor_output_matches_the_pinned_digest`], in its order,
-/// computed once [`report_bytes`] rendered the accounting itself and
-/// before the JSON record module it used to go through was deleted.
-const EXECUTOR_DIGEST: u64 = 0x2cd1_56f4_57ec_e1a0;
+/// computed once the executor's circuit breaker was removed: its traces
+/// lost their `circuit-closed` instants, and the four-kill run's
+/// terminal instant reads `retry-budget-exhausted`.
+const EXECUTOR_DIGEST: u64 = 0xdab5_e75c_a4d2_d79f;
 
 struct Fnv(u64);
 
