@@ -17,7 +17,6 @@
 //! their fault-free behaviour.
 
 use crate::rng::{mix, Rng};
-use crate::sim::{Event, SimEngine};
 use std::fmt;
 
 /// Where in the pipeline a fault can be delivered. Each site has exactly
@@ -233,28 +232,31 @@ impl FaultPlan {
         plan
     }
 
-    /// Build the injector that delivers this plan: every fault becomes a
-    /// scheduled [`Event::Fault`] on a fresh [`SimEngine`] at its
-    /// `not_before_s` time.
+    /// Build the injector that delivers this plan, with its clock at
+    /// simulated second zero.
     ///
     /// A plan is reusable; an injector is **not**. Each call builds a
-    /// brand-new injector with its own engine and clock at simulated
-    /// second zero, so a plan that outlives one scenario run delivers
-    /// the identical fault sequence to the next run — build one
-    /// injector *per run*, never share one across runs (see
-    /// [`FaultInjector::sync_to`] for why a shared injector would
-    /// misdeliver).
+    /// brand-new injector with its own clock, so a plan that outlives
+    /// one scenario run delivers the identical fault sequence to the
+    /// next run — build one injector *per run*, never share one across
+    /// runs (see [`FaultInjector::sync_to`] for why a shared injector
+    /// would misdeliver).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a fault's `not_before_s` is NaN or infinite: no clock
+    /// could ever order it ([`FaultPlan::validate`] names the fault).
     pub fn injector(&self) -> FaultInjector {
-        let mut engine = SimEngine::new();
-        let mut future = Vec::new();
         for f in &self.faults {
-            engine.schedule(f.not_before_s, Event::Fault(f.kind));
-            future.push(f.kind);
+            assert!(
+                f.not_before_s.is_finite(),
+                "fault time must be finite, got {}",
+                f.not_before_s
+            );
         }
         FaultInjector {
-            engine,
-            due: Vec::new(),
-            future,
+            pending: self.faults.iter().map(|&f| Some(f)).collect(),
+            clock_s: 0.0,
             fired: Vec::new(),
         }
     }
@@ -289,20 +291,15 @@ impl fmt::Display for FaultEvent {
 
 /// Delivers a [`FaultPlan`] to polling sites and logs what fired.
 ///
-/// Since the event-engine refactor the injector is a thin consumer of
-/// [`SimEngine`]: every planned fault lives in the engine's queue as an
-/// [`Event::Fault`] scheduled at its `not_before_s`, the injector clock
-/// *is* the engine clock, and becoming deliverable is the queue popping
-/// the event. Delivery order among simultaneously-due faults is still
-/// **plan order** — the pop handle's sequence number is the plan
-/// position, and the due-list is kept sorted by it.
+/// The injector keeps the plan's faults in plan order beside a monotone
+/// simulated clock. A fault is due once the clock reaches its
+/// `not_before_s`; a poll delivers the first unconsumed due fault of its
+/// site, so among faults due together **plan order** decides.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    engine: SimEngine,
-    /// Popped (time-due) but not yet delivered faults, in plan order.
-    due: Vec<(u64, FaultKind)>,
-    /// Mirror of the engine queue for site queries (heaps are opaque).
-    future: Vec<FaultKind>,
+    /// The plan's faults in plan order; `None` once delivered.
+    pending: Vec<Option<ScheduledFault>>,
+    clock_s: f64,
     fired: Vec<FaultEvent>,
 }
 
@@ -312,16 +309,17 @@ impl FaultInjector {
         FaultPlan::none().injector()
     }
 
-    /// Advance the simulated clock (called by the runner as phases
-    /// complete).
+    /// Advance the simulated clock by `seconds`. Non-finite or
+    /// negative deltas are ignored.
     pub fn advance(&mut self, seconds: f64) {
-        self.engine.advance(seconds);
-        self.drain_due();
+        if seconds.is_finite() && seconds > 0.0 {
+            self.clock_s += seconds;
+        }
     }
 
     /// Move the clock forward to an absolute simulated time (never
-    /// backwards) — lets a runner that owns its own [`SimEngine`] keep
-    /// the injector on the shared clock exactly.
+    /// backwards; a non-finite time is ignored) — lets a runner that
+    /// keeps its own clock keep the injector on it exactly.
     ///
     /// The clock is **monotone across the injector's whole life**: it
     /// never rewinds, and a fault is consumed at most once. An injector
@@ -335,59 +333,34 @@ impl FaultInjector {
     /// `reusing_a_plan_across_runs_does_not_double_fire` pins this
     /// contract down.
     pub fn sync_to(&mut self, clock_s: f64) {
-        self.engine.advance_to(clock_s);
-        self.drain_due();
+        if clock_s.is_finite() && clock_s > self.clock_s {
+            self.clock_s = clock_s;
+        }
     }
 
     /// The current simulated clock.
     pub fn clock_seconds(&self) -> f64 {
-        self.engine.now_seconds()
-    }
-
-    /// Pop every engine event whose time has come; the due-list keeps
-    /// plan order via the schedule sequence numbers.
-    fn drain_due(&mut self) {
-        while self
-            .engine
-            .peek_time()
-            .is_some_and(|t| t <= self.engine.now_seconds())
-        {
-            let (_, event, id) = self.engine.pop_with_id().expect("peeked event exists");
-            let Event::Fault(kind) = event else {
-                unreachable!("the injector schedules only Fault events");
-            };
-            if let Some(i) = self.future.iter().position(|&k| k == kind) {
-                self.future.remove(i);
-            }
-            let pos = self
-                .due
-                .iter()
-                .position(|&(seq, _)| seq > id.seq())
-                .unwrap_or(self.due.len());
-            self.due.insert(pos, (id.seq(), kind));
-        }
+        self.clock_s
     }
 
     /// Deliver the next due fault for `site`, if any: the first fault
     /// (in plan order) mapped to the site whose scheduled time has
     /// passed. The fault is consumed and logged.
     pub fn poll(&mut self, site: FaultSite) -> Option<FaultKind> {
-        self.drain_due();
-        let idx = self.due.iter().position(|(_, k)| k.site() == site)?;
-        let (_, kind) = self.due.remove(idx);
+        let clock_s = self.clock_s;
+        let kind = self
+            .pending
+            .iter_mut()
+            .find(|f| f.is_some_and(|f| f.kind.site() == site && f.not_before_s <= clock_s))?
+            .take()?
+            .kind;
         self.fired.push(FaultEvent {
             site,
             kind,
-            at_s: self.engine.now_seconds(),
+            at_s: clock_s,
             lost_s: 0.0,
         });
         Some(kind)
-    }
-
-    /// Whether any fault is still pending for `site` (due now or later).
-    pub fn has_pending(&self, site: FaultSite) -> bool {
-        self.due.iter().any(|(_, k)| k.site() == site)
-            || self.future.iter().any(|k| k.site() == site)
     }
 
     /// Attribute `seconds` of simulated loss to the most recently fired
@@ -426,7 +399,6 @@ mod tests {
             FaultSite::XlaCompile,
         ] {
             assert_eq!(inj.poll(site), None);
-            assert!(!inj.has_pending(site));
         }
         assert!(inj.events().is_empty());
         assert_eq!(inj.total_lost_seconds(), 0.0);
@@ -460,7 +432,6 @@ mod tests {
         let plan = FaultPlan::none().with_at(FaultKind::GpuInitFailure, 100.0);
         let mut inj = plan.injector();
         assert_eq!(inj.poll(FaultSite::GpuInit), None);
-        assert!(inj.has_pending(FaultSite::GpuInit));
         inj.advance(99.0);
         assert_eq!(inj.poll(FaultSite::GpuInit), None);
         inj.advance(1.0);
@@ -501,6 +472,14 @@ mod tests {
             Some(FaultKind::StorageReadError)
         );
         assert_eq!(inj.poll(FaultSite::Storage), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault time must be finite, got NaN")]
+    fn injector_refuses_a_non_finite_time() {
+        FaultPlan::none()
+            .with_at(FaultKind::GpuInitFailure, f64::NAN)
+            .injector();
     }
 
     #[test]

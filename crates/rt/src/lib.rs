@@ -9,7 +9,7 @@
 //!   the output stream here is frozen forever, which makes every simulated
 //!   counter in the suite bit-reproducible across platforms and releases.
 //! - [`json`] — a minimal JSON value type, parser and emitter covering the
-//!   record shapes the suite serializes (results export, AF3 job inputs).
+//!   record shapes the suite serializes (perf baselines, AF3 job inputs).
 //!   Object key order is preserved, so same-seed runs emit byte-identical
 //!   reports.
 //! - [`check`] — a tiny seeded property-testing harness (shrink-free,
@@ -27,8 +27,8 @@
 //!   output never depends on the host's CPU count.
 //! - [`sim`] — the discrete-event simulation engine
 //!   ([`sim::SimEngine`]): one monotone clock, one `(time, seq)`-ordered
-//!   binary-heap event queue with cancellable timers, shared by the
-//!   serving scheduler and the fault injector.
+//!   binary-heap event queue with cancellable timers, driving the
+//!   serving scheduler.
 //!
 //! The suite-wide policy is **zero external registry dependencies**: if a
 //! capability is needed, it is implemented here or in the crate that needs

@@ -1,16 +1,16 @@
 //! `rt::sim` — the deterministic discrete-event simulation engine.
 //!
-//! The multi-query server and the fault injector used to keep their own
-//! ad-hoc notion of simulated time: the serving scheduler re-scanned
-//! per-request state on every step (O(steps · requests)), and the
-//! injector compared a private clock against `not_before` stamps. This
-//! module replaces both with the one structure a discrete-event
-//! simulator needs (the LLMServingSim shape): a **binary-heap event
-//! queue** keyed on `(sim_time, seq)` driving a **monotone clock**, so
-//! a sweep over N requests costs O(events · log n) instead of a rescan
-//! per step. The resilient executor (`core::resilience`) is a
-//! sequential retry loop with no interleaving events, so it keeps a
-//! plain `f64` clock instead.
+//! The multi-query server used to keep its own ad-hoc notion of
+//! simulated time: the serving scheduler re-scanned per-request state on
+//! every step (O(steps · requests)). This module replaces it with the
+//! one structure a discrete-event simulator needs (the LLMServingSim
+//! shape): a **binary-heap event queue** keyed on `(sim_time, seq)`
+//! driving a **monotone clock**, so a sweep over N requests costs
+//! O(events · log n) instead of a rescan per step. The serving scheduler
+//! is its one consumer. The resilient executor (`core::resilience`) is a
+//! sequential retry loop with no interleaving events, and the fault
+//! injector (`rt::fault`) only compares a clock against each fault's
+//! `not_before_s`, so both keep a plain `f64` clock instead.
 //!
 //! Determinism rules:
 //!
@@ -24,16 +24,15 @@
 //! - Timers are **cancellable** ([`SimEngine::cancel`]) in O(1): a
 //!   per-seq liveness flag turns the heap entry into a tombstone that
 //!   is skipped at pop time and never observed by the consumer — this
-//!   is how per-request deadlines disarm on completion and how a
-//!   consumed fault leaves the queue.
+//!   is how per-request deadlines disarm on completion.
 //! - Event times must be finite and are clamped to the current clock
 //!   (an event scheduled "in the past" fires immediately, it does not
 //!   rewind time).
 //!
-//! The typed event vocabulary ([`Event`]) is shared by both consumers:
-//! `serve` drives arrivals, MSA completions, cache fills, GPU batching,
-//! deadlines, requeues and breaker cooldowns through it; `rt::fault`
-//! schedules `Fault(kind)` deliveries.
+//! The typed event vocabulary ([`Event`]) is the serving scheduler's:
+//! arrivals, MSA completions, cache fills, GPU batching, deadlines,
+//! fault deliveries (one `Fault(kind)` per planned fault, handed to the
+//! injector when it pops), requeues and breaker cooldowns.
 //!
 //! # Provenance (the causal profiler's substrate)
 //!
@@ -397,8 +396,8 @@ impl SimEngine {
     }
 
     /// [`SimEngine::pop`] that also returns the popped event's handle —
-    /// consumers that need the original schedule order (e.g. the fault
-    /// injector's plan-order delivery) read it from [`TimerId::seq`].
+    /// consumers that need the original schedule order read it from
+    /// [`TimerId::seq`].
     pub fn pop_with_id(&mut self) -> Option<(f64, Event, TimerId)> {
         while let Some(s) = self.heap.pop() {
             if !self.take_live(s.seq) {
