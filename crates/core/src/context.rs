@@ -12,9 +12,8 @@
 //! calibrates each searched chain entity's round-1 [`Pipeline`] once;
 //! the second runs the sample's (chain entity × database) searches
 //! concurrently, each lent its entity's pipeline, and assembles them in
-//! (chain entity, database) order. Each search itself stays
-//! single-threaded (`threads: 1`), so its counters, including
-//! `peak_state_bytes` and `buffer_fills`, do not depend on how many host
+//! (chain entity, database) order. Each search is one buffered pass
+//! over its database, so its counters do not depend on how many host
 //! CPUs ran the sample.
 
 use crate::calib;
@@ -343,8 +342,8 @@ impl BenchContext {
         }
     }
 
-    /// Run one (chain entity × database) search, single-threaded, with
-    /// the entity's calibrated round-1 pipeline.
+    /// Run one (chain entity × database) search with the entity's
+    /// calibrated round-1 pipeline.
     fn search(
         &self,
         query: &Sequence,
@@ -358,7 +357,6 @@ impl BenchContext {
             MoleculeKind::Protein => {
                 let cfg = JackhmmerConfig {
                     max_iterations: self.config.max_iterations,
-                    threads: 1,
                     pipeline: self.config.pipeline(),
                     ..JackhmmerConfig::default()
                 };
@@ -367,7 +365,6 @@ impl BenchContext {
             }
             MoleculeKind::Rna => {
                 let cfg = NhmmerConfig {
-                    threads: 1,
                     pipeline: self.config.pipeline(),
                     ..NhmmerConfig::default()
                 };

@@ -13,7 +13,8 @@
 //! | `buffer_peeks`         | `seebuf`                     |
 //! | `copied_bytes`         | `copy_to_iter`               |
 
-/// Aggregated work counts for one search (or one worker's share of it).
+/// Aggregated work counts for one search (or one simulated thread's
+/// share of it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Database sequences scanned.
@@ -79,8 +80,9 @@ impl WorkCounters {
         self.peak_state_bytes = self.peak_state_bytes.max(other.peak_state_bytes);
     }
 
-    /// Merge peaks additively instead (concurrent workers hold their DP
-    /// state simultaneously).
+    /// Merge like [`Self::merge`] but add the peaks instead of taking
+    /// their max. jackhmmer folds its rounds this way, so a multi-round
+    /// search charges the sum of its rounds' peaks.
     pub fn merge_concurrent(&mut self, other: &WorkCounters) {
         let combined_peak = self.peak_state_bytes + other.peak_state_bytes;
         self.merge(other);
@@ -204,6 +206,37 @@ mod tests {
             ..WorkCounters::default()
         });
         assert_eq!(a.peak_state_bytes, 1400);
+    }
+
+    #[test]
+    fn publish_and_trace_use_the_paper_symbols() {
+        let c = WorkCounters {
+            ssv_cells: 10,
+            band_cells_mi: 30,
+            band_cells_ds: 20,
+            buffer_fills: 3,
+            copied_bytes: 4096,
+            ..WorkCounters::default()
+        };
+        let mut m = afsb_rt::MetricsRegistry::new();
+        c.publish_metrics(&mut m, "msa");
+        assert_eq!(m.counter("msa.calc_band_9.cells"), 30);
+        assert_eq!(m.counter("msa.calc_band_10.cells"), 20);
+        assert_eq!(m.counter("msa.copy_to_iter.bytes"), 4096);
+        assert_eq!(m.counter("msa.addbuf.ops"), 3);
+
+        let mut tracer = afsb_rt::Tracer::new();
+        let root = tracer.begin("msa_search");
+        tracer.advance(60.0);
+        let ids = c.trace_stages_under(&mut tracer, root, 0.0, 60.0);
+        tracer.end();
+        // Stages with zero cells get no span.
+        assert_eq!(ids.len(), 3);
+        let names = tracer.span_names();
+        for stage in ["ssv_filter", "calc_band_9", "calc_band_10"] {
+            assert!(names.contains(&stage), "{names:?}");
+        }
+        assert!(!names.contains(&"forward"), "{names:?}");
     }
 
     #[test]

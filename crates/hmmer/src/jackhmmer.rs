@@ -12,7 +12,7 @@ use crate::hits::Hit;
 use crate::msa::Msa;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::profile::ProfileHmm;
-use crate::search::{search_database, SearchResult};
+use crate::search::search_database;
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::database::SequenceDatabase;
 use afsb_seq::sequence::Sequence;
@@ -29,8 +29,6 @@ pub struct JackhmmerConfig {
     pub max_iterations: usize,
     /// Inclusion E-value for MSA membership.
     pub inclusion_evalue: f64,
-    /// Worker threads per search.
-    pub threads: usize,
     /// Filter pipeline parameters.
     pub pipeline: PipelineConfig,
 }
@@ -40,7 +38,6 @@ impl Default for JackhmmerConfig {
         JackhmmerConfig {
             max_iterations: 2,
             inclusion_evalue: 1e-3,
-            threads: 1,
             pipeline: PipelineConfig::default(),
         }
     }
@@ -55,37 +52,8 @@ pub struct JackhmmerResult {
     pub hits: Vec<Hit>,
     /// Aggregate counters over all rounds.
     pub counters: WorkCounters,
-    /// Per-round search results (for per-round analysis).
-    pub rounds: Vec<SearchResult>,
     /// Rounds actually executed.
     pub iterations_run: usize,
-}
-
-impl JackhmmerResult {
-    /// Lay one closed span per executed round under `parent`, packed
-    /// across `[start_s, start_s + duration_s)` with widths proportional
-    /// to each round's DP-cell volume; inside every round the filter
-    /// stages are tiled by [`WorkCounters::trace_stages_under`]. This is
-    /// the tracer's view of the paper's iterative-search structure.
-    pub fn trace_rounds_under(
-        &self,
-        tracer: &mut afsb_rt::Tracer,
-        parent: afsb_rt::obs::SpanId,
-        start_s: f64,
-        duration_s: f64,
-    ) {
-        let total: u64 = self.rounds.iter().map(|r| r.total.total_dp_cells()).sum();
-        let total = total.max(1) as f64;
-        let mut at = start_s;
-        for (i, round) in self.rounds.iter().enumerate() {
-            let width = duration_s * round.total.total_dp_cells() as f64 / total;
-            let id = tracer.child_span(parent, format!("jackhmmer_round_{}", i + 1), at, width);
-            tracer.span_attr(id, "hits", round.hits.len() as u64);
-            tracer.span_attr(id, "threads", round.threads as u64);
-            round.total.trace_stages_under(tracer, id, at, width);
-            at += width;
-        }
-    }
 }
 
 /// Run jackhmmer for a protein query against a database.
@@ -118,13 +86,12 @@ pub fn run(
 
     let by_id: HashMap<&str, &Sequence> = db.sequences().iter().map(|s| (s.id(), s)).collect();
     let mut counters = WorkCounters::default();
-    let mut rounds = Vec::new();
     let mut included = Vec::new();
     let mut later: Option<Pipeline> = None;
 
     for round in 0..config.max_iterations {
-        let result = search_database(later.as_ref().unwrap_or(round1), db, config.threads);
-        counters.merge_concurrent(&result.total);
+        let result = search_database(later.as_ref().unwrap_or(round1), db);
+        counters.merge_concurrent(&result.counters);
 
         let mut msa = Msa::seed(query);
         let mut new_included = Vec::new();
@@ -138,16 +105,13 @@ pub fn run(
         }
         let converged = new_included == included;
         included = new_included;
-        let hits = result.hits.clone();
-        rounds.push(result);
 
         if converged || round + 1 == config.max_iterations {
             return JackhmmerResult {
                 msa,
-                hits,
+                hits: result.hits,
                 counters,
                 iterations_run: round + 1,
-                rounds,
             };
         }
         // Re-estimate the profile from the MSA for the next round.
@@ -190,9 +154,8 @@ mod tests {
         (query, db)
     }
 
-    fn fast_config(threads: usize) -> JackhmmerConfig {
+    fn fast_config() -> JackhmmerConfig {
         JackhmmerConfig {
-            threads,
             pipeline: PipelineConfig {
                 calibration_samples: 60,
                 calibration_target_len: 100,
@@ -205,7 +168,7 @@ mod tests {
     #[test]
     fn builds_msa_from_planted_family() {
         let (query, db) = setup();
-        let config = fast_config(1);
+        let config = fast_config();
         let r = run(
             &query,
             &db,
@@ -221,17 +184,17 @@ mod tests {
     #[test]
     fn second_iteration_deepens_or_maintains_msa() {
         let (query, db) = setup();
-        let pipeline = Pipeline::for_query(&query, fast_config(1).pipeline);
+        let pipeline = Pipeline::for_query(&query, fast_config().pipeline);
         let one = run(
             &query,
             &db,
             &JackhmmerConfig {
                 max_iterations: 1,
-                ..fast_config(1)
+                ..fast_config()
             },
             &pipeline,
         );
-        let two = run(&query, &db, &fast_config(1), &pipeline);
+        let two = run(&query, &db, &fast_config(), &pipeline);
         assert!(
             two.msa.depth() >= one.msa.depth(),
             "iteration 2 depth {} < iteration 1 depth {}",
@@ -241,42 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs_and_threads() {
+    fn deterministic_across_runs() {
         let (query, db) = setup();
-        let pipeline = Pipeline::for_query(&query, fast_config(1).pipeline);
-        let a = run(&query, &db, &fast_config(1), &pipeline);
-        let b = run(&query, &db, &fast_config(4), &pipeline);
+        let pipeline = Pipeline::for_query(&query, fast_config().pipeline);
+        let a = run(&query, &db, &fast_config(), &pipeline);
+        let b = run(&query, &db, &fast_config(), &pipeline);
         let ids_a: Vec<&str> = a.hits.iter().map(|h| h.target_id.as_str()).collect();
         let ids_b: Vec<&str> = b.hits.iter().map(|h| h.target_id.as_str()).collect();
         assert_eq!(ids_a, ids_b);
         assert_eq!(a.msa.depth(), b.msa.depth());
-    }
-
-    #[test]
-    fn trace_rounds_tile_the_window_with_stage_children() {
-        let (query, db) = setup();
-        let config = fast_config(2);
-        let r = run(
-            &query,
-            &db,
-            &config,
-            &Pipeline::for_query(&query, config.pipeline),
-        );
-        let mut tracer = afsb_rt::Tracer::new();
-        let root = tracer.begin("msa_search");
-        tracer.advance(50.0);
-        r.trace_rounds_under(&mut tracer, root, 0.0, 50.0);
-        tracer.end();
-        let names = tracer.span_names();
-        assert!(names.contains(&"jackhmmer_round_1"), "{names:?}");
-        assert!(names.contains(&"calc_band_9"), "{names:?}");
-        assert!(names.contains(&"ssv_filter"), "{names:?}");
-
-        let mut m = afsb_rt::MetricsRegistry::new();
-        r.counters.publish_metrics(&mut m, "msa");
-        assert_eq!(m.counter("msa.calc_band_9.cells"), r.counters.band_cells_mi);
-        assert_eq!(m.counter("msa.copy_to_iter.bytes"), r.counters.copied_bytes);
-        assert_eq!(m.counter("msa.addbuf.ops"), r.counters.buffer_fills);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
@@ -285,7 +222,7 @@ mod tests {
         let (query, db) = setup();
         let mut rng = rng_for("jh", 2);
         let other = background_sequence("q", MoleculeKind::Protein, 60, &mut rng);
-        let config = fast_config(1);
+        let config = fast_config();
         run(
             &query,
             &db,
@@ -298,7 +235,7 @@ mod tests {
     #[should_panic(expected = "round-1 pipeline was built for another query or configuration")]
     fn a_pipeline_for_another_config_is_refused() {
         let (query, db) = setup();
-        let config = fast_config(1);
+        let config = fast_config();
         let looser = JackhmmerConfig {
             pipeline: PipelineConfig {
                 f1: 0.05,

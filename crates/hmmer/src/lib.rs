@@ -21,8 +21,8 @@
 //! - [`io_model`]: a buffered database reader whose fill/lookahead/copy
 //!   operations mirror the `addbuf`/`seebuf`/`copy_to_iter` kernel symbols
 //!   of Table IV,
-//! - [`search`]: multi-threaded database search with per-worker
-//!   [`counters::WorkCounters`],
+//! - [`search`]: one buffered pass over a database, counted in one
+//!   [`counters::WorkCounters`] block,
 //! - [`jackhmmer`] and [`nhmmer`]: the two driver programs, and
 //! - [`msa`]: MSA assembly from hit alignments.
 //!

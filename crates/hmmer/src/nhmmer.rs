@@ -15,7 +15,7 @@
 use crate::counters::WorkCounters;
 use crate::hits::Hit;
 use crate::pipeline::{Pipeline, PipelineConfig};
-use crate::search::{search_records, SearchResult};
+use crate::search::search_records;
 use afsb_seq::alphabet::MoleculeKind;
 use afsb_seq::database::SequenceDatabase;
 use afsb_seq::sequence::Sequence;
@@ -23,8 +23,6 @@ use afsb_seq::sequence::Sequence;
 /// nhmmer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NhmmerConfig {
-    /// Worker threads.
-    pub threads: usize,
     /// Filter pipeline parameters.
     pub pipeline: PipelineConfig,
     /// Target window length: longer targets are scanned in overlapping
@@ -39,7 +37,6 @@ pub struct NhmmerConfig {
 impl Default for NhmmerConfig {
     fn default() -> NhmmerConfig {
         NhmmerConfig {
-            threads: 1,
             pipeline: PipelineConfig::default(),
             window_len: 512,
             window_overlap: 128,
@@ -83,8 +80,6 @@ pub struct NhmmerResult {
     pub hits: Vec<Hit>,
     /// Exact work counters from the synthetic-scale search.
     pub counters: WorkCounters,
-    /// The underlying search result (per-worker counters etc.).
-    pub search: SearchResult,
     /// Windows scanned (== records when no target exceeded the window).
     pub windows_scanned: usize,
     /// Modelled paper-scale peak memory in bytes for this query length.
@@ -123,13 +118,12 @@ pub fn run(
         .min(window_len - 1)
         .max(query.len().min(window_len - 1));
     let windows = window_targets(db.sequences(), window_len, overlap);
-    let search = search_records(pipeline, &windows, config.threads);
+    let search = search_records(pipeline, &windows);
     NhmmerResult {
-        hits: search.hits.clone(),
-        counters: search.total,
+        hits: search.hits,
+        counters: search.counters,
         windows_scanned: windows.len(),
         paper_peak_bytes: paper_peak_bytes(query.len()),
-        search,
     }
 }
 
@@ -205,7 +199,6 @@ mod tests {
 
     fn fast_config() -> NhmmerConfig {
         NhmmerConfig {
-            threads: 2,
             pipeline: PipelineConfig {
                 f1: 0.03,
                 calibration_samples: 60,

@@ -5,13 +5,10 @@ use afsb_hmmer::counters::WorkCounters;
 use afsb_hmmer::dp;
 use afsb_hmmer::evalue::GumbelFit;
 use afsb_hmmer::msv::{msv_scan, MsvResult};
-use afsb_hmmer::pipeline::{Pipeline, PipelineConfig};
 use afsb_hmmer::profile::ProfileHmm;
-use afsb_hmmer::search::search_records;
 use afsb_hmmer::substitution::SubstitutionMatrix;
 use afsb_rt::check::{run, Config};
 use afsb_seq::alphabet::{Alphabet, MoleculeKind};
-use afsb_seq::database::{DatabaseSpec, SequenceDatabase};
 use afsb_seq::generate::{background_sequence, markov_sequence, rng_for};
 use afsb_seq::sequence::Sequence;
 
@@ -282,55 +279,6 @@ fn row_wise_msv_equals_the_diagonal_kadane_bit_for_bit() {
             assert_eq!(got.best_end, want.best_end, "{case}");
             assert_eq!(got.best_len, want.best_len, "{case}");
             assert_eq!(c.ssv_cells, (k * l) as u64, "{case}");
-        },
-    );
-}
-
-#[test]
-fn chunked_merge_equals_single_threaded_totals() {
-    // Extends the worker-count determinism regression to the FULL counter
-    // struct under arbitrary chunkings: merging the per-worker blocks of
-    // any N-way search with `WorkCounters::merge` reproduces the
-    // single-threaded totals field for field. The two documented
-    // chunking-dependent counters are pinned before comparing:
-    // `peak_state_bytes` (merge takes the max over chunk-local peaks) and
-    // `buffer_fills` (each worker's private reader refills on its own
-    // chunk boundaries).
-    run(
-        "chunked_merge_equals_single_threaded_totals",
-        Config::cases(12),
-        |g| {
-            let seed = g.range(0u64..1_000);
-            let threads = g.range(2usize..9);
-            let mut rng = rng_for("chunkprop", seed);
-            let qlen = g.range(30usize..70);
-            let query = background_sequence("q", MoleculeKind::Protein, qlen, &mut rng);
-            let spec = DatabaseSpec {
-                num_decoys: g.range(40usize..120),
-                family_size: 5,
-                ..DatabaseSpec::tiny(MoleculeKind::Protein)
-            };
-            let db = SequenceDatabase::build_with_queries(spec, std::slice::from_ref(&query));
-            let pipeline = Pipeline::new(
-                ProfileHmm::from_query(&query, &SubstitutionMatrix::blosum62()),
-                PipelineConfig {
-                    calibration_samples: 40,
-                    calibration_target_len: 80,
-                    ..PipelineConfig::default()
-                },
-            );
-            let baseline = search_records(&pipeline, db.sequences(), 1);
-            let chunked = search_records(&pipeline, db.sequences(), threads);
-            let mut merged = WorkCounters::default();
-            for worker in &chunked.per_worker {
-                merged.merge(worker);
-            }
-            merged.peak_state_bytes = baseline.total.peak_state_bytes;
-            merged.buffer_fills = baseline.total.buffer_fills;
-            assert_eq!(
-                merged, baseline.total,
-                "merged per-worker counters diverge at {threads} workers (seed {seed})"
-            );
         },
     );
 }
