@@ -9,150 +9,131 @@
 
 use afsb_simarch::Platform;
 
-/// Instruction/access rates for the MSA-phase symbols (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MsaCostModel {
-    /// Instructions per SSV/MSV filter cell (16-lane striped SIMD:
-    /// ~0.2 scalar-equivalent instructions per cell).
-    pub instr_per_filter_cell: f64,
-    /// Instructions per banded Viterbi cell (scalar max-plus kernel).
-    pub instr_per_band_cell: f64,
-    /// Instructions per Forward cell (log-sum-exp is expensive).
-    pub instr_per_forward_cell: f64,
-    /// Fraction of filter+band+forward work in the `calc_band_9` kernel;
-    /// the rest is `calc_band_10`. HMMER's striped filter splits row
-    /// processing across two generated kernel variants; Table IV shows
-    /// 28.7 % vs 26.3 % of cycles, i.e. a ~52/48 split.
-    pub band9_share: f64,
-    /// `addbuf` instructions per copied byte (buffer management: Table IV
-    /// shows ~16 % of cycles).
-    pub addbuf_instr_per_byte: f64,
-    /// `seebuf` instructions per copied byte (lookahead: ~6 % of cycles).
-    pub seebuf_instr_per_byte: f64,
-    /// `copy_to_iter` instructions per copied byte (kernel copy loop).
-    pub copy_instr_per_byte: f64,
-    /// Memory accesses per instruction across the phase.
-    pub accesses_per_instr: f64,
-    /// Shared hot region (page-cache scan window + candidate index)
-    /// visible to all workers. 55 MiB: above the Xeon's 30 MiB LLC
-    /// (persistently high miss rate, Table III) but under the Ryzen's
-    /// 64 MiB at low thread counts (1.1 % at 1T).
-    pub shared_hot_bytes: u64,
-    /// Private per-worker state (DP matrices, buffers). Grows the
-    /// aggregate footprint with thread count — the Ryzen's LLC saturates
-    /// by 6T (41.4 %, Table III).
-    pub private_hot_bytes: u64,
-    /// Serial (non-parallelizable) instructions per search: profile
-    /// build, calibration, hit merge, MSA assembly.
-    pub serial_instr_per_search: f64,
-    /// Per-thread synchronization/startup instructions per search (drives
-    /// the 6–8T degradation on small inputs, Fig. 5).
-    pub sync_instr_per_thread: f64,
-    /// Wall seconds of per-thread overhead per *protein* search: worker
-    /// spawn/join, hit merge serialization, allocator churn. Scales with
-    /// thread count, so it sets the optimal-thread knee (Observation 3).
-    pub protein_search_thread_overhead_s: f64,
-    /// Same for RNA (nhmmer) searches — much heavier due to its giant
-    /// per-thread window state (§III-C), which is what makes 6QNR
-    /// *degrade* beyond 4 threads (Fig. 5) while protein-only samples
-    /// merely saturate.
-    pub rna_search_thread_overhead_s: f64,
-}
+// Instruction and access rates of the MSA-phase symbols (Table IV).
 
-impl Default for MsaCostModel {
-    fn default() -> MsaCostModel {
-        MsaCostModel {
-            instr_per_filter_cell: 0.2,
-            instr_per_band_cell: 16.0,
-            instr_per_forward_cell: 30.0,
-            band9_share: 0.52,
-            addbuf_instr_per_byte: 14.0,
-            seebuf_instr_per_byte: 5.2,
-            copy_instr_per_byte: 4.4,
-            accesses_per_instr: 0.30,
-            shared_hot_bytes: 55 << 20,
-            private_hot_bytes: 5 << 20,
-            serial_instr_per_search: 6.0e9,
-            sync_instr_per_thread: 1.2e9,
-            protein_search_thread_overhead_s: 25.0,
-            rna_search_thread_overhead_s: 150.0,
-        }
+/// Instructions per SSV/MSV filter cell (16-lane striped SIMD: ~0.2
+/// scalar-equivalent instructions per cell).
+pub const INSTR_PER_FILTER_CELL: f64 = 0.2;
+
+/// Instructions per banded Viterbi cell (scalar max-plus kernel).
+pub const INSTR_PER_BAND_CELL: f64 = 16.0;
+
+/// Instructions per Forward cell (log-sum-exp is expensive).
+pub const INSTR_PER_FORWARD_CELL: f64 = 30.0;
+
+/// Fraction of filter+band+forward work in the `calc_band_9` kernel;
+/// the rest is `calc_band_10`. HMMER's striped filter splits row
+/// processing across two generated kernel variants; Table IV shows
+/// 28.7 % vs 26.3 % of cycles, i.e. a ~52/48 split.
+pub const BAND9_SHARE: f64 = 0.52;
+
+/// `addbuf` instructions per copied byte (buffer management: Table IV
+/// shows ~16 % of cycles).
+pub const ADDBUF_INSTR_PER_BYTE: f64 = 14.0;
+
+/// `seebuf` instructions per copied byte (lookahead: ~6 % of cycles).
+pub const SEEBUF_INSTR_PER_BYTE: f64 = 5.2;
+
+/// `copy_to_iter` instructions per copied byte (kernel copy loop).
+pub const COPY_INSTR_PER_BYTE: f64 = 4.4;
+
+/// Memory accesses per instruction across the phase.
+pub const ACCESSES_PER_INSTR: f64 = 0.30;
+
+/// Shared hot region (page-cache scan window + candidate index)
+/// visible to all workers. 55 MiB: above the Xeon's 30 MiB LLC
+/// (persistently high miss rate, Table III) but under the Ryzen's
+/// 64 MiB at low thread counts (1.1 % at 1T).
+pub const SHARED_HOT_BYTES: u64 = 55 << 20;
+
+/// Private per-worker state (DP matrices, buffers). Grows the
+/// aggregate footprint with thread count — the Ryzen's LLC saturates
+/// by 6T (41.4 %, Table III).
+pub const PRIVATE_HOT_BYTES: u64 = 5 << 20;
+
+/// Serial (non-parallelizable) instructions per search: profile
+/// build, calibration, hit merge, MSA assembly.
+pub const SERIAL_INSTR_PER_SEARCH: f64 = 6.0e9;
+
+/// Per-thread synchronization/startup instructions per search (drives
+/// the 6–8T degradation on small inputs, Fig. 5).
+pub const SYNC_INSTR_PER_THREAD: f64 = 1.2e9;
+
+/// Wall seconds of per-thread overhead per *protein* search: worker
+/// spawn/join, hit merge serialization, allocator churn. Scales with
+/// thread count, so it sets the optimal-thread knee (Observation 3).
+pub const PROTEIN_SEARCH_THREAD_OVERHEAD_S: f64 = 25.0;
+
+/// Same for RNA (nhmmer) searches — much heavier due to its giant
+/// per-thread window state (§III-C), which is what makes 6QNR
+/// *degrade* beyond 4 threads (Fig. 5) while protein-only samples
+/// merely saturate.
+pub const RNA_SEARCH_THREAD_OVERHEAD_S: f64 = 150.0;
+
+// Locality structure of the trace generator.
+//
+// The DP kernels' hit hierarchy: the overwhelming majority of accesses
+// stay in the L1-resident band rows and profile tables (that is how
+// HMMER sustains IPC ≈ 3, Table III); the ~1 % that escapes —
+// candidate-window rescans and scattered hit state — is what the cache
+// hierarchy fights over. Only that escaping traffic is simulated; the
+// rest, `1 − (BAND_BURST_WEIGHT + BAND_RANDOM_WEIGHT)` of `calc_band`'s
+// accesses, is declared L1-resident.
+
+/// Share of `calc_band` accesses hitting the shared candidate window
+/// (short bursts at random offsets — rescans of filter survivors). This
+/// is the LLC-capacity traffic behind Table III's Intel-vs-AMD contrast.
+pub const BAND_BURST_WEIGHT: f64 = 0.004;
+
+/// Share of `calc_band` accesses hitting private scattered state (hash
+/// tables, hit lists). Grows the per-thread LLC footprint — the Ryzen's
+/// 6T saturation.
+pub const BAND_RANDOM_WEIGHT: f64 = 0.002;
+
+/// Share of `copy_to_iter` accesses gathering from the shared
+/// page-cache window (the rest is buffer-local). Dominates LLC misses
+/// at 1T, diluted as band traffic grows with threads (Table IV).
+pub const COPY_GATHER_WEIGHT: f64 = 0.06;
+
+/// Burst run length (accesses) for a maximally diverse query; longer,
+/// prefetch-friendly runs for low-complexity queries (the `promo`
+/// effect: §V-B2a "regular access patterns align with hardware
+/// prefetchers").
+pub const BURST_RUN_BASE: u32 = 4;
+
+/// Extra run length at low-complexity fraction 1.0.
+pub const BURST_RUN_LOWCX_BONUS: u32 = 44;
+
+/// Byte stride inside a burst.
+pub const BURST_STRIDE: u32 = 192;
+
+/// Server branch regularity (calibrated to Table III's branch miss
+/// rows: Intel ~0.22 %).
+pub const BRANCH_REGULARITY_SERVER: f64 = 0.9955;
+
+/// Desktop branch regularity (Table III: AMD ~0.9 %).
+pub const BRANCH_REGULARITY_DESKTOP: f64 = 0.982;
+
+// The shared window sits between the two LLCs, and the simulated
+// traffic stays around 1 % of `calc_band`'s accesses.
+const _: () = assert!(SHARED_HOT_BYTES > 30 << 20 && SHARED_HOT_BYTES < 64 << 20);
+const _: () = assert!(BAND9_SHARE > 0.5 && BAND9_SHARE < 0.6);
+const _: () = assert!(INSTR_PER_FORWARD_CELL > INSTR_PER_BAND_CELL);
+const _: () = assert!(BAND_BURST_WEIGHT + BAND_RANDOM_WEIGHT < 0.02);
+
+/// Branch regularity for a platform.
+pub fn branch_regularity(platform: Platform) -> f64 {
+    match platform {
+        Platform::Server => BRANCH_REGULARITY_SERVER,
+        Platform::Desktop => BRANCH_REGULARITY_DESKTOP,
     }
 }
 
-/// Locality-structure parameters for the trace generator.
-///
-/// The weights encode the DP kernels' hit hierarchy: the overwhelming
-/// majority of accesses stay in the L1-resident band rows and profile
-/// tables (that is how HMMER sustains IPC ≈ 3, Table III); the ~1 % that
-/// escapes — candidate-window rescans and scattered hit state — is what
-/// the cache hierarchy fights over.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MsaPatternModel {
-    /// Share of `calc_band` accesses hitting the L1-resident DP band rows
-    /// (stride-8 within cached lines).
-    pub band_sequential_weight: f64,
-    /// Share hitting the (L1-resident) profile score tables.
-    pub profile_weight: f64,
-    /// Share hitting the shared candidate window (short bursts at random
-    /// offsets — rescans of filter survivors). This is the LLC-capacity
-    /// traffic behind Table III's Intel-vs-AMD contrast.
-    pub band_burst_weight: f64,
-    /// Share hitting private scattered state (hash tables, hit lists).
-    /// Grows the per-thread LLC footprint — the Ryzen's 6T saturation.
-    pub band_random_weight: f64,
-    /// Share of `copy_to_iter` accesses gathering from the shared
-    /// page-cache window (the rest is buffer-local). Dominates LLC misses
-    /// at 1T, diluted as band traffic grows with threads (Table IV).
-    pub copy_gather_weight: f64,
-    /// Burst run length (accesses) for a maximally diverse query; longer,
-    /// prefetch-friendly runs for low-complexity queries (the `promo`
-    /// effect: §V-B2a "regular access patterns align with hardware
-    /// prefetchers").
-    pub burst_run_base: u32,
-    /// Extra run length at low-complexity fraction 1.0.
-    pub burst_run_lowcx_bonus: u32,
-    /// Byte stride inside a burst.
-    pub burst_stride: u32,
-    /// Branch regularity per platform (calibrated to Table III's branch
-    /// miss rows: Intel ~0.22 %, AMD ~0.9 %).
-    pub branch_regularity_server: f64,
-    /// See `branch_regularity_server`.
-    pub branch_regularity_desktop: f64,
-}
-
-impl Default for MsaPatternModel {
-    fn default() -> MsaPatternModel {
-        MsaPatternModel {
-            band_sequential_weight: 0.72,
-            profile_weight: 0.268,
-            band_burst_weight: 0.004,
-            band_random_weight: 0.002,
-            copy_gather_weight: 0.06,
-            burst_run_base: 4,
-            burst_run_lowcx_bonus: 44,
-            burst_stride: 192,
-            branch_regularity_server: 0.9955,
-            branch_regularity_desktop: 0.982,
-        }
-    }
-}
-
-impl MsaPatternModel {
-    /// Branch regularity for a platform.
-    pub fn branch_regularity(&self, platform: Platform) -> f64 {
-        match platform {
-            Platform::Server => self.branch_regularity_server,
-            Platform::Desktop => self.branch_regularity_desktop,
-        }
-    }
-
-    /// Burst run length for a query with the given low-complexity
-    /// fraction.
-    pub fn burst_run(&self, low_complexity_fraction: f64) -> u32 {
-        let boost = (low_complexity_fraction * 6.0).min(1.0);
-        self.burst_run_base + (self.burst_run_lowcx_bonus as f64 * boost).round() as u32
-    }
+/// Burst run length for a query with the given low-complexity
+/// fraction.
+pub fn burst_run(low_complexity_fraction: f64) -> u32 {
+    let boost = (low_complexity_fraction * 6.0).min(1.0);
+    BURST_RUN_BASE + (BURST_RUN_LOWCX_BONUS as f64 * boost).round() as u32
 }
 
 /// Host-side single-core throughput scores for the GPU runtime path
@@ -175,33 +156,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_sane() {
-        let m = MsaCostModel::default();
-        assert!(m.band9_share > 0.5 && m.band9_share < 0.6);
-        assert!(m.instr_per_forward_cell > m.instr_per_band_cell);
-        assert!(m.shared_hot_bytes > (30 << 20)); // above the Xeon LLC
-        assert!(m.shared_hot_bytes < (64 << 20)); // below the Ryzen LLC
-    }
-
-    #[test]
-    fn pattern_weights_sum_to_one() {
-        let p = MsaPatternModel::default();
-        let sum = p.band_sequential_weight
-            + p.profile_weight
-            + p.band_burst_weight
-            + p.band_random_weight;
-        assert!((sum - 1.0).abs() < 0.02);
-        // Traffic (LLC-visible) share stays around 1 % — the hit
-        // hierarchy that keeps IPC near Table III's values.
-        assert!(p.band_burst_weight + p.band_random_weight < 0.02);
-    }
-
-    #[test]
     fn low_complexity_lengthens_bursts() {
-        let p = MsaPatternModel::default();
-        assert!(p.burst_run(0.0) < p.burst_run(0.16));
-        assert!(p.burst_run(0.16) <= p.burst_run(1.0));
-        assert_eq!(p.burst_run(1.0), p.burst_run_base + p.burst_run_lowcx_bonus);
+        assert!(burst_run(0.0) < burst_run(0.16));
+        assert!(burst_run(0.16) <= burst_run(1.0));
+        assert_eq!(burst_run(0.0), BURST_RUN_BASE);
+        assert_eq!(burst_run(1.0), BURST_RUN_BASE + BURST_RUN_LOWCX_BONUS);
     }
 
     #[test]

@@ -40,6 +40,15 @@ pub enum DbScale {
 }
 
 impl DbScale {
+    /// Maximum jackhmmer iterations: 2 at benchmark scale, 1 at test
+    /// scale.
+    fn max_iterations(self) -> usize {
+        match self {
+            DbScale::Bench => 2,
+            DbScale::Test => 1,
+        }
+    }
+
     fn shrink(self, spec: DatabaseSpec) -> DatabaseSpec {
         match self {
             DbScale::Bench => spec,
@@ -55,10 +64,9 @@ impl DbScale {
 /// Context configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextConfig {
-    /// Database scale.
+    /// Database scale. It also sets the jackhmmer iteration limit: 2
+    /// rounds at benchmark scale, 1 at test scale.
     pub scale: DbScale,
-    /// Maximum jackhmmer iterations (at least 1).
-    pub max_iterations: usize,
     /// RNG seed namespace. Not read today: every synthetic database
     /// draws from its own [`DatabaseSpec::seed`], so changing this field
     /// does not change any search.
@@ -70,7 +78,6 @@ impl ContextConfig {
     pub fn bench() -> ContextConfig {
         ContextConfig {
             scale: DbScale::Bench,
-            max_iterations: 2,
             seed: 11,
         }
     }
@@ -79,18 +86,8 @@ impl ContextConfig {
     pub fn test() -> ContextConfig {
         ContextConfig {
             scale: DbScale::Test,
-            max_iterations: 1,
             seed: 11,
         }
-    }
-
-    /// Check that the configuration can run a search, returning an
-    /// error that names the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_iterations == 0 {
-            return Err("context: max_iterations must be at least 1".to_string());
-        }
-        Ok(())
     }
 
     fn pipeline(&self) -> PipelineConfig {
@@ -261,15 +258,7 @@ pub struct BenchContext {
 
 impl BenchContext {
     /// Create an empty context.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`ContextConfig::validate`]'s message if the
-    /// configuration is invalid.
     pub fn new(config: ContextConfig) -> BenchContext {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
         BenchContext {
             config,
             cache: HashMap::new(),
@@ -356,7 +345,7 @@ impl BenchContext {
         let (counters, hits, msa_rows) = match kind {
             MoleculeKind::Protein => {
                 let cfg = JackhmmerConfig {
-                    max_iterations: self.config.max_iterations,
+                    max_iterations: self.config.scale.max_iterations(),
                     pipeline: self.config.pipeline(),
                     ..JackhmmerConfig::default()
                 };
@@ -506,27 +495,6 @@ mod tests {
             .map(|d| d.msa_rows)
             .sum();
         assert_eq!(data.msa_depth, rows.max(1));
-    }
-
-    #[test]
-    fn zero_iterations_are_rejected_by_name() {
-        let config = ContextConfig {
-            max_iterations: 0,
-            ..ContextConfig::test()
-        };
-        let err = config.validate().expect_err("zero iterations");
-        assert!(err.contains("max_iterations"), "{err}");
-        assert_eq!(ContextConfig::test().validate(), Ok(()));
-        assert_eq!(ContextConfig::bench().validate(), Ok(()));
-    }
-
-    #[test]
-    #[should_panic(expected = "max_iterations must be at least 1")]
-    fn context_with_zero_iterations_panics_on_the_callers_thread() {
-        BenchContext::new(ContextConfig {
-            max_iterations: 0,
-            ..ContextConfig::test()
-        });
     }
 
     #[test]

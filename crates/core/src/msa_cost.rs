@@ -4,7 +4,7 @@
 //! architecture simulator. Each profiled symbol gets:
 //!
 //! - an **instruction count** derived from executed work (DP cells,
-//!   copied bytes) via the rates in [`calib::MsaCostModel`], and
+//!   copied bytes) via the rates in [`calib`], and
 //! - an **access-pattern mix** declaring its locality structure:
 //!
 //! | Symbol         | Derived from                 | Locality |
@@ -20,7 +20,7 @@
 //! shrinks each worker's share of the scan but multiplies the private
 //! footprints contending for the shared LLC.
 
-use crate::calib::{MsaCostModel, MsaPatternModel};
+use crate::calib;
 use crate::context::SampleSearchData;
 use afsb_hmmer::counters::WorkCounters;
 use afsb_simarch::trace::{
@@ -62,40 +62,37 @@ fn per_thread_share(total: &WorkCounters, threads: usize) -> WorkCounters {
 }
 
 /// Build one thread's segments for one search's per-thread counter share.
-#[allow(clippy::too_many_arguments)]
 fn push_search_segments(
     program: &mut ThreadProgram,
     share: &WorkCounters,
     low_complexity: f64,
     regions: &WorkerRegions,
     shared_hot: Region,
-    cost: &MsaCostModel,
-    patterns: &MsaPatternModel,
     platform: Platform,
 ) {
-    let kernel_instr = share.ssv_cells as f64 * cost.instr_per_filter_cell
-        + share.msv_cells as f64 * cost.instr_per_filter_cell
-        + (share.band_cells_mi + share.band_cells_ds) as f64 * cost.instr_per_band_cell
-        + share.forward_cells as f64 * cost.instr_per_forward_cell
+    let kernel_instr = share.ssv_cells as f64 * calib::INSTR_PER_FILTER_CELL
+        + share.msv_cells as f64 * calib::INSTR_PER_FILTER_CELL
+        + (share.band_cells_mi + share.band_cells_ds) as f64 * calib::INSTR_PER_BAND_CELL
+        + share.forward_cells as f64 * calib::INSTR_PER_FORWARD_CELL
         + share.traceback_cells as f64 * 8.0;
-    let regularity = patterns.branch_regularity(platform);
-    let burst_run = patterns.burst_run(low_complexity);
+    let regularity = calib::branch_regularity(platform);
+    let burst_run = calib::burst_run(low_complexity);
 
     // Only cache-hierarchy traffic is simulated; the L1-resident
     // majority (band rows, profile tables) is declared analytically.
-    let traffic_weight = patterns.band_burst_weight + patterns.band_random_weight;
+    let traffic_weight = calib::BAND_BURST_WEIGHT + calib::BAND_RANDOM_WEIGHT;
     let band_traffic_patterns = || {
         vec![
             WeightedPattern {
-                weight: patterns.band_burst_weight,
+                weight: calib::BAND_BURST_WEIGHT,
                 pattern: AccessPattern::BurstRandom {
                     region: shared_hot,
                     run: burst_run,
-                    stride: patterns.burst_stride,
+                    stride: calib::BURST_STRIDE,
                 },
             },
             WeightedPattern {
-                weight: patterns.band_random_weight,
+                weight: calib::BAND_RANDOM_WEIGHT,
                 pattern: AccessPattern::Random {
                     region: regions.private_hot,
                 },
@@ -104,11 +101,11 @@ fn push_search_segments(
     };
 
     for (symbol, share_fraction) in [
-        ("calc_band_9", cost.band9_share),
-        ("calc_band_10", 1.0 - cost.band9_share),
+        ("calc_band_9", calib::BAND9_SHARE),
+        ("calc_band_10", 1.0 - calib::BAND9_SHARE),
     ] {
         let instr = (kernel_instr * share_fraction) as u64;
-        let total_accesses = instr as f64 * cost.accesses_per_instr;
+        let total_accesses = instr as f64 * calib::ACCESSES_PER_INSTR;
         program.push(Segment {
             symbol,
             instructions: instr,
@@ -124,24 +121,24 @@ fn push_search_segments(
     let copied = share.copied_bytes as f64;
     // Buffer management works entirely inside the (L1-resident) stdio
     // buffer: no hierarchy traffic, only base-IPC work.
-    let addbuf_instr = (copied * cost.addbuf_instr_per_byte) as u64;
+    let addbuf_instr = (copied * calib::ADDBUF_INSTR_PER_BYTE) as u64;
     program.push(Segment {
         symbol: "addbuf",
         instructions: addbuf_instr,
         accesses: 0,
-        l1_resident_accesses: (addbuf_instr as f64 * cost.accesses_per_instr) as u64,
+        l1_resident_accesses: (addbuf_instr as f64 * calib::ACCESSES_PER_INSTR) as u64,
         patterns: Vec::new(),
         branches: addbuf_instr / 9,
         branch_regularity: (regularity - 0.01).max(0.5),
         page_faults: 0,
     });
 
-    let seebuf_instr = (copied * cost.seebuf_instr_per_byte) as u64;
+    let seebuf_instr = (copied * calib::SEEBUF_INSTR_PER_BYTE) as u64;
     program.push(Segment {
         symbol: "seebuf",
         instructions: seebuf_instr,
         accesses: 0,
-        l1_resident_accesses: (seebuf_instr as f64 * cost.accesses_per_instr) as u64,
+        l1_resident_accesses: (seebuf_instr as f64 * calib::ACCESSES_PER_INSTR) as u64,
         patterns: Vec::new(),
         branches: seebuf_instr / 9,
         branch_regularity: regularity,
@@ -150,13 +147,13 @@ fn push_search_segments(
 
     // copy_to_iter gathers records from the shared page-cache scan window
     // — the cold-line source behind its Table IV cache-miss share.
-    let copy_instr = (copied * cost.copy_instr_per_byte) as u64;
-    let copy_accesses = copy_instr as f64 * cost.accesses_per_instr;
+    let copy_instr = (copied * calib::COPY_INSTR_PER_BYTE) as u64;
+    let copy_accesses = copy_instr as f64 * calib::ACCESSES_PER_INSTR;
     program.push(Segment {
         symbol: "copy_to_iter",
         instructions: copy_instr,
-        accesses: (copy_accesses * patterns.copy_gather_weight) as u64,
-        l1_resident_accesses: (copy_accesses * (1.0 - patterns.copy_gather_weight)) as u64,
+        accesses: (copy_accesses * calib::COPY_GATHER_WEIGHT) as u64,
+        l1_resident_accesses: (copy_accesses * (1.0 - calib::COPY_GATHER_WEIGHT)) as u64,
         patterns: vec![WeightedPattern {
             weight: 1.0,
             pattern: AccessPattern::BurstRandom {
@@ -180,15 +177,13 @@ pub fn build_programs(
     data: &SampleSearchData,
     threads: usize,
     platform: Platform,
-    cost: &MsaCostModel,
-    patterns: &MsaPatternModel,
 ) -> Vec<ThreadProgram> {
     assert!(threads > 0, "need at least one thread");
     let mut space = AddressSpace::new();
-    let shared_hot = space.alloc(cost.shared_hot_bytes);
+    let shared_hot = space.alloc(calib::SHARED_HOT_BYTES);
     let worker_regions: Vec<WorkerRegions> = (0..threads)
         .map(|_| WorkerRegions {
-            private_hot: space.alloc(cost.private_hot_bytes),
+            private_hot: space.alloc(calib::PRIVATE_HOT_BYTES),
         })
         .collect();
 
@@ -205,8 +200,6 @@ pub fn build_programs(
                     chain.low_complexity_fraction,
                     &worker_regions[t],
                     shared_hot,
-                    cost,
-                    patterns,
                     platform,
                 );
             }
@@ -216,18 +209,18 @@ pub fn build_programs(
     // Serial sections (profile build, calibration, merge) run on thread 0
     // only; synchronization overhead grows with the thread count and hits
     // every worker.
-    let serial_instr = (cost.serial_instr_per_search * search_count as f64) as u64;
+    let serial_instr = (calib::SERIAL_INSTR_PER_SEARCH * search_count as f64) as u64;
     programs[0].push(Segment {
         symbol: "serial_setup",
         instructions: serial_instr,
         accesses: 0,
-        l1_resident_accesses: (serial_instr as f64 * cost.accesses_per_instr * 0.5) as u64,
+        l1_resident_accesses: (serial_instr as f64 * calib::ACCESSES_PER_INSTR * 0.5) as u64,
         patterns: Vec::new(),
         branches: serial_instr / 8,
         branch_regularity: 0.97,
         page_faults: 0,
     });
-    let sync_instr = (cost.sync_instr_per_thread * threads as f64 * search_count as f64) as u64;
+    let sync_instr = (calib::SYNC_INSTR_PER_THREAD * threads as f64 * search_count as f64) as u64;
     for (t, program) in programs.iter_mut().enumerate() {
         program.push(Segment {
             symbol: "thread_sync",
@@ -256,13 +249,7 @@ mod tests {
     fn programs_for(id: SampleId, threads: usize) -> Vec<ThreadProgram> {
         let mut ctx = BenchContext::new(ContextConfig::test());
         let data = ctx.sample_data(id);
-        build_programs(
-            &data,
-            threads,
-            Platform::Server,
-            &MsaCostModel::default(),
-            &MsaPatternModel::default(),
-        )
+        build_programs(&data, threads, Platform::Server)
     }
 
     #[test]
@@ -315,12 +302,11 @@ mod tests {
 
     #[test]
     fn promo_bursts_longer_than_2pv7() {
-        let patterns = MsaPatternModel::default();
         let mut ctx = BenchContext::new(ContextConfig::test());
         let promo = ctx.sample_data(SampleId::Promo);
         let pv7 = ctx.sample_data(SampleId::S2pv7);
-        let run_promo = patterns.burst_run(promo.chains[0].low_complexity_fraction);
-        let run_pv7 = patterns.burst_run(pv7.chains[0].low_complexity_fraction);
+        let run_promo = calib::burst_run(promo.chains[0].low_complexity_fraction);
+        let run_pv7 = calib::burst_run(pv7.chains[0].low_complexity_fraction);
         assert!(run_promo > run_pv7, "{run_promo} vs {run_pv7}");
     }
 

@@ -1,7 +1,7 @@
 //! The MSA phase: simulated execution of one sample's database searches
 //! on one platform at one thread count.
 
-use crate::calib::{self, MsaCostModel, MsaPatternModel};
+use crate::calib;
 use crate::context::SampleSearchData;
 use crate::msa_cost;
 use crate::resilience::RunOutcome;
@@ -13,10 +13,6 @@ use afsb_simarch::{Platform, SimEngine, SimResult};
 /// Options for an MSA-phase simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct MsaPhaseOptions {
-    /// Cost-model constants.
-    pub cost: MsaCostModel,
-    /// Pattern-model constants.
-    pub patterns: MsaPatternModel,
     /// Engine sampling budget.
     pub sample_cap: u64,
     /// Preload databases into the page cache before execution (§VI
@@ -35,8 +31,6 @@ pub struct MsaPhaseOptions {
 impl Default for MsaPhaseOptions {
     fn default() -> MsaPhaseOptions {
         MsaPhaseOptions {
-            cost: MsaCostModel::default(),
-            patterns: MsaPatternModel::default(),
             sample_cap: calib::DEFAULT_SAMPLE_CAP,
             preload_databases: false,
             cxl_expansion_bytes: 0,
@@ -162,8 +156,7 @@ pub fn run_msa_phase_faulted(
     };
 
     // CPU simulation.
-    let programs =
-        msa_cost::build_programs(data, threads, platform, &options.cost, &options.patterns);
+    let programs = msa_cost::build_programs(data, threads, platform);
     let engine = SimEngine::new(spec.clone()).with_sample_cap(options.sample_cap);
     let sim = engine.run(&programs, options.seed);
     let cpu_seconds = sim.wall_seconds();
@@ -175,8 +168,8 @@ pub fn run_msa_phase_faulted(
     let mut thread_overhead_seconds = 0.0;
     for chain in &data.chains {
         let per = match chain.kind {
-            afsb_seq::alphabet::MoleculeKind::Rna => options.cost.rna_search_thread_overhead_s,
-            _ => options.cost.protein_search_thread_overhead_s,
+            afsb_seq::alphabet::MoleculeKind::Rna => calib::RNA_SEARCH_THREAD_OVERHEAD_S,
+            _ => calib::PROTEIN_SEARCH_THREAD_OVERHEAD_S,
         };
         thread_overhead_seconds += per * chain.per_db.len() as f64 * (threads - 1) as f64;
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the estimator and cost-mapping invariants.
 
-use afsb_core::calib::{MsaCostModel, MsaPatternModel};
+use afsb_core::calib;
 use afsb_core::context::{ChainSearch, SampleSearchData};
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
 use afsb_core::resilience::RetryPolicy;
@@ -211,25 +211,29 @@ fn burst_run_bounded_and_monotone() {
     run("burst_run_bounded_and_monotone", Config::cases(48), |g| {
         let frac_a = g.range(0.0f64..1.0);
         let frac_b = g.range(0.0f64..1.0);
-        let p = MsaPatternModel::default();
         let (lo, hi) = if frac_a <= frac_b {
             (frac_a, frac_b)
         } else {
             (frac_b, frac_a)
         };
-        assert!(p.burst_run(lo) <= p.burst_run(hi));
-        assert!(p.burst_run(hi) <= p.burst_run_base + p.burst_run_lowcx_bonus);
-        assert!(p.burst_run(lo) >= p.burst_run_base);
+        assert!(calib::burst_run(lo) <= calib::burst_run(hi));
+        assert!(calib::burst_run(hi) <= calib::BURST_RUN_BASE + calib::BURST_RUN_LOWCX_BONUS);
+        assert!(calib::burst_run(lo) >= calib::BURST_RUN_BASE);
     });
 }
 
 #[test]
 fn cost_model_shares_are_probabilities() {
-    let c = MsaCostModel::default();
-    assert!((0.0..=1.0).contains(&c.band9_share));
-    let p = MsaPatternModel::default();
-    let sum =
-        p.band_sequential_weight + p.profile_weight + p.band_burst_weight + p.band_random_weight;
-    assert!((sum - 1.0).abs() < 0.02);
-    assert!((0.0..=1.0).contains(&p.copy_gather_weight));
+    // The simulated traffic and its L1-resident remainder
+    // (`1 - traffic`) are both shares of `calc_band`'s accesses.
+    let traffic = calib::BAND_BURST_WEIGHT + calib::BAND_RANDOM_WEIGHT;
+    for share in [
+        calib::BAND9_SHARE,
+        calib::BAND_BURST_WEIGHT,
+        calib::BAND_RANDOM_WEIGHT,
+        traffic,
+        calib::COPY_GATHER_WEIGHT,
+    ] {
+        assert!((0.0..=1.0).contains(&share), "{share}");
+    }
 }
