@@ -7,6 +7,10 @@
 //! overrides the default seed set so CI can sweep seeds without a
 //! recompile. The executor digest reads fixed seeds only, so every such
 //! re-run checks it again.
+//!
+//! Each fixed run is traced once per test binary ([`pinned_runs`]): the
+//! digest hashes all of them, and each behavioural test asserts on the
+//! run with its inputs instead of running it again.
 
 use afsysbench::core::context::{BenchContext, ChainSearch, ContextConfig, SampleSearchData};
 use afsysbench::core::msa_phase::{run_msa_phase, MsaPhaseOptions};
@@ -23,6 +27,7 @@ use afsysbench::seq::alphabet::MoleculeKind;
 use afsysbench::seq::samples::{self, ComplexityClass, Sample, SampleId};
 use afsysbench::simarch::Platform;
 
+use afsysbench::rt::par::map_ordered;
 use std::sync::{Mutex, OnceLock};
 
 fn shared_data(id: SampleId) -> std::sync::Arc<SampleSearchData> {
@@ -93,18 +98,194 @@ fn report_bytes(r: &ResilientResult) -> String {
     )
 }
 
+/// One fixed executor run, traced.
+struct PinnedRun {
+    /// Names the run for the test that asserts on it.
+    label: &'static str,
+    result: ResilientResult,
+    obs: ObsSession,
+}
+
+/// A pinned run's inputs: label, data, platform, threads, options, plan.
+type PinnedSpec<'a> = (
+    &'static str,
+    &'a SampleSearchData,
+    Platform,
+    usize,
+    ResilienceOptions,
+    FaultPlan,
+);
+
+/// The seeded plans every run of the suite pins, whatever
+/// `AFSB_CHAOS_SEED` says.
+const PINNED_SEEDS: [(u64, &str); 3] = [
+    (101, "seeded 101"),
+    (202, "seeded 202"),
+    (303, "seeded 303"),
+];
+
+fn kill() -> FaultPlan {
+    FaultPlan::none().with(FaultKind::OomKill { at_fraction: 0.7 })
+}
+
+/// Every fixed run of this file, in digest order, traced once per test
+/// binary on the CPUs the host has. Tracing leaves the accounting
+/// byte-identical to an untraced run
+/// (`traced_chaos_run_is_deterministic_and_names_fired_faults`), so the
+/// behavioural tests assert on these results.
+fn pinned_runs() -> &'static [PinnedRun] {
+    static RUNS: OnceLock<Vec<PinnedRun>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let s7rce: &SampleSearchData = &shared_data(SampleId::S7rce);
+        let s2pv7: &SampleSearchData = &shared_data(SampleId::S2pv7);
+        let (cxl, window_cap, exhausted) = (rna_probe(1335), rna_probe(2000), rna_probe(1135));
+        let clean_inference = run_pipeline(s2pv7, Platform::Server, 2, &options())
+            .inference
+            .wall_seconds();
+        let stall_deadline = ResilienceOptions {
+            inference_deadline_s: Some(clean_inference * 1.2),
+            ..ResilienceOptions::default()
+        };
+        let rerun = ResilienceOptions {
+            checkpointing: false,
+            ..ResilienceOptions::default()
+        };
+        let default = ResilienceOptions::default();
+        let mut four_kills = FaultPlan::none();
+        for _ in 0..4 {
+            four_kills = four_kills.with(FaultKind::OomKill { at_fraction: 0.5 });
+        }
+        let mut specs: Vec<PinnedSpec> = vec![
+            (
+                "empty plan",
+                s7rce,
+                Platform::Server,
+                4,
+                default,
+                FaultPlan::none(),
+            ),
+            (
+                "kill, checkpointed",
+                s7rce,
+                Platform::Server,
+                4,
+                default,
+                kill(),
+            ),
+            ("kill, rerun", s7rce, Platform::Server, 4, rerun, kill()),
+            (
+                "cxl rung",
+                &cxl,
+                Platform::Server,
+                8,
+                default,
+                FaultPlan::none(),
+            ),
+            (
+                "window-cap rung",
+                &window_cap,
+                Platform::Server,
+                8,
+                default,
+                FaultPlan::none(),
+            ),
+            (
+                "ladder exhausted",
+                &exhausted,
+                Platform::Desktop,
+                8,
+                default,
+                FaultPlan::none(),
+            ),
+            (
+                "gpu init failure",
+                s2pv7,
+                Platform::Desktop,
+                2,
+                default,
+                FaultPlan::none().with(FaultKind::GpuInitFailure),
+            ),
+            (
+                "four kills",
+                s2pv7,
+                Platform::Server,
+                4,
+                default,
+                four_kills,
+            ),
+            (
+                "stall and straggler",
+                s7rce,
+                Platform::Desktop,
+                4,
+                default,
+                FaultPlan::none()
+                    .with(FaultKind::StorageStall {
+                        stall_seconds: 25.0,
+                    })
+                    .with(FaultKind::Straggler { factor: 1.5 }),
+            ),
+            (
+                "kill, stall, gpu init",
+                s7rce,
+                Platform::Server,
+                4,
+                default,
+                kill()
+                    .with(FaultKind::StorageStall {
+                        stall_seconds: 30.0,
+                    })
+                    .with(FaultKind::GpuInitFailure),
+            ),
+            (
+                "compile stall",
+                s2pv7,
+                Platform::Server,
+                2,
+                stall_deadline,
+                FaultPlan::none().with(FaultKind::XlaCompileStall { factor: 10.0 }),
+            ),
+        ];
+        for (seed, label) in PINNED_SEEDS {
+            specs.push((
+                label,
+                s7rce,
+                Platform::Server,
+                4,
+                default,
+                FaultPlan::seeded(seed),
+            ));
+        }
+        map_ordered(specs.len(), |i| {
+            let (label, data, platform, threads, resilience, plan) = &specs[i];
+            let mut obs = ObsSession::new();
+            let result = run_resilient_traced(
+                data,
+                *platform,
+                *threads,
+                &options(),
+                resilience,
+                plan,
+                &mut obs,
+            );
+            PinnedRun { label, result, obs }
+        })
+    })
+}
+
+/// The pinned run named `label`.
+fn pinned(label: &str) -> &'static PinnedRun {
+    pinned_runs()
+        .iter()
+        .find(|p| p.label == label)
+        .unwrap_or_else(|| panic!("no pinned run {label:?}"))
+}
+
 #[test]
 fn empty_plan_reproduces_the_baseline_exactly() {
     let data = shared_data(SampleId::S7rce);
     let baseline = run_pipeline(&data, Platform::Server, 4, &options());
-    let r = run_resilient(
-        &data,
-        Platform::Server,
-        4,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none(),
-    );
+    let r = &pinned("empty plan").result;
     assert_eq!(r.outcome, RunOutcome::Completed);
     assert_eq!(r.retries, 0);
     assert_eq!(r.recovery_seconds, 0.0);
@@ -122,7 +303,7 @@ fn empty_plan_reproduces_the_baseline_exactly() {
 fn seeded_plans_terminate_deterministically() {
     let seeds: Vec<u64> = match std::env::var("AFSB_CHAOS_SEED") {
         Ok(s) => vec![s.parse().expect("AFSB_CHAOS_SEED must be an integer")],
-        Err(_) => vec![101, 202, 303],
+        Err(_) => PINNED_SEEDS.iter().map(|&(seed, _)| seed).collect(),
     };
     let data = shared_data(SampleId::S7rce);
     for seed in seeds {
@@ -137,7 +318,12 @@ fn seeded_plans_terminate_deterministically() {
                 &plan,
             )
         };
-        let a = run();
+        // A pinned seed's first run is its traced pinned run; any other
+        // seed runs twice here.
+        let a = match PINNED_SEEDS.iter().find(|&&(s, _)| s == seed) {
+            Some(&(_, label)) => pinned(label).result.clone(),
+            None => run(),
+        };
         let b = run();
         // Terminal state reached, deterministically.
         assert!(
@@ -158,23 +344,9 @@ fn seeded_plans_terminate_deterministically() {
 #[test]
 fn checkpointed_kill_recovers_cheaper_than_full_rerun() {
     let data = shared_data(SampleId::S7rce);
-    let plan = FaultPlan::none().with(FaultKind::OomKill { at_fraction: 0.7 });
-    let run = |checkpointing: bool| {
-        run_resilient(
-            &data,
-            Platform::Server,
-            4,
-            &options(),
-            &ResilienceOptions {
-                checkpointing,
-                ..ResilienceOptions::default()
-            },
-            &plan,
-        )
-    };
-    let ckpt = run(true);
-    let rerun = run(false);
-    for r in [&ckpt, &rerun] {
+    let ckpt = &pinned("kill, checkpointed").result;
+    let rerun = &pinned("kill, rerun").result;
+    for r in [ckpt, rerun] {
         assert_eq!(r.outcome, RunOutcome::Completed);
         assert_eq!(r.retries, 1);
         assert_eq!(r.fault_events.len(), 1);
@@ -199,15 +371,7 @@ fn checkpointed_kill_recovers_cheaper_than_full_rerun() {
 fn degradation_ladder_first_rung_cxl() {
     // Fig. 2: 1,335 nt (~810 GiB) beats the server's stock 764 GiB but
     // fits after attaching another 256 GiB of CXL — rung 1 suffices.
-    let data = rna_probe(1335);
-    let r = run_resilient(
-        &data,
-        Platform::Server,
-        8,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none(),
-    );
+    let r = &pinned("cxl rung").result;
     assert_eq!(r.outcome, RunOutcome::Degraded);
     assert_eq!(
         r.degrade_steps,
@@ -221,15 +385,7 @@ fn degradation_ladder_first_rung_cxl() {
 fn degradation_ladder_second_rung_window_cap() {
     // 2,000 nt overflows even the expanded tier; capping the nhmmer
     // window at 900 nt brings the peak back under it (rungs 1+2).
-    let data = rna_probe(2000);
-    let r = run_resilient(
-        &data,
-        Platform::Server,
-        8,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none(),
-    );
+    let r = &pinned("window-cap rung").result;
     assert_eq!(r.outcome, RunOutcome::Degraded);
     assert_eq!(
         r.degrade_steps,
@@ -246,15 +402,7 @@ fn degradation_ladder_exhausted_is_still_oom() {
     // The desktop cannot hold even the fully degraded 1,135-nt job: all
     // three rungs are tried and the run still lands in OOM — but the
     // attempted steps are recorded for the operator.
-    let data = rna_probe(1135);
-    let r = run_resilient(
-        &data,
-        Platform::Desktop,
-        8,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none(),
-    );
+    let r = &pinned("ladder exhausted").result;
     assert_eq!(r.outcome, RunOutcome::Oom);
     assert!(r.pipeline.is_none());
     assert_eq!(r.degrade_steps.len(), 3);
@@ -305,19 +453,12 @@ fn nan_inference_deadline_panics_naming_the_field() {
 fn gpu_init_failure_retries_to_the_clean_result() {
     let data = shared_data(SampleId::S2pv7);
     let baseline = run_pipeline(&data, Platform::Desktop, 2, &options());
-    let r = run_resilient(
-        &data,
-        Platform::Desktop,
-        2,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none().with(FaultKind::GpuInitFailure),
-    );
+    let r = &pinned("gpu init failure").result;
     assert_eq!(r.outcome, RunOutcome::Completed);
     assert_eq!(r.retries, 1);
     assert!(r.recovery_seconds > 0.0);
     // The retried inference is indistinguishable from a clean run.
-    let pipeline = r.pipeline.expect("completed");
+    let pipeline = r.pipeline.as_ref().expect("completed");
     assert_eq!(
         pipeline.inference.wall_seconds(),
         baseline.inference.wall_seconds()
@@ -328,19 +469,7 @@ fn gpu_init_failure_retries_to_the_clean_result() {
 
 #[test]
 fn repeated_kills_exhaust_the_retry_budget() {
-    let data = shared_data(SampleId::S2pv7);
-    let mut plan = FaultPlan::none();
-    for _ in 0..4 {
-        plan = plan.with(FaultKind::OomKill { at_fraction: 0.5 });
-    }
-    let r = run_resilient(
-        &data,
-        Platform::Server,
-        4,
-        &options(),
-        &ResilienceOptions::default(),
-        &plan,
-    );
+    let r = &pinned("four kills").result;
     assert_eq!(r.outcome, RunOutcome::Failed);
     assert!(r.pipeline.is_none());
     assert_eq!(r.retries, 4);
@@ -352,18 +481,7 @@ fn repeated_kills_exhaust_the_retry_budget() {
 fn absorbed_faults_slow_the_run_without_retries() {
     let data = shared_data(SampleId::S7rce);
     let baseline = run_pipeline(&data, Platform::Desktop, 4, &options());
-    let r = run_resilient(
-        &data,
-        Platform::Desktop,
-        4,
-        &options(),
-        &ResilienceOptions::default(),
-        &FaultPlan::none()
-            .with(FaultKind::StorageStall {
-                stall_seconds: 25.0,
-            })
-            .with(FaultKind::Straggler { factor: 1.5 }),
-    );
+    let r = &pinned("stall and straggler").result;
     assert_eq!(r.outcome, RunOutcome::Completed);
     assert_eq!(r.retries, 0);
     assert_eq!(r.fault_events.len(), 2);
@@ -378,33 +496,32 @@ fn absorbed_faults_slow_the_run_without_retries() {
 #[test]
 fn traced_chaos_run_is_deterministic_and_names_fired_faults() {
     let data = shared_data(SampleId::S7rce);
-    let plan = FaultPlan::none()
-        .with(FaultKind::OomKill { at_fraction: 0.7 })
+    let plan = kill()
         .with(FaultKind::StorageStall {
             stall_seconds: 30.0,
         })
         .with(FaultKind::GpuInitFailure);
     let resilience = ResilienceOptions::default();
-    let run = || {
-        let mut obs = ObsSession::new();
-        let r = run_resilient_traced(
-            &data,
-            Platform::Server,
-            4,
-            &options(),
-            &resilience,
-            &plan,
-            &mut obs,
-        );
-        (r, obs)
-    };
-    let (a, obs_a) = run();
-    let (_b, obs_b) = run();
+    let PinnedRun {
+        result: a,
+        obs: obs_a,
+        ..
+    } = pinned("kill, stall, gpu init");
+    let mut obs_b = ObsSession::new();
+    run_resilient_traced(
+        &data,
+        Platform::Server,
+        4,
+        &options(),
+        &resilience,
+        &plan,
+        &mut obs_b,
+    );
 
     // Tracing must not perturb the executor: accounting is identical to
     // the untraced run, and two traced runs are byte-identical.
     let plain = run_resilient(&data, Platform::Server, 4, &options(), &resilience, &plan);
-    assert_eq!(report_bytes(&a), report_bytes(&plain));
+    assert_eq!(report_bytes(a), report_bytes(&plain));
     let trace = obs_a.chrome_trace_text();
     assert_eq!(
         trace,
@@ -466,11 +583,11 @@ fn traced_chaos_run_is_deterministic_and_names_fired_faults() {
     assert!(obs_a.metrics.counter("msa.hmmer.calc_band_9.cells") > 0);
 }
 
-/// FNV-1a over the report, Chrome trace and flamegraph of every traced
-/// run in [`executor_output_matches_the_pinned_digest`], in its order,
-/// computed once the executor's circuit breaker was removed: its traces
-/// lost their `circuit-closed` instants, and the four-kill run's
-/// terminal instant reads `retry-budget-exhausted`.
+/// FNV-1a over the report, Chrome trace and flamegraph of every pinned
+/// run ([`pinned_runs`]), in its order, computed once the executor's
+/// circuit breaker was removed: its traces lost their `circuit-closed`
+/// instants, and the four-kill run's terminal instant reads
+/// `retry-budget-exhausted`.
 const EXECUTOR_DIGEST: u64 = 0xdab5_e75c_a4d2_d79f;
 
 struct Fnv(u64);
@@ -489,100 +606,13 @@ impl Fnv {
     }
 }
 
-/// One pinned executor run: data, platform, threads, options, plan.
-type PinnedRun<'a> = (
-    &'a SampleSearchData,
-    Platform,
-    usize,
-    ResilienceOptions,
-    FaultPlan,
-);
-
 #[test]
 fn executor_output_matches_the_pinned_digest() {
-    let s7rce: &SampleSearchData = &shared_data(SampleId::S7rce);
-    let s2pv7: &SampleSearchData = &shared_data(SampleId::S2pv7);
-    let (cxl, window_cap, exhausted) = (rna_probe(1335), rna_probe(2000), rna_probe(1135));
-    let kill = || FaultPlan::none().with(FaultKind::OomKill { at_fraction: 0.7 });
-    let clean_inference = run_pipeline(s2pv7, Platform::Server, 2, &options())
-        .inference
-        .wall_seconds();
-    let stall_deadline = ResilienceOptions {
-        inference_deadline_s: Some(clean_inference * 1.2),
-        ..ResilienceOptions::default()
-    };
-    let rerun = ResilienceOptions {
-        checkpointing: false,
-        ..ResilienceOptions::default()
-    };
-    let default = ResilienceOptions::default();
-    let mut four_kills = FaultPlan::none();
-    for _ in 0..4 {
-        four_kills = four_kills.with(FaultKind::OomKill { at_fraction: 0.5 });
-    }
-    let mut runs: Vec<PinnedRun> = vec![
-        (s7rce, Platform::Server, 4, default, FaultPlan::none()),
-        (s7rce, Platform::Server, 4, default, kill()),
-        (s7rce, Platform::Server, 4, rerun, kill()),
-        (&cxl, Platform::Server, 8, default, FaultPlan::none()),
-        (&window_cap, Platform::Server, 8, default, FaultPlan::none()),
-        (&exhausted, Platform::Desktop, 8, default, FaultPlan::none()),
-        (
-            s2pv7,
-            Platform::Desktop,
-            2,
-            default,
-            FaultPlan::none().with(FaultKind::GpuInitFailure),
-        ),
-        (s2pv7, Platform::Server, 4, default, four_kills),
-        (
-            s7rce,
-            Platform::Desktop,
-            4,
-            default,
-            FaultPlan::none()
-                .with(FaultKind::StorageStall {
-                    stall_seconds: 25.0,
-                })
-                .with(FaultKind::Straggler { factor: 1.5 }),
-        ),
-        (
-            s7rce,
-            Platform::Server,
-            4,
-            default,
-            kill()
-                .with(FaultKind::StorageStall {
-                    stall_seconds: 30.0,
-                })
-                .with(FaultKind::GpuInitFailure),
-        ),
-        (
-            s2pv7,
-            Platform::Server,
-            2,
-            stall_deadline,
-            FaultPlan::none().with(FaultKind::XlaCompileStall { factor: 10.0 }),
-        ),
-    ];
-    for seed in [101, 202, 303] {
-        runs.push((s7rce, Platform::Server, 4, default, FaultPlan::seeded(seed)));
-    }
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for (data, platform, threads, resilience, plan) in &runs {
-        let mut obs = ObsSession::new();
-        let r = run_resilient_traced(
-            data,
-            *platform,
-            *threads,
-            &options(),
-            resilience,
-            plan,
-            &mut obs,
-        );
-        h.text(&report_bytes(&r));
-        h.text(&obs.chrome_trace_text());
-        h.text(&obs.tracer.flamegraph());
+    for run in pinned_runs() {
+        h.text(&report_bytes(&run.result));
+        h.text(&run.obs.chrome_trace_text());
+        h.text(&run.obs.tracer.flamegraph());
     }
     assert_eq!(
         h.0, EXECUTOR_DIGEST,
@@ -596,22 +626,13 @@ fn compile_stall_converts_to_deadline_retry() {
     let data = shared_data(SampleId::S2pv7);
     let baseline = run_pipeline(&data, Platform::Server, 2, &options());
     let clean_inference = baseline.inference.wall_seconds();
-    let r = run_resilient(
-        &data,
-        Platform::Server,
-        2,
-        &options(),
-        &ResilienceOptions {
-            inference_deadline_s: Some(clean_inference * 1.2),
-            ..ResilienceOptions::default()
-        },
-        &FaultPlan::none().with(FaultKind::XlaCompileStall { factor: 10.0 }),
-    );
+    // The pinned run's inference deadline is `clean_inference * 1.2`.
+    let r = &pinned("compile stall").result;
     // The stalled attempt blows the phase deadline; the retry (stall
     // already consumed) compiles at normal speed and finishes in budget.
     assert_eq!(r.outcome, RunOutcome::Completed);
     assert_eq!(r.retries, 1);
     assert!(r.recovery_seconds >= clean_inference * 1.2);
-    let pipeline = r.pipeline.expect("completed");
+    let pipeline = r.pipeline.as_ref().expect("completed");
     assert_eq!(pipeline.inference.wall_seconds(), clean_inference);
 }
