@@ -20,10 +20,11 @@
 //!   (`MAX_ATTEMPTS`) with capped exponential backoff
 //!   ([`RetryPolicy`](afsb_core::resilience::RetryPolicy)) requeues
 //!   killed MSA jobs, a worker-pool circuit breaker (a count of
-//!   consecutive kills) parks requeues while open, deadline-aware load shedding drops still-waiting
-//!   requests whose deadline expired, and a request that enters the MSA
-//!   queue behind a backlog of [`ChaosConfig::degrade_queue_depth`]
-//!   steps down the `DegradeStep::MsaDepthCap` rung of the
+//!   consecutive kills) parks requeues while open, deadline-aware load
+//!   shedding drops still-waiting requests whose deadline expired, and
+//!   a request that enters the MSA queue behind a backlog of
+//!   [`ChaosConfig::degrade_queue_depth`] steps down the
+//!   `DegradeStep::MsaDepthCap` rung of the
 //!   `core::resilience` ladder (reduced MSA depth ⇒ cheaper searches at
 //!   lower quality). Only that depth varies; the rest are constants.
 //! - **Dispositions** — every admitted request terminates in exactly

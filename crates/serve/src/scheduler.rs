@@ -188,10 +188,8 @@ struct Scheduler<'a> {
     /// breaker park, consumed by the next requeue dispatch).
     wait_since: Vec<f64>,
     parked: Vec<usize>,
-    /// MSA kills since the circuit last closed; the circuit opens when
-    /// this reaches `BREAKER_THRESHOLD`.
+    /// Kills since the circuit last closed; it is open at `BREAKER_THRESHOLD`.
     consecutive_kills: u32,
-    breaker_open: bool,
     requeues: u64,
     breaker_opens: u64,
     degraded_attempts: u64,
@@ -305,7 +303,6 @@ impl<'a> Scheduler<'a> {
             wait_since: vec![0.0; n],
             parked: Vec::new(),
             consecutive_kills: 0,
-            breaker_open: false,
             requeues: 0,
             breaker_opens: 0,
             degraded_attempts: 0,
@@ -374,6 +371,7 @@ impl<'a> Scheduler<'a> {
     fn sample(&mut self, now: f64) {
         if let Some(tl) = self.timeline.as_mut() {
             let msa_q = self.msa_queue.len() + self.running.iter().flatten().count();
+            let breaker_open = self.consecutive_kills >= BREAKER_THRESHOLD;
             tl.set_many(&[
                 (msa_q + self.parked.len()) as f64,
                 self.workers.iter().filter(|&&t| t > now).count() as f64,
@@ -381,7 +379,7 @@ impl<'a> Scheduler<'a> {
                 self.cache.len() as f64,
                 self.cache.hit_rate(),
                 self.fills.len() as f64,
-                if self.breaker_open { 1.0 } else { 0.0 },
+                if breaker_open { 1.0 } else { 0.0 },
             ]);
         }
     }
@@ -893,8 +891,7 @@ impl<'a> Scheduler<'a> {
             WaitEdge::Admission,
         ));
         self.consecutive_kills += 1;
-        if self.consecutive_kills >= BREAKER_THRESHOLD && !self.breaker_open {
-            self.breaker_open = true;
+        if self.consecutive_kills == BREAKER_THRESHOLD {
             self.breaker_opens += 1;
             self.obs.tracer.instant_at(now, "circuit-open");
             self.engine.schedule_tagged(
@@ -916,7 +913,7 @@ impl<'a> Scheduler<'a> {
         self.requeues += 1;
         self.obs.tracer.instant_at(now, "requeue");
         self.outcomes[request].segments.admission_wait_s += now - self.wait_since[request];
-        if self.breaker_open {
+        if self.consecutive_kills >= BREAKER_THRESHOLD {
             self.wait_since[request] = now;
             self.parked.push(request);
             return;
@@ -928,7 +925,6 @@ impl<'a> Scheduler<'a> {
     /// The circuit half-closes: re-dispatch every parked request.
     fn close_breaker(&mut self, now: f64) {
         self.consecutive_kills = 0;
-        self.breaker_open = false;
         self.obs.tracer.instant_at(now, "circuit-closed");
         for r in self.parked.drain(..) {
             self.requeue_timers[r] = Some(self.engine.schedule_tagged(
