@@ -64,8 +64,7 @@ impl DbScale {
 /// Context configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextConfig {
-    /// Database scale. It also sets the jackhmmer iteration limit: 2
-    /// rounds at benchmark scale, 1 at test scale.
+    /// Database scale, which also sets the jackhmmer iteration limit.
     pub scale: DbScale,
     /// RNG seed namespace. Not read today: every synthetic database
     /// draws from its own [`DatabaseSpec::seed`], so changing this field

@@ -309,14 +309,6 @@ impl FaultInjector {
         FaultPlan::none().injector()
     }
 
-    /// Advance the simulated clock by `seconds`. Non-finite or
-    /// negative deltas are ignored.
-    pub fn advance(&mut self, seconds: f64) {
-        if seconds.is_finite() && seconds > 0.0 {
-            self.clock_s += seconds;
-        }
-    }
-
     /// Move the clock forward to an absolute simulated time (never
     /// backwards; a non-finite time is ignored) — lets a runner that
     /// keeps its own clock keep the injector on it exactly.
@@ -432,9 +424,9 @@ mod tests {
         let plan = FaultPlan::none().with_at(FaultKind::GpuInitFailure, 100.0);
         let mut inj = plan.injector();
         assert_eq!(inj.poll(FaultSite::GpuInit), None);
-        inj.advance(99.0);
+        inj.sync_to(99.0);
         assert_eq!(inj.poll(FaultSite::GpuInit), None);
-        inj.advance(1.0);
+        inj.sync_to(100.0);
         assert_eq!(
             inj.poll(FaultSite::GpuInit),
             Some(FaultKind::GpuInitFailure)
@@ -633,7 +625,7 @@ mod tests {
         let mut inj = FaultPlan::none()
             .with(FaultKind::OomKill { at_fraction: 0.5 })
             .injector();
-        inj.advance(12.0);
+        inj.sync_to(12.0);
         inj.poll(FaultSite::MsaAbort).unwrap();
         inj.charge(6.0);
         assert_eq!(
