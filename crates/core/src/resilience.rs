@@ -481,9 +481,9 @@ fn run_resilient_impl(
 }
 
 /// The executor's running accounts: the simulated wall clock, the retry
-/// budget and the trace they narrate into. Once
-/// the plan and the options are validated every charge is finite and
-/// non-negative, so the clock is a plain sum.
+/// budget and the trace they narrate into. Once the plan and the options
+/// are validated every charge is finite and non-negative, so the clock
+/// is a plain sum.
 struct Attempts<'a> {
     now: f64,
     retries: u64,
