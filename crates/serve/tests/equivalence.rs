@@ -9,7 +9,8 @@
 //! completes, no fault fires, and neither a chaos block nor a policy
 //! line renders. Kept forever so engine changes cannot silently move
 //! the serving baselines. It also checks that the per-process
-//! `CostTable::canonical` memo is exactly a fresh `CostTable::build`.
+//! `CostTable::canonical` memo is exactly a fresh `CostTable::build`,
+//! and pins every field of that table to a committed digest.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::obs::ObsSession;
@@ -136,6 +137,68 @@ fn the_memoised_cost_table_is_the_fresh_build() {
             CostTable::build(Platform::Server, true, 4, SERVE_SEED)
         ),
         "the memo must match a fresh build field for field"
+    );
+}
+
+/// FNV-1a over every field of the quick canonical table (floats by
+/// their bits), computed while `CostTable::build` still ran the model to
+/// read its cost log.
+const COST_TABLE_DIGEST: u64 = 0xdbb8_419f_ab0b_9916;
+
+/// The quick table every serve experiment prices with is pinned: a
+/// change to how a shape is priced on the host (who computes the cost
+/// log, in what order the layers run) must leave every field's bits
+/// alone.
+#[test]
+fn the_canonical_cost_table_matches_the_pinned_digest() {
+    struct Fnv(u64);
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn u64(&mut self, v: u64) {
+            self.bytes(&v.to_le_bytes());
+        }
+    }
+    let CostTable {
+        platform,
+        msa_threads,
+        init_s,
+        dispatch_s,
+        shapes,
+    } = CostTable::canonical(true);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.bytes(platform.to_string().as_bytes());
+    h.u64(*msa_threads as u64);
+    h.u64(init_s.to_bits());
+    h.u64(dispatch_s.to_bits());
+    h.u64(shapes.len() as u64);
+    for (id, shape) in shapes {
+        let ShapeCost {
+            msa_s,
+            feature_bytes,
+            feature_load_s,
+            peak_msa_bytes,
+            admitted,
+            compile_s,
+            compute_s,
+        } = *shape;
+        h.bytes(id.name().as_bytes());
+        h.u64(msa_s.to_bits());
+        h.u64(feature_bytes);
+        h.u64(feature_load_s.to_bits());
+        h.u64(peak_msa_bytes);
+        h.u64(u64::from(admitted));
+        h.u64(compile_s.to_bits());
+        h.u64(compute_s.to_bits());
+    }
+    assert_eq!(
+        h.0, COST_TABLE_DIGEST,
+        "cost table digest moved: {:#018x}",
+        h.0
     );
 }
 
