@@ -80,15 +80,6 @@ impl WorkCounters {
         self.peak_state_bytes = self.peak_state_bytes.max(other.peak_state_bytes);
     }
 
-    /// Merge like [`Self::merge`] but add the peaks instead of taking
-    /// their max. jackhmmer folds its rounds this way, so a multi-round
-    /// search charges the sum of its rounds' peaks.
-    pub fn merge_concurrent(&mut self, other: &WorkCounters) {
-        let combined_peak = self.peak_state_bytes + other.peak_state_bytes;
-        self.merge(other);
-        self.peak_state_bytes = combined_peak;
-    }
-
     /// Total DP cells across every stage (a coarse "compute volume").
     pub fn total_dp_cells(&self) -> u64 {
         self.ssv_cells
@@ -193,19 +184,6 @@ mod tests {
         assert_eq!(a.db_sequences, 15);
         assert_eq!(a.band_cells_mi, 150);
         assert_eq!(a.peak_state_bytes, 900);
-    }
-
-    #[test]
-    fn concurrent_merge_adds_peaks() {
-        let mut a = WorkCounters {
-            peak_state_bytes: 500,
-            ..WorkCounters::default()
-        };
-        a.merge_concurrent(&WorkCounters {
-            peak_state_bytes: 900,
-            ..WorkCounters::default()
-        });
-        assert_eq!(a.peak_state_bytes, 1400);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct JackhmmerResult {
     pub msa: Msa,
     /// Final-round hits, sorted by E-value.
     pub hits: Vec<Hit>,
-    /// Aggregate counters over all rounds.
+    /// Aggregate counters over all rounds: work sums, and since the
+    /// rounds run one after another, the peak is the largest round's.
     pub counters: WorkCounters,
     /// Rounds actually executed.
     pub iterations_run: usize,
@@ -91,7 +92,7 @@ pub fn run(
 
     for round in 0..config.max_iterations {
         let result = search_database(later.as_ref().unwrap_or(round1), db);
-        counters.merge_concurrent(&result.counters);
+        counters.merge(&result.counters);
 
         let mut msa = Msa::seed(query);
         let mut new_included = Vec::new();
@@ -200,6 +201,41 @@ mod tests {
             "iteration 2 depth {} < iteration 1 depth {}",
             two.msa.depth(),
             one.msa.depth()
+        );
+    }
+
+    #[test]
+    fn a_two_round_run_peaks_at_its_larger_round() {
+        let (query, db) = setup();
+        let config = fast_config();
+        let pipeline = Pipeline::for_query(&query, config.pipeline);
+        let two = run(&query, &db, &config, &pipeline);
+        assert_eq!(two.iterations_run, 2, "the planted family needs round 2");
+        let one = run(
+            &query,
+            &db,
+            &JackhmmerConfig {
+                max_iterations: 1,
+                ..config
+            },
+            &pipeline,
+        );
+        // Round 2 searches with the profile re-estimated from round 1's MSA.
+        let profile = ProfileHmm::from_column_counts(
+            format!("{}-r2", query.id()),
+            query.kind(),
+            &one.msa.column_counts(),
+        );
+        let round1 = one.counters;
+        let round2 = search_database(&Pipeline::new(profile, config.pipeline), &db).counters;
+        assert!(round1.peak_state_bytes > 0 && round2.peak_state_bytes > 0);
+        assert_eq!(
+            two.counters.peak_state_bytes,
+            round1.peak_state_bytes.max(round2.peak_state_bytes)
+        );
+        assert_eq!(
+            two.counters.db_sequences,
+            round1.db_sequences + round2.db_sequences
         );
     }
 
