@@ -11,10 +11,16 @@ cd "$(dirname "$0")"
 source ./ci-manifest.sh
 
 # Step markers go to stderr, so a step whose stdout is redirected to
-# /dev/null still shows in the log before its own failure.
+# /dev/null still shows in the log before its own failure. When a step
+# ends, passed or failed, `<==` gives its host wall-clock seconds, so
+# every CI log carries the per-step host time.
 run() {
     echo "==> $*" >&2
-    "$@"
+    local start="${EPOCHREALTIME/[.,]/}" status=0
+    "$@" || status=$?
+    local tenths=$(((${EPOCHREALTIME/[.,]/} - start + 50000) / 100000))
+    printf '<== %d.%d s %s\n' $((tenths / 10)) $((tenths % 10)) "$*" >&2
+    return "$status"
 }
 
 run cargo build --release --offline --workspace
