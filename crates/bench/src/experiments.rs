@@ -9,7 +9,7 @@ use afsb_core::runner::{self, INFERENCE_THREAD_SWEEP, MSA_THREAD_SWEEP};
 use afsb_core::MemoryEstimator;
 use afsb_gpu::runtime::PersistentSession;
 use afsb_hmmer::nhmmer;
-use afsb_model::{run_inference, ModelConfig};
+use afsb_model::{price_inference, ModelConfig};
 use afsb_seq::samples::{self, SampleId};
 use afsb_simarch::config::GIB;
 use afsb_simarch::memory::CapacityModel;
@@ -340,7 +340,7 @@ impl Harness {
         let mut per_sample = Vec::new();
         for id in [SampleId::S2pv7, SampleId::Promo] {
             let asm = samples::sample(id).assembly;
-            let result = run_inference(&asm, 512, &self.model, 17);
+            let result = price_inference(&asm, 512, &self.model);
             let breakdown = afsb_gpu::runtime::GpuRuntime::new(
                 afsb_gpu::device::GpuSpec::h100(),
                 afsb_gpu::runtime::HostCpuModel {
@@ -510,7 +510,7 @@ impl Harness {
     /// §VI ablation: persistent model sessions (cold vs warm requests).
     pub fn ablation_persistent(&mut self) -> String {
         let data = self.ctx.sample_data(SampleId::S2pv7);
-        let result = run_inference(&data.sample.assembly, data.msa_depth, &self.model, 17);
+        let result = price_inference(&data.sample.assembly, data.msa_depth, &self.model);
         let mut rows = Vec::new();
         for platform in Platform::all() {
             let runtime = afsb_gpu::runtime::GpuRuntime::new(

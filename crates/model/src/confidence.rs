@@ -1,4 +1,4 @@
-//! Confidence heads (pLDDT, PAE).
+//! Confidence heads (pLDDT).
 
 use crate::config::ModelConfig;
 use afsb_tensor::cost::CostLog;
@@ -12,7 +12,6 @@ const PLDDT_BINS: usize = 50;
 #[derive(Debug, Clone)]
 pub struct ConfidenceHeads {
     plddt: Linear,
-    pae: Linear,
     c_single: usize,
 }
 
@@ -20,23 +19,15 @@ impl ConfidenceHeads {
     /// Build for a config.
     pub fn new(config: &ModelConfig, seed: u64) -> ConfidenceHeads {
         let c_single = config.sim_dim(config.c_single);
-        let c_pair = config.sim_dim(config.c_pair);
         ConfidenceHeads {
             plddt: Linear::new(c_single, PLDDT_BINS, seed),
-            pae: Linear::new(c_pair, 64, seed ^ 0xc1),
             c_single,
         }
     }
 
     /// Per-token pLDDT in `[0, 100]` from the sim-width single rep,
     /// broadcast/tiled to the real token count.
-    pub fn plddt(
-        &self,
-        single: &Tensor,
-        n_paper: usize,
-        config: &ModelConfig,
-        log: &mut CostLog,
-    ) -> Vec<f32> {
+    pub fn plddt(&self, single: &Tensor, n_paper: usize) -> Vec<f32> {
         assert_eq!(single.dims()[1], self.c_single, "single width");
         let logits = self.plddt.forward(single);
         let probs = softmax(&logits);
@@ -50,28 +41,18 @@ impl ConfidenceHeads {
             }
             per_sim.push(expected * 100.0);
         }
-        let nf = n_paper as f64;
+        (0..n_paper).map(|i| per_sim[i % n_sim]).collect()
+    }
+
+    /// Log the paper-scale pLDDT head cost for `n_tokens` tokens.
+    pub fn log_paper_costs(n_tokens: usize, config: &ModelConfig, log: &mut CostLog) {
+        let nf = n_tokens as f64;
         log.record(
             "confidence/plddt",
             2.0 * nf * (config.c_single * PLDDT_BINS) as f64,
             4.0 * nf * config.c_single as f64,
             1,
         );
-        (0..n_paper).map(|i| per_sim[i % n_sim]).collect()
-    }
-
-    /// Paper-scale PAE head cost (the head itself runs on pair features;
-    /// its output is not needed by the benchmarks, so only cost is
-    /// logged).
-    pub fn log_pae_cost(&self, n_paper: usize, config: &ModelConfig, log: &mut CostLog) {
-        let nf = n_paper as f64;
-        log.record(
-            "confidence/pae",
-            2.0 * nf * nf * (config.c_pair * 64) as f64,
-            4.0 * nf * nf * config.c_pair as f64,
-            1,
-        );
-        let _ = &self.pae;
     }
 }
 
@@ -84,25 +65,13 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let heads = ConfidenceHeads::new(&cfg, 1);
         let single = Tensor::randn(vec![6, cfg.sim_dim(cfg.c_single)], 2);
-        let mut log = CostLog::new();
-        let plddt = heads.plddt(&single, 100, &cfg, &mut log);
+        let plddt = heads.plddt(&single, 100);
         assert_eq!(plddt.len(), 100);
         assert!(plddt.iter().all(|&v| (0.0..=100.0).contains(&v)));
         // Tiling repeats the sim values.
         assert_eq!(plddt[0], plddt[6]);
+        let mut log = CostLog::new();
+        ConfidenceHeads::log_paper_costs(100, &cfg, &mut log);
         assert_eq!(log.entries().len(), 1);
-    }
-
-    #[test]
-    fn pae_cost_quadratic() {
-        let cfg = ModelConfig::paper();
-        let heads = ConfidenceHeads::new(&cfg, 1);
-        let mut small = CostLog::new();
-        let mut large = CostLog::new();
-        heads.log_pae_cost(306, &cfg, &mut small);
-        heads.log_pae_cost(1395, &cfg, &mut large);
-        let ratio = large.total_flops() / small.total_flops();
-        let expected = (1395.0f64 / 306.0).powi(2);
-        assert!((ratio - expected).abs() / expected < 1e-6);
     }
 }

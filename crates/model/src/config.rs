@@ -77,6 +77,27 @@ impl ModelConfig {
         }
     }
 
+    /// Check that the config describes a model that runs and costs
+    /// something, returning an error that names the field: the
+    /// simulation width divides by `sim_width_divisor`, the noise
+    /// schedule needs a step, and a zero channel count prices a layer
+    /// at nothing.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("c_pair", self.c_pair),
+            ("c_single", self.c_single),
+            ("c_token", self.c_token),
+            ("c_atom", self.c_atom),
+            ("diffusion_steps", self.diffusion_steps),
+            ("sim_width_divisor", self.sim_width_divisor),
+        ] {
+            if value == 0 {
+                return Err(format!("model config: {field} must be at least 1, got 0"));
+            }
+        }
+        Ok(())
+    }
+
     /// Executed (sim) channel width for a paper channel count.
     pub fn sim_dim(&self, paper_dim: usize) -> usize {
         (paper_dim / self.sim_width_divisor).max(4)
@@ -133,5 +154,31 @@ mod tests {
     fn tiny_runs_full_width() {
         let c = ModelConfig::tiny();
         assert_eq!(c.sim_dim(c.c_pair), 16);
+    }
+
+    #[test]
+    fn validate_accepts_paper_and_tiny() {
+        assert_eq!(ModelConfig::paper().validate(), Ok(()));
+        assert_eq!(ModelConfig::tiny().validate(), Ok(()));
+    }
+
+    /// Assert that `zero` makes both presets invalid with an error
+    /// naming `field`.
+    fn rejects(field: &str, zero: fn(&mut ModelConfig)) {
+        for mut config in [ModelConfig::paper(), ModelConfig::tiny()] {
+            zero(&mut config);
+            let err = config.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_names_each_zero_field() {
+        rejects("sim_width_divisor", |c| c.sim_width_divisor = 0);
+        rejects("diffusion_steps", |c| c.diffusion_steps = 0);
+        rejects("c_pair", |c| c.c_pair = 0);
+        rejects("c_single", |c| c.c_single = 0);
+        rejects("c_token", |c| c.c_token = 0);
+        rejects("c_atom", |c| c.c_atom = 0);
     }
 }

@@ -188,11 +188,10 @@ impl DiffusionModule {
 
     /// Run the full sampling loop.
     ///
-    /// Executes `config.diffusion_steps` denoising steps on `m_sim` atoms
-    /// and logs the paper-scale cost of every step for the true counts
-    /// (`n_tokens` tokens, `atoms` atoms, [`DIFFUSION_SAMPLES`] samples).
-    /// Returns the final sim-width coordinates.
-    pub fn sample(&self, n_tokens: usize, atoms: usize, seed: u64, log: &mut CostLog) -> Tensor {
+    /// Executes `config.diffusion_steps` denoising steps on sim-width
+    /// atoms for `n_tokens` tokens and returns the final sim-width
+    /// coordinates.
+    pub fn sample(&self, n_tokens: usize, seed: u64) -> Tensor {
         let m_sim = (self.config.sim_tokens(n_tokens) * 4).max(8);
         let mut rng = Rng::seed_from_u64(seed);
         let mut coords = Tensor::zeros(vec![m_sim, 3]);
@@ -202,56 +201,64 @@ impl DiffusionModule {
         }
         for &sigma in &sigmas {
             coords = self.denoise_step(&coords, sigma);
-            self.log_step_costs(n_tokens, atoms, log);
         }
         coords
     }
 
-    /// Paper-scale cost of one denoising step (all diffusion samples).
-    fn log_step_costs(&self, n_tokens: usize, atoms: usize, log: &mut CostLog) {
-        let s = DIFFUSION_SAMPLES as f64;
-        let m = atoms as f64;
-        let n = n_tokens as f64;
-        let ca = self.config.c_atom as f64;
-        let ct = self.config.c_token as f64;
-        let w = self.config.atom_window as f64;
-
-        // Local attention (encoder): per block, projections 12·M·c² plus
-        // windowed logits/values 4·M·W·c plus token-conditioning reads,
-        // times the inventory multiplier (see LOCAL_COST_SCALE).
-        let local_flops = LOCAL_COST_SCALE
-            * LOCAL_BLOCKS as f64
-            * (12.0 * m * ca * ca + 4.0 * m * w * ca + 2.0 * m * ct * ca);
-        let local_bytes = LOCAL_COST_SCALE * LOCAL_BLOCKS as f64 * 10.0 * m * ca;
-        log.record(
-            "diffusion/local_attention_encoder",
-            s * local_flops,
-            s * local_bytes,
-            LOCAL_BLOCKS as u64,
-        );
-
-        // Global attention: 24 token blocks, projections + transitions
-        // (24·c²·N terms) plus full N² attention with pair conditioning
-        // (the 12·N²·c term: logits, values and the conditioning bias all
-        // touch every token pair).
-        let global_flops =
-            GLOBAL_BLOCKS as f64 * (8.0 * n * ct * ct + 12.0 * n * n * ct + 16.0 * n * ct * ct);
-        let global_bytes = GLOBAL_BLOCKS as f64 * (8.0 * n * ct + 6.0 * n * n);
-        log.record(
-            "diffusion/global_attention",
-            s * global_flops,
-            s * global_bytes,
-            GLOBAL_BLOCKS as u64,
-        );
-
-        // Local attention (decoder): slightly lighter than the encoder.
-        log.record(
-            "diffusion/local_attention_decoder",
-            s * local_flops * 0.8,
-            s * local_bytes * 0.8,
-            LOCAL_BLOCKS as u64,
-        );
+    /// Log the paper-scale cost of every denoising step for the true
+    /// counts (`n_tokens` tokens, `atoms` atoms, [`DIFFUSION_SAMPLES`]
+    /// samples).
+    pub fn log_paper_costs(n_tokens: usize, atoms: usize, config: &ModelConfig, log: &mut CostLog) {
+        for _ in 0..config.diffusion_steps {
+            log_step_costs(n_tokens, atoms, config, log);
+        }
     }
+}
+
+/// Paper-scale cost of one denoising step (all diffusion samples).
+fn log_step_costs(n_tokens: usize, atoms: usize, config: &ModelConfig, log: &mut CostLog) {
+    let s = DIFFUSION_SAMPLES as f64;
+    let m = atoms as f64;
+    let n = n_tokens as f64;
+    let ca = config.c_atom as f64;
+    let ct = config.c_token as f64;
+    let w = config.atom_window as f64;
+
+    // Local attention (encoder): per block, projections 12·M·c² plus
+    // windowed logits/values 4·M·W·c plus token-conditioning reads,
+    // times the inventory multiplier (see LOCAL_COST_SCALE).
+    let local_flops = LOCAL_COST_SCALE
+        * LOCAL_BLOCKS as f64
+        * (12.0 * m * ca * ca + 4.0 * m * w * ca + 2.0 * m * ct * ca);
+    let local_bytes = LOCAL_COST_SCALE * LOCAL_BLOCKS as f64 * 10.0 * m * ca;
+    log.record(
+        "diffusion/local_attention_encoder",
+        s * local_flops,
+        s * local_bytes,
+        LOCAL_BLOCKS as u64,
+    );
+
+    // Global attention: 24 token blocks, projections + transitions
+    // (24·c²·N terms) plus full N² attention with pair conditioning
+    // (the 12·N²·c term: logits, values and the conditioning bias all
+    // touch every token pair).
+    let global_flops =
+        GLOBAL_BLOCKS as f64 * (8.0 * n * ct * ct + 12.0 * n * n * ct + 16.0 * n * ct * ct);
+    let global_bytes = GLOBAL_BLOCKS as f64 * (8.0 * n * ct + 6.0 * n * n);
+    log.record(
+        "diffusion/global_attention",
+        s * global_flops,
+        s * global_bytes,
+        GLOBAL_BLOCKS as u64,
+    );
+
+    // Local attention (decoder): slightly lighter than the encoder.
+    log.record(
+        "diffusion/local_attention_decoder",
+        s * local_flops * 0.8,
+        s * local_bytes * 0.8,
+        LOCAL_BLOCKS as u64,
+    );
 }
 
 #[cfg(test)]
@@ -272,8 +279,7 @@ mod tests {
     fn sampling_denoises_coordinates() {
         let cfg = ModelConfig::tiny();
         let module = DiffusionModule::new(&cfg, 1);
-        let mut log = CostLog::new();
-        let coords = module.sample(40, 320, 2, &mut log);
+        let coords = module.sample(40, 2);
         // The final coordinates must be far tamer than the initial noise
         // scale (sigma_max = 160).
         assert!(
@@ -287,9 +293,8 @@ mod tests {
     #[test]
     fn step_costs_logged_per_step() {
         let cfg = ModelConfig::tiny();
-        let module = DiffusionModule::new(&cfg, 1);
         let mut log = CostLog::new();
-        module.sample(100, 800, 3, &mut log);
+        DiffusionModule::log_paper_costs(100, 800, &cfg, &mut log);
         let by = log.by_label();
         assert_eq!(by.len(), 3);
         // Steps × 3 labels entries.
@@ -302,10 +307,9 @@ mod tests {
     fn global_share_grows_with_tokens() {
         // Fig. 9: promo's global-attention share exceeds 2PV7's.
         let cfg = ModelConfig::paper();
-        let module = DiffusionModule::new(&cfg, 1);
         let share = |n: usize, atoms: usize| {
             let mut log = CostLog::new();
-            module.log_step_costs(n, atoms, &mut log);
+            log_step_costs(n, atoms, &cfg, &mut log);
             let by = log.by_label();
             let total: f64 = by.values().map(|v| v.0).sum();
             by["diffusion/global_attention"].0 / total
@@ -326,10 +330,8 @@ mod tests {
     fn deterministic_sampling() {
         let cfg = ModelConfig::tiny();
         let module = DiffusionModule::new(&cfg, 5);
-        let mut l1 = CostLog::new();
-        let mut l2 = CostLog::new();
-        let a = module.sample(30, 240, 9, &mut l1);
-        let b = module.sample(30, 240, 9, &mut l2);
+        let a = module.sample(30, 9);
+        let b = module.sample(30, 9);
         assert_eq!(a, b);
     }
 }

@@ -36,16 +36,9 @@ impl InputEmbedder {
     }
 
     /// Embed the (sim-truncated) tokens: returns `(single, pair)` at sim
-    /// width and logs the paper-scale embedding cost for the full token
-    /// count.
-    pub fn embed(
-        &self,
-        input: &FeaturizedInput,
-        config: &ModelConfig,
-        log: &mut CostLog,
-    ) -> (Tensor, Tensor) {
-        let n_paper = input.n_tokens();
-        let n = config.sim_tokens(n_paper);
+    /// width.
+    pub fn embed(&self, input: &FeaturizedInput, config: &ModelConfig) -> (Tensor, Tensor) {
+        let n = config.sim_tokens(input.n_tokens());
 
         // Single features: residue one-hot + kind one-hot.
         let mut feats = Tensor::zeros(vec![n, TOKEN_FEATURES]);
@@ -67,15 +60,18 @@ impl InputEmbedder {
         }
         let pair = self.pair_proj.forward(&rel);
 
-        let nf = n_paper as f64;
+        debug_assert_eq!(single.dims(), &[n, self.c_single]);
+        debug_assert_eq!(pair.dims(), &[n, n, self.c_pair]);
+        (single, pair)
+    }
+
+    /// Log the paper-scale embedding cost for `n_tokens` tokens.
+    pub fn log_paper_costs(n_tokens: usize, config: &ModelConfig, log: &mut CostLog) {
+        let nf = n_tokens as f64;
         let flops = 2.0 * nf * (TOKEN_FEATURES * config.c_single) as f64
             + 2.0 * nf * nf * (RELPOS_BUCKETS * config.c_pair) as f64;
         let bytes = 2.0 * nf * nf * config.c_pair as f64 + 2.0 * nf * config.c_single as f64;
         log.record("embedder", flops, bytes, 1);
-
-        debug_assert_eq!(single.dims(), &[n, self.c_single]);
-        debug_assert_eq!(pair.dims(), &[n, n, self.c_pair]);
-        (single, pair)
     }
 }
 
@@ -90,11 +86,12 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let emb = InputEmbedder::new(&cfg, 1);
         let input = featurize(&sample(SampleId::S7rce).assembly);
-        let mut log = CostLog::new();
-        let (s, p) = emb.embed(&input, &cfg, &mut log);
+        let (s, p) = emb.embed(&input, &cfg);
         let n = cfg.sim_tokens(306);
         assert_eq!(s.dims(), &[n, cfg.sim_dim(cfg.c_single)]);
         assert_eq!(p.dims(), &[n, n, cfg.sim_dim(cfg.c_pair)]);
+        let mut log = CostLog::new();
+        InputEmbedder::log_paper_costs(input.n_tokens(), &cfg, &mut log);
         assert_eq!(log.entries().len(), 1);
         assert!(log.total_flops() > 0.0);
     }
@@ -103,33 +100,23 @@ mod tests {
     fn different_sequences_embed_differently() {
         let cfg = ModelConfig::tiny();
         let emb = InputEmbedder::new(&cfg, 2);
-        let mut log = CostLog::new();
-        let a = emb.embed(
-            &featurize(&sample(SampleId::S2pv7).assembly),
-            &cfg,
-            &mut log,
-        );
-        let b = emb.embed(
-            &featurize(&sample(SampleId::S1yy9).assembly),
-            &cfg,
-            &mut log,
-        );
+        let a = emb.embed(&featurize(&sample(SampleId::S2pv7).assembly), &cfg);
+        let b = emb.embed(&featurize(&sample(SampleId::S1yy9).assembly), &cfg);
         assert!(!a.0.approx_eq(&b.0, 1e-9));
     }
 
     #[test]
     fn paper_cost_quadratic_in_tokens() {
         let cfg = ModelConfig::paper();
-        let emb = InputEmbedder::new(&cfg, 3);
         let mut log_small = CostLog::new();
         let mut log_large = CostLog::new();
-        emb.embed(
-            &featurize(&sample(SampleId::S7rce).assembly),
+        InputEmbedder::log_paper_costs(
+            featurize(&sample(SampleId::S7rce).assembly).n_tokens(),
             &cfg,
             &mut log_small,
         );
-        emb.embed(
-            &featurize(&sample(SampleId::S6qnr).assembly),
+        InputEmbedder::log_paper_costs(
+            featurize(&sample(SampleId::S6qnr).assembly).n_tokens(),
             &cfg,
             &mut log_large,
         );

@@ -47,36 +47,95 @@ pub fn working_set_bytes(n_tokens: usize, atoms: usize, config: &ModelConfig) ->
     pair + atom + weights
 }
 
+/// The paper-scale price of one inference: what device pricing needs,
+/// without the structure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceCost {
+    /// Paper-scale kernel cost log (price with `afsb-gpu`).
+    pub cost_log: CostLog,
+    /// Peak device working set at paper scale, in bytes.
+    pub working_set_bytes: u64,
+}
+
+/// Price inference for an assembly from each module's cost formula
+/// alone, without running the model.
+///
+/// Every entry is a closed-form function of the token count, the atom
+/// count, `msa_depth` and `config`, recorded in execution order: the
+/// embedder, one entry per MSA block, five per Pairformer block, three
+/// per diffusion step, then the pLDDT and PAE heads. [`run_inference`]
+/// takes its log and working set from here.
+///
+/// # Panics
+///
+/// Panics with [`ModelConfig::validate`]'s message if the config is
+/// invalid.
+pub fn price_inference(
+    assembly: &Assembly,
+    msa_depth: usize,
+    config: &ModelConfig,
+) -> InferenceCost {
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
+    let features = featurize(assembly);
+    let n = features.n_tokens();
+    let mut log = CostLog::new();
+    InputEmbedder::log_paper_costs(n, config, &mut log);
+    MsaModule::log_paper_costs(msa_depth, n, config, &mut log);
+    Pairformer::log_paper_costs(n, config, &mut log);
+    DiffusionModule::log_paper_costs(n, features.atoms, config, &mut log);
+    ConfidenceHeads::log_paper_costs(n, config, &mut log);
+    // The PAE head maps pair features to 64 distance bins. No benchmark
+    // reads its output, so it is priced but never run.
+    let nf = n as f64;
+    log.record(
+        "confidence/pae",
+        2.0 * nf * nf * (config.c_pair * 64) as f64,
+        4.0 * nf * nf * config.c_pair as f64,
+        1,
+    );
+    InferenceCost {
+        cost_log: log,
+        working_set_bytes: working_set_bytes(n, features.atoms, config),
+    }
+}
+
 /// Run inference for an assembly.
 ///
 /// The tensors execute at the config's simulation width (real math, real
-/// shapes); the returned [`CostLog`] carries paper-scale costs for the
-/// assembly's true token count, ready for device pricing.
+/// shapes) and decide the predicted structure; the cost log and working
+/// set are [`price_inference`]'s, at paper scale for the assembly's true
+/// token count, ready for device pricing.
+///
+/// # Panics
+///
+/// Panics with [`ModelConfig::validate`]'s message if the config is
+/// invalid.
 pub fn run_inference(
     assembly: &Assembly,
     msa_depth: usize,
     config: &ModelConfig,
     seed: u64,
 ) -> InferenceResult {
+    let cost = price_inference(assembly, msa_depth, config);
     let features = featurize(assembly);
     let n_paper = features.n_tokens();
-    let mut log = CostLog::new();
 
     let embedder = InputEmbedder::new(config, seed);
-    let (single, pair) = embedder.embed(&features, config, &mut log);
+    let (single, pair) = embedder.embed(&features, config);
 
     let msa_module = MsaModule::new(config, seed ^ 0x11);
-    let pair = msa_module.run(pair, msa_depth, n_paper, seed ^ 0x12, &mut log);
+    let pair = msa_module.run(pair, msa_depth, seed ^ 0x12);
 
     let pairformer = Pairformer::new(config, seed ^ 0x13);
-    let (single, _pair) = pairformer.run(single, pair, n_paper, &mut log);
+    let (single, _pair) = pairformer.run(single, pair);
 
     let diffusion = DiffusionModule::new(config, seed ^ 0x14);
-    let sim_coords = diffusion.sample(n_paper, features.atoms, seed ^ 0x15, &mut log);
+    let sim_coords = diffusion.sample(n_paper, seed ^ 0x15);
 
     let heads = ConfidenceHeads::new(config, seed ^ 0x16);
-    let plddt = heads.plddt(&single, n_paper, config, &mut log);
-    heads.log_pae_cost(n_paper, config, &mut log);
+    let plddt = heads.plddt(&single, n_paper);
 
     // Token coordinates: tile the sim-width fold along the chain with a
     // deterministic per-token offset (structure *shape* statistics, not
@@ -96,9 +155,9 @@ pub fn run_inference(
 
     InferenceResult {
         structure: Structure::new(coords, plddt),
-        working_set_bytes: working_set_bytes(n_paper, features.atoms, config),
         features,
-        cost_log: log,
+        cost_log: cost.cost_log,
+        working_set_bytes: cost.working_set_bytes,
         msa_depth,
     }
 }
@@ -155,6 +214,38 @@ mod tests {
         let b = run_inference(&asm, 50, &cfg, 3);
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.cost_log, b.cost_log);
+    }
+
+    #[test]
+    fn pae_cost_quadratic() {
+        let cfg = ModelConfig::paper();
+        let pae = |id| {
+            let cost = price_inference(&sample(id).assembly, 100, &cfg);
+            cost.cost_log.by_label()["confidence/pae"].0
+        };
+        let ratio = pae(SampleId::S6qnr) / pae(SampleId::S7rce);
+        let expected = (1395.0f64 / 306.0).powi(2);
+        assert!((ratio - expected).abs() / expected < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "model config: sim_width_divisor must be at least 1")]
+    fn run_inference_refuses_an_invalid_config() {
+        let cfg = ModelConfig {
+            sim_width_divisor: 0,
+            ..ModelConfig::tiny()
+        };
+        run_inference(&sample(SampleId::S7rce).assembly, 100, &cfg, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "model config: diffusion_steps must be at least 1")]
+    fn price_inference_refuses_an_invalid_config() {
+        let cfg = ModelConfig {
+            diffusion_steps: 0,
+            ..ModelConfig::paper()
+        };
+        price_inference(&sample(SampleId::S7rce).assembly, 100, &cfg);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! confidence heads.
 //!
 //! Weights are seeded-random (the paper measures compute/memory shape,
-//! not prediction accuracy). Every layer both *runs* (real tensor math at
-//! a reduced simulation width, so shapes/invariants are exercised end to
-//! end) and *logs* its paper-scale FLOP/byte costs to a
-//! [`afsb_tensor::CostLog`], which `afsb-gpu` prices per device. The
-//! formulas live next to each layer and are validated against the run
-//! tensors in tests.
+//! not prediction accuracy). Every layer *runs* as real tensor math at a
+//! reduced simulation width, so shapes and invariants are exercised end
+//! to end and the run decides the predicted structure. Its paper-scale
+//! FLOP/byte cost is a closed-form formula next to the layer (a
+//! `log_paper_costs` function of token count, atom count, MSA depth and
+//! [`ModelConfig`]); [`price_inference`] records them all into an
+//! [`afsb_tensor::CostLog`], which `afsb-gpu` prices per device, without
+//! running anything.
 //!
 //! Dimension conventions follow the AF3 paper: `N` tokens (residues),
 //! pair representation `[N, N, c_pair]`, single representation
@@ -33,5 +35,5 @@ pub mod structure;
 pub mod triangle;
 
 pub use config::ModelConfig;
-pub use inference::{run_inference, InferenceResult};
+pub use inference::{price_inference, run_inference, InferenceCost, InferenceResult};
 pub use structure::Structure;

@@ -105,18 +105,11 @@ impl MsaModule {
         }
     }
 
-    /// Run on a random sim-scale MSA block of the given real depth and
-    /// log paper-scale costs.
+    /// Run on a random sim-scale MSA block of the given real depth
+    /// (at most 8 rows execute).
     ///
     /// Returns the updated pair representation.
-    pub fn run(
-        &self,
-        pair: Tensor,
-        msa_depth: usize,
-        n_paper: usize,
-        seed: u64,
-        log: &mut CostLog,
-    ) -> Tensor {
+    pub fn run(&self, pair: Tensor, msa_depth: usize, seed: u64) -> Tensor {
         let n = pair.dims()[0];
         let m_sim = msa_depth.clamp(1, 8);
         let c_msa = self.config.sim_dim(C_MSA);
@@ -126,17 +119,28 @@ impl MsaModule {
             let (new_msa, new_pair) = block.forward(&msa, &p);
             msa = new_msa;
             p = new_pair;
-            // Paper-scale: outer-product mean M·N²·r², pair-weighted
-            // averaging 2·M·N²·c, transitions 8·M·N·c².
-            let mf = msa_depth.max(1) as f64;
-            let nf = n_paper as f64;
-            let c = C_MSA as f64;
-            let r = c / 2.0;
-            let flops = mf * nf * nf * r * r * 2.0 + 2.0 * mf * nf * nf * c + 8.0 * mf * nf * c * c;
-            let bytes = 2.0 * mf * nf * c * 4.0 + 2.0 * nf * nf * self.config.c_pair as f64;
-            log.record("msa_module", flops, bytes, 1);
         }
         p
+    }
+
+    /// Log the paper-scale cost of every block for an MSA of
+    /// `msa_depth` rows over `n_tokens` tokens: outer-product mean
+    /// M·N²·r², pair-weighted averaging 2·M·N²·c, transitions 8·M·N·c².
+    pub fn log_paper_costs(
+        msa_depth: usize,
+        n_tokens: usize,
+        config: &ModelConfig,
+        log: &mut CostLog,
+    ) {
+        let mf = msa_depth.max(1) as f64;
+        let nf = n_tokens as f64;
+        let c = C_MSA as f64;
+        let r = c / 2.0;
+        let flops = mf * nf * nf * r * r * 2.0 + 2.0 * mf * nf * nf * c + 8.0 * mf * nf * c * c;
+        let bytes = 2.0 * mf * nf * c * 4.0 + 2.0 * nf * nf * config.c_pair as f64;
+        for _ in 0..config.msa_blocks {
+            log.record("msa_module", flops, bytes, 1);
+        }
     }
 }
 
@@ -150,22 +154,20 @@ mod tests {
         let module = MsaModule::new(&cfg, 1);
         let n = 5;
         let pair = Tensor::randn(vec![n, n, cfg.sim_dim(cfg.c_pair)], 2);
-        let mut log = CostLog::new();
-        let out = module.run(pair.clone(), 100, 306, 3, &mut log);
+        let out = module.run(pair.clone(), 100, 3);
         assert_eq!(out.dims(), pair.dims());
         assert!(!out.approx_eq(&pair, 1e-9));
+        let mut log = CostLog::new();
+        MsaModule::log_paper_costs(100, 306, &cfg, &mut log);
         assert_eq!(log.entries().len(), cfg.msa_blocks);
     }
 
     #[test]
     fn cost_scales_with_msa_depth() {
         let cfg = ModelConfig::tiny();
-        let module = MsaModule::new(&cfg, 1);
-        let n = 4;
         let mk = |depth| {
-            let pair = Tensor::randn(vec![n, n, cfg.sim_dim(cfg.c_pair)], 2);
             let mut log = CostLog::new();
-            module.run(pair, depth, 306, 3, &mut log);
+            MsaModule::log_paper_costs(depth, 306, &cfg, &mut log);
             log.total_flops()
         };
         let shallow = mk(10);

@@ -116,7 +116,6 @@ impl PairformerBlock {
 #[derive(Debug, Clone)]
 pub struct Pairformer {
     blocks: Vec<PairformerBlock>,
-    config: ModelConfig,
 }
 
 impl Pairformer {
@@ -128,10 +127,7 @@ impl Pairformer {
         let blocks = (0..config.pairformer_blocks)
             .map(|b| PairformerBlock::new(cp, cs, heads, seed ^ ((b as u64) << 8)))
             .collect();
-        Pairformer {
-            blocks,
-            config: *config,
-        }
+        Pairformer { blocks }
     }
 
     /// Number of blocks.
@@ -139,24 +135,23 @@ impl Pairformer {
         self.blocks.len()
     }
 
-    /// Run the stack on sim-width tensors and log paper-scale costs for
-    /// the true token count `n_paper`.
-    pub fn run(
-        &self,
-        single: Tensor,
-        pair: Tensor,
-        n_paper: usize,
-        log: &mut CostLog,
-    ) -> (Tensor, Tensor) {
+    /// Run the stack on sim-width tensors.
+    pub fn run(&self, single: Tensor, pair: Tensor) -> (Tensor, Tensor) {
         let mut s = single;
         let mut p = pair;
         for block in &self.blocks {
             let (ns, np) = block.forward(&s, &p);
             s = ns;
             p = np;
-            PairformerBlock::log_paper_costs(n_paper, &self.config, log);
         }
         (s, p)
+    }
+
+    /// Log every block's paper-scale costs for `n_tokens` tokens.
+    pub fn log_paper_costs(n_tokens: usize, config: &ModelConfig, log: &mut CostLog) {
+        for _ in 0..config.pairformer_blocks {
+            PairformerBlock::log_paper_costs(n_tokens, config, log);
+        }
     }
 }
 
@@ -179,11 +174,12 @@ mod tests {
         let pf = Pairformer::new(&cfg, 1);
         assert_eq!(pf.depth(), 2);
         let (s, p) = tiny_io(6, &cfg);
-        let mut log = CostLog::new();
-        let (s2, p2) = pf.run(s.clone(), p.clone(), 484, &mut log);
+        let (s2, p2) = pf.run(s.clone(), p.clone());
         assert_eq!(s2.dims(), s.dims());
         assert_eq!(p2.dims(), p.dims());
         assert!(!p2.approx_eq(&p, 1e-9));
+        let mut log = CostLog::new();
+        Pairformer::log_paper_costs(484, &cfg, &mut log);
         // 2 blocks x 5 labels.
         assert_eq!(log.by_label().len(), 5);
         let by = log.by_label();
@@ -226,12 +222,9 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let pf = Pairformer::new(&cfg, 5);
         let (s, p) = tiny_io(5, &cfg);
-        let mut l1 = CostLog::new();
-        let mut l2 = CostLog::new();
-        let (a1, b1) = pf.run(s.clone(), p.clone(), 100, &mut l1);
-        let (a2, b2) = pf.run(s, p, 100, &mut l2);
+        let (a1, b1) = pf.run(s.clone(), p.clone());
+        let (a2, b2) = pf.run(s, p);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
-        assert_eq!(l1, l2);
     }
 }

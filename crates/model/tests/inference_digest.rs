@@ -9,9 +9,15 @@
 //! (module layout, who records which cost entry) must leave it alone; a
 //! change that moves a simulated number must update the constant in the
 //! same change and say why.
+//!
+//! Beside it, a property: `price_inference`, which prices from the cost
+//! formulas without running the model, yields exactly `run_inference`'s
+//! cost log and working set, so callers that need only the price may
+//! skip the run.
 
-use afsb_model::{run_inference, InferenceResult, ModelConfig};
+use afsb_model::{price_inference, run_inference, InferenceResult, ModelConfig};
 use afsb_seq::samples::{sample, SampleId};
+use afsb_tensor::CostLog;
 
 /// FNV-1a over the runs below, in sample, config and depth order,
 /// computed while every forward pass still recorded its own cost
@@ -78,4 +84,45 @@ fn inference_matches_the_pinned_digest() {
         "inference digest moved: {:#018x}",
         h.0
     );
+}
+
+/// Every entry's label, FLOP and byte bits and launch count.
+fn entry_bits(log: &CostLog) -> Vec<(String, u64, u64, u64)> {
+    log.entries()
+        .iter()
+        .map(|e| {
+            (
+                e.label.clone(),
+                e.flops.to_bits(),
+                e.bytes.to_bits(),
+                e.launches,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn price_inference_is_the_executed_cost_log_bit_for_bit() {
+    for id in SampleId::all() {
+        let asm = sample(id).assembly;
+        for (name, config) in [
+            ("paper", ModelConfig::paper()),
+            ("tiny", ModelConfig::tiny()),
+        ] {
+            for depth in [0, 1, 7, 512, 5000] {
+                let ran = run_inference(&asm, depth, &config, SEED);
+                let priced = price_inference(&asm, depth, &config);
+                let case = format!("{id} {name} depth {depth}");
+                assert_eq!(
+                    entry_bits(&priced.cost_log),
+                    entry_bits(&ran.cost_log),
+                    "{case}: cost log"
+                );
+                assert_eq!(
+                    priced.working_set_bytes, ran.working_set_bytes,
+                    "{case}: working set"
+                );
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@ use afsb_core::inference_phase::gpu_for;
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
 use afsb_core::resilience::Deadline;
 use afsb_gpu::runtime::{GpuRuntime, HostCpuModel};
-use afsb_model::{run_inference, ModelConfig};
+use afsb_model::{price_inference, ModelConfig};
 use afsb_rt::obs::timeline::{SloConfig, SloOutcome, TimelineSampler};
 use afsb_rt::obs::{HistogramSummary, ObsSession};
 use afsb_rt::sim::ProvenanceEdge;
@@ -225,8 +225,12 @@ impl CostTable {
     /// Price every benchmark shape on `platform`. `quick` selects the
     /// test-scale databases and sampling budget
     /// ([`afsb_core::context::scale`]); `msa_threads` is the per-worker
-    /// thread count.
-    pub fn build(platform: Platform, quick: bool, msa_threads: usize, seed: u64) -> CostTable {
+    /// thread count. The GPU cost of a shape comes from
+    /// [`price_inference`], which never runs the model, so the table
+    /// does not depend on `_seed`: it only ever seeded model weights
+    /// whose output the table discarded, and stays in the signature
+    /// for the callers that pass it.
+    pub fn build(platform: Platform, quick: bool, msa_threads: usize, _seed: u64) -> CostTable {
         let (config, sample_cap) = scale(quick);
         let mut ctx = BenchContext::new(config);
         let runtime = GpuRuntime::new(
@@ -254,12 +258,8 @@ impl CostTable {
             );
             let peak = data.paper_peak_msa_bytes(msa_threads);
             let admitted = capacity.admit(peak).completes() && msa.completed();
-            let model = run_inference(
-                &data.sample.assembly,
-                data.msa_depth,
-                &ModelConfig::paper(),
-                seed,
-            );
+            let model =
+                price_inference(&data.sample.assembly, data.msa_depth, &ModelConfig::paper());
             let cold = runtime.run_cold(&model.cost_log, model.working_set_bytes);
             let warm = runtime.run_warm(&model.cost_log, model.working_set_bytes);
             init_s = cold.init_s;

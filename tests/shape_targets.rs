@@ -236,7 +236,7 @@ fn inference_breakdown_shapes() {
 fn layer_distribution_shapes() {
     use afsysbench::gpu::device::GpuSpec;
     use afsysbench::gpu::price_log;
-    use afsysbench::model::run_inference;
+    use afsysbench::model::price_inference;
     use afsysbench::seq::samples;
 
     let model = ModelConfig::paper();
@@ -245,7 +245,7 @@ fn layer_distribution_shapes() {
     let mut pairformer_totals = Vec::new();
     for id in [SampleId::S2pv7, SampleId::Promo] {
         let asm = samples::sample(id).assembly;
-        let r = run_inference(&asm, 256, &model, 5);
+        let r = price_inference(&asm, 256, &model);
         let (per_label, total) = price_log(&r.cost_log, &h100, 0.0);
         let tri_attn = per_label["pairformer/triangle_attention"];
         let tri_mult = per_label["pairformer/triangle_mult_update"];
