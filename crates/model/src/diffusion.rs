@@ -210,55 +210,55 @@ impl DiffusionModule {
     /// samples).
     pub fn log_paper_costs(n_tokens: usize, atoms: usize, config: &ModelConfig, log: &mut CostLog) {
         for _ in 0..config.diffusion_steps {
-            log_step_costs(n_tokens, atoms, config, log);
+            DiffusionModule::log_step_costs(n_tokens, atoms, config, log);
         }
     }
-}
 
-/// Paper-scale cost of one denoising step (all diffusion samples).
-fn log_step_costs(n_tokens: usize, atoms: usize, config: &ModelConfig, log: &mut CostLog) {
-    let s = DIFFUSION_SAMPLES as f64;
-    let m = atoms as f64;
-    let n = n_tokens as f64;
-    let ca = config.c_atom as f64;
-    let ct = config.c_token as f64;
-    let w = config.atom_window as f64;
+    /// Paper-scale cost of one denoising step (all diffusion samples).
+    fn log_step_costs(n_tokens: usize, atoms: usize, config: &ModelConfig, log: &mut CostLog) {
+        let s = DIFFUSION_SAMPLES as f64;
+        let m = atoms as f64;
+        let n = n_tokens as f64;
+        let ca = config.c_atom as f64;
+        let ct = config.c_token as f64;
+        let w = config.atom_window as f64;
 
-    // Local attention (encoder): per block, projections 12·M·c² plus
-    // windowed logits/values 4·M·W·c plus token-conditioning reads,
-    // times the inventory multiplier (see LOCAL_COST_SCALE).
-    let local_flops = LOCAL_COST_SCALE
-        * LOCAL_BLOCKS as f64
-        * (12.0 * m * ca * ca + 4.0 * m * w * ca + 2.0 * m * ct * ca);
-    let local_bytes = LOCAL_COST_SCALE * LOCAL_BLOCKS as f64 * 10.0 * m * ca;
-    log.record(
-        "diffusion/local_attention_encoder",
-        s * local_flops,
-        s * local_bytes,
-        LOCAL_BLOCKS as u64,
-    );
+        // Local attention (encoder): per block, projections 12·M·c² plus
+        // windowed logits/values 4·M·W·c plus token-conditioning reads,
+        // times the inventory multiplier (see LOCAL_COST_SCALE).
+        let local_flops = LOCAL_COST_SCALE
+            * LOCAL_BLOCKS as f64
+            * (12.0 * m * ca * ca + 4.0 * m * w * ca + 2.0 * m * ct * ca);
+        let local_bytes = LOCAL_COST_SCALE * LOCAL_BLOCKS as f64 * 10.0 * m * ca;
+        log.record(
+            "diffusion/local_attention_encoder",
+            s * local_flops,
+            s * local_bytes,
+            LOCAL_BLOCKS as u64,
+        );
 
-    // Global attention: 24 token blocks, projections + transitions
-    // (24·c²·N terms) plus full N² attention with pair conditioning
-    // (the 12·N²·c term: logits, values and the conditioning bias all
-    // touch every token pair).
-    let global_flops =
-        GLOBAL_BLOCKS as f64 * (8.0 * n * ct * ct + 12.0 * n * n * ct + 16.0 * n * ct * ct);
-    let global_bytes = GLOBAL_BLOCKS as f64 * (8.0 * n * ct + 6.0 * n * n);
-    log.record(
-        "diffusion/global_attention",
-        s * global_flops,
-        s * global_bytes,
-        GLOBAL_BLOCKS as u64,
-    );
+        // Global attention: 24 token blocks, projections + transitions
+        // (24·c²·N terms) plus full N² attention with pair conditioning
+        // (the 12·N²·c term: logits, values and the conditioning bias all
+        // touch every token pair).
+        let global_flops =
+            GLOBAL_BLOCKS as f64 * (8.0 * n * ct * ct + 12.0 * n * n * ct + 16.0 * n * ct * ct);
+        let global_bytes = GLOBAL_BLOCKS as f64 * (8.0 * n * ct + 6.0 * n * n);
+        log.record(
+            "diffusion/global_attention",
+            s * global_flops,
+            s * global_bytes,
+            GLOBAL_BLOCKS as u64,
+        );
 
-    // Local attention (decoder): slightly lighter than the encoder.
-    log.record(
-        "diffusion/local_attention_decoder",
-        s * local_flops * 0.8,
-        s * local_bytes * 0.8,
-        LOCAL_BLOCKS as u64,
-    );
+        // Local attention (decoder): slightly lighter than the encoder.
+        log.record(
+            "diffusion/local_attention_decoder",
+            s * local_flops * 0.8,
+            s * local_bytes * 0.8,
+            LOCAL_BLOCKS as u64,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -309,7 +309,7 @@ mod tests {
         let cfg = ModelConfig::paper();
         let share = |n: usize, atoms: usize| {
             let mut log = CostLog::new();
-            log_step_costs(n, atoms, &cfg, &mut log);
+            DiffusionModule::log_step_costs(n, atoms, &cfg, &mut log);
             let by = log.by_label();
             let total: f64 = by.values().map(|v| v.0).sum();
             by["diffusion/global_attention"].0 / total

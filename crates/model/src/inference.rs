@@ -1,5 +1,5 @@
-//! End-to-end inference: featurize → embed → MSA module → Pairformer →
-//! Diffusion → confidence.
+//! End-to-end inference (featurize → embed → MSA module → Pairformer →
+//! Diffusion → confidence) and its paper-scale price.
 
 use crate::confidence::ConfidenceHeads;
 use crate::config::ModelConfig;
@@ -49,7 +49,7 @@ pub fn working_set_bytes(n_tokens: usize, atoms: usize, config: &ModelConfig) ->
 
 /// The paper-scale price of one inference: what device pricing needs,
 /// without the structure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct InferenceCost {
     /// Paper-scale kernel cost log (price with `afsb-gpu`).
     pub cost_log: CostLog,
