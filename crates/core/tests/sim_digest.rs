@@ -1,14 +1,17 @@
 //! Bit-identity gates for the simarch engine and the search engine.
 //!
-//! Both gates read the five quick samples' search data, searched once
+//! Every gate reads the five quick samples' search data, searched once
 //! per test binary. The simarch gate runs the MSA phase on the
 //! benchmark's 20 msa-grid cells (every sample × {Server, Desktop} ×
 //! {1, 4} threads at the quick sampling cap) and folds the engine's
 //! cycle counts, sampling rate, bandwidth demand and factor and every
-//! per-symbol counter into one FNV-1a hash. The search gate folds every
-//! (chain entity × database) search's work counters, hit and MSA-row
-//! counts, paper bytes and scale factor into another. Each hash must
-//! equal a committed constant. A host-speed change to the engines (cache
+//! per-symbol counter into one FNV-1a hash. The thread-count gate folds
+//! the same fields over 2PV7 and promo × {Server, Desktop} × {2, 6, 8}
+//! threads: Table III's 6 and the thread sweep's 2 and 8, whose
+//! round-robin interleavings the 1- and 4-thread cells do not reach.
+//! The search gate folds every (chain entity × database) search's work
+//! counters, hit and MSA-row counts, paper bytes and scale factor into
+//! another. Each hash must equal a committed constant. A host-speed change to the engines (cache
 //! layout, bookkeeping hoists, overlapped passes, shared calibration,
 //! filter loop order) must leave both alone; a change that moves a
 //! simulated counter must update the constant in the same change and say
@@ -26,6 +29,10 @@ use std::sync::{Arc, OnceLock};
 /// sample, then platform), computed before the per-segment stats, the
 /// hoisted charges and the overlapped overhead pass landed.
 const SIM_DIGEST: u64 = 0x1107_af43_1c15_3c7c;
+
+/// FNV-1a over the {2, 6, 8}-thread cells of 2PV7 and promo, in the
+/// same order, computed before the cache walk was split at the LLC.
+const THREADS_DIGEST: u64 = 0xd64f_5780_7ba2_3e26;
 
 /// FNV-1a over every sample's searches, in sample, chain entity and
 /// database order, computed before the round-1 calibration was shared
@@ -170,26 +177,45 @@ fn search_counters_match_the_committed_digest() {
     );
 }
 
-#[test]
-fn simarch_counters_match_the_committed_digest() {
+/// FNV-1a over the MSA phase of every `samples` × {Server, Desktop} ×
+/// `threads` cell at the quick sampling cap, in threads, sample, then
+/// platform order.
+fn msa_digest(threads: &[usize], samples: &[SampleId]) -> u64 {
     let options = MsaPhaseOptions {
         sample_cap: 400_000,
         ..MsaPhaseOptions::default()
     };
     let mut h = Fnv::new();
-    for threads in [1, 4] {
+    for &threads in threads {
         for d in sample_data() {
+            let id = d.sample.id;
+            if !samples.contains(&id) {
+                continue;
+            }
             for platform in Platform::all() {
                 let msa = run_msa_phase(d, platform, threads, &options);
-                let id = d.sample.id;
                 assert!(msa.completed(), "{id:?} {platform:?} x{threads}");
                 fold_sim(&mut h, &msa.sim);
             }
         }
     }
+    h.0
+}
+
+#[test]
+fn simarch_counters_match_the_committed_digest() {
+    let got = msa_digest(&[1, 4], &SampleId::all());
     assert_eq!(
-        h.0, SIM_DIGEST,
-        "simarch digest moved: got {:#018x}, expected {SIM_DIGEST:#018x}",
-        h.0
+        got, SIM_DIGEST,
+        "simarch digest moved: got {got:#018x}, expected {SIM_DIGEST:#018x}"
+    );
+}
+
+#[test]
+fn simarch_thread_counts_match_the_committed_digest() {
+    let got = msa_digest(&[2, 6, 8], &[SampleId::S2pv7, SampleId::Promo]);
+    assert_eq!(
+        got, THREADS_DIGEST,
+        "thread-count digest moved: got {got:#018x}, expected {THREADS_DIGEST:#018x}"
     );
 }
