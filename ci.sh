@@ -74,23 +74,28 @@ for exp in "${GOLDEN_EXPERIMENTS[@]}"; do
 done
 
 # One-CPU golden gate: a sample's searches run concurrently through
-# rt::par::map_ordered, simarch's overhead pass runs beside its cache
-# walk through rt::par::join, and no output may depend on the host's
-# CPU count. Pinned to one CPU, map_ordered takes its plain-loop path
-# and join runs both closures inline; the serve and table4 goldens must
-# still match byte for byte, and both digests of
-# crates/core/tests/sim_digest.rs their constants: the simarch digest
-# over the 20 msa-grid cells and the search digest over every (chain
-# entity x database) search of the five quick samples, whose per-entity
-# calibration pass then runs inline too.
+# rt::par::map_ordered, simarch's private cache walks run ahead of its
+# LLC replay on helper threads through rt::par::pipeline, and no output
+# may depend on the host's CPU count. Pinned to one CPU, map_ordered
+# takes its plain-loop path and pipeline spawns nothing: the replay
+# fills each chunk when it asks for it and runs the overhead passes
+# after it. The serve and table4 goldens must still match byte for
+# byte, and the three digests of crates/core/tests/sim_digest.rs their
+# constants: the simarch digests over the 20 msa-grid cells and over
+# the 2-, 6- and 8-thread cells of 2PV7 and promo, and the search
+# digest over every (chain entity x database) search of the five quick
+# samples, whose per-entity calibration pass then runs inline too.
+# simarch's reference-model property runs pinned as well, so the
+# inline path is checked against the unsplit walk on arbitrary programs.
 if command -v taskset > /dev/null; then
     run taskset -c 0 target/release/afsysbench serve table4 --quick --out "$golden_dir/one-cpu" > /dev/null
     for exp in serve table4; do
         run diff -u "results/quick/$exp.txt" "$golden_dir/one-cpu/$exp.txt"
     done
     run taskset -c 0 cargo test -q --offline -p afsb-core --test sim_digest
+    run taskset -c 0 cargo test -q --offline -p afsb-simarch --lib run_matches_the_unsplit_reference_bit_for_bit
 else
-    echo "==> taskset not found: skipping the one-CPU golden and digest runs"
+    echo "==> taskset not found: skipping the one-CPU golden, digest and reference runs"
 fi
 
 # Perf-regression gates. Each side (`a`, `b`) runs one full-mode

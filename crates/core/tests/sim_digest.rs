@@ -11,11 +11,11 @@
 //! round-robin interleavings the 1- and 4-thread cells do not reach.
 //! The search gate folds every (chain entity × database) search's work
 //! counters, hit and MSA-row counts, paper bytes and scale factor into
-//! another. Each hash must equal a committed constant. A host-speed change to the engines (cache
-//! layout, bookkeeping hoists, overlapped passes, shared calibration,
-//! filter loop order) must leave both alone; a change that moves a
-//! simulated counter must update the constant in the same change and say
-//! why.
+//! another. Each hash must equal a committed constant. A host-speed
+//! change to the engines (cache layout, bookkeeping hoists, overlapped
+//! or split passes, shared calibration, filter loop order) must leave
+//! them all alone; a change that moves a simulated counter must update
+//! the constant in the same change and say why.
 
 use afsb_core::context::{BenchContext, ContextConfig, DbSearch, SampleSearchData};
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};

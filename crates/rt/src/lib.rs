@@ -23,8 +23,8 @@
 //!   ([`obs::Tracer`]/[`obs::MetricsRegistry`]) driven by the simulated
 //!   clock, with Chrome-trace (Perfetto), flamegraph and ASCII exporters.
 //! - [`par`] — [`par::map_ordered`], an ordered parallel map, and
-//!   [`par::join`], a two-closure fork-join, over scoped threads whose
-//!   output never depends on the host's CPU count.
+//!   [`par::pipeline`], buffered streams filled ahead of a consumer, over
+//!   scoped threads whose output never depends on the host's CPU count.
 //! - [`sim`] — the discrete-event simulation engine
 //!   ([`sim::SimEngine`]): one monotone clock, one `(time, seq)`-ordered
 //!   binary-heap event queue with cancellable timers, driving the

@@ -237,8 +237,9 @@ impl SimEngine {
         // LLC could not reuse it and the heap would grow by megabytes.
         // Whether a block lands there depends on what the allocator
         // already holds, so the peak resident set of the same runs would
-        // differ from one process to the next. The helpers fill chunks
-        // and advance overhead passes they are lent, and allocate nothing.
+        // differ from one process to the next. The helpers allocate none
+        // of the run's blocks: they fill chunks and advance overhead
+        // passes they are lent.
         let overheads: Vec<Mutex<OverheadPass>> = programs
             .iter()
             .enumerate()
