@@ -90,7 +90,14 @@ impl Rng {
         self.gen_f64() < p
     }
 
-    /// Unbiased uniform draw in `[0, n)` (Lemire's multiply-rejection).
+    /// Unbiased uniform draw in `[0, n)` (Lemire's nearly-divisionless
+    /// multiply-rejection).
+    ///
+    /// A draw is rejected when the low word of `draw × n` falls below
+    /// `2^64 mod n`. That threshold is below `n`, so a low word of at
+    /// least `n` is accepted without computing it: the division runs only
+    /// on the rare draws that could be rejected, and the draws and results
+    /// are those of always dividing first.
     ///
     /// # Panics
     ///
@@ -98,14 +105,15 @@ impl Rng {
     #[inline]
     pub fn gen_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "gen_below needs a positive bound");
-        // Threshold for rejecting the biased low range.
-        let t = n.wrapping_neg() % n;
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(n);
-            if (m as u64) >= t {
-                return (m >> 64) as u64;
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            // Threshold for rejecting the biased low range.
+            let t = n.wrapping_neg() % n;
+            while (m as u64) < t {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        (m >> 64) as u64
     }
 
     /// Uniform draw from a range, e.g. `rng.gen_range(0..10)`,
@@ -307,6 +315,48 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues reachable");
+    }
+
+    /// Reference model: Lemire's multiply-rejection with the rejection
+    /// threshold computed before every draw.
+    fn gen_below_always_dividing(rng: &mut Rng, n: u64) -> u64 {
+        let t = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= t {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn gen_below_matches_the_always_dividing_form() {
+        crate::check::run(
+            "gen_below_matches_the_always_dividing_form",
+            crate::check::Config::cases(64),
+            |g| {
+                // Bounds just above a power of two reject up to half of
+                // all draws, so the redraw path runs often.
+                let n = match g.range(0..6) {
+                    0 => 1,
+                    1 => 1 << g.range(0u32..64),
+                    2 => (1 << 63) + 1,
+                    3 => u64::MAX,
+                    4 => (1 << g.range(1u32..64)) + g.range(1u64..4),
+                    _ => g.range(1u64..=u64::MAX),
+                };
+                let mut got = Rng::seed_from_u64(g.rng().next_u64());
+                let mut want = got.clone();
+                for _ in 0..256 {
+                    assert_eq!(
+                        got.gen_below(n),
+                        gen_below_always_dividing(&mut want, n),
+                        "n {n}"
+                    );
+                    assert_eq!(got, want, "n {n}");
+                }
+            },
+        );
     }
 
     #[test]

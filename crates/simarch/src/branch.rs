@@ -33,7 +33,7 @@ impl BranchStats {
 
 /// Gshare predictor: global history XOR PC indexes a table of 2-bit
 /// saturating counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GsharePredictor {
     table: Vec<u8>,
     mask: u64,
@@ -71,12 +71,42 @@ impl GsharePredictor {
         &self.stats
     }
 
+    /// The history of `history_bits` taken branches in a row.
+    fn all_taken(&self) -> u64 {
+        (1u64 << self.history_bits) - 1
+    }
+
+    /// The index of `pc`'s counter under the current history.
+    fn index(&self, pc: u64) -> usize {
+        (((pc >> 2) ^ self.history) & self.mask) as usize
+    }
+
+    /// Whether a taken branch at `pc` is *steady*: the history is all
+    /// taken and the counter it indexes is saturated at 3. A steady taken
+    /// branch predicts correctly and leaves the counter and the history as
+    /// they are, so the next taken branch at `pc` is steady too.
+    pub fn taken_is_steady(&self, pc: u64) -> bool {
+        self.history == self.all_taken() && self.table[self.index(pc)] == 3
+    }
+
+    /// Account `n` steady taken branches at `pc` (see
+    /// [`GsharePredictor::taken_is_steady`]) without simulating them one
+    /// by one: each only adds a correct prediction to the statistics.
+    pub fn skip_steady_taken(&mut self, pc: u64, n: u64) {
+        debug_assert!(
+            n == 0 || self.taken_is_steady(pc),
+            "pc {pc:#x} is not steady"
+        );
+        self.stats.branches += n;
+    }
+
     /// Predict and update for a branch at `pc` with actual outcome
     /// `taken`. Returns whether the prediction was correct.
     pub fn predict(&mut self, pc: u64, taken: bool) -> bool {
         self.stats.branches += 1;
-        let idx = ((pc >> 2) ^ self.history) & self.mask;
-        let counter = &mut self.table[idx as usize];
+        let idx = self.index(pc);
+        let all_taken = self.all_taken();
+        let counter = &mut self.table[idx];
         let predicted_taken = *counter >= 2;
         let correct = predicted_taken == taken;
         if !correct {
@@ -88,7 +118,7 @@ impl GsharePredictor {
         } else {
             *counter = counter.saturating_sub(1);
         }
-        self.history = ((self.history << 1) | u64::from(taken)) & ((1u64 << self.history_bits) - 1);
+        self.history = ((self.history << 1) | u64::from(taken)) & all_taken;
         correct
     }
 }

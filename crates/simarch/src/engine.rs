@@ -878,20 +878,48 @@ impl BranchStream {
     }
 
     /// Simulate `n` branches and return how many `predictor` missed.
+    ///
+    /// A steady taken branch (all-taken history, saturated counter)
+    /// predicts correctly and changes no predictor state, and the branch
+    /// after it is steady again if it is taken. So once the stream is
+    /// steady, the loop only draws outcomes up to the first not-taken
+    /// branch, counts the taken ones it passed, and hands the predictor
+    /// that one branch. Every outcome is still drawn, so the `Rng` ends
+    /// where branch-by-branch simulation leaves it.
     fn run(&self, n: u64, predictor: &mut GsharePredictor, rng: &mut Rng) -> u64 {
         let mut mispredicts = 0;
-        for _ in 0..n {
-            // The draws and outcomes of `gen_bool(regularity)` and, for
-            // an irregular branch, `gen_bool(0.5)`: a draw's top 53 bits
-            // are what `gen_f64` scales, and the coin is their top bit.
-            let regular = rng.next_u64() >> 11 < self.regular_below;
-            // Regular branches are fully predictable (real front-ends
-            // carry loop predictors); the irregular remainder is a
-            // data-dependent coin flip.
-            let taken = regular || rng.next_u64() >> 63 == 0;
+        let mut left = n;
+        while left > 0 {
+            let taken = if predictor.taken_is_steady(self.pc) {
+                let mut skipped = 0;
+                while skipped < left && self.draw_taken(rng) {
+                    skipped += 1;
+                }
+                predictor.skip_steady_taken(self.pc, skipped);
+                left -= skipped;
+                if left == 0 {
+                    break;
+                }
+                false
+            } else {
+                self.draw_taken(rng)
+            };
+            left -= 1;
             mispredicts += u64::from(!predictor.predict(self.pc, taken));
         }
         mispredicts
+    }
+
+    /// Draw one branch's outcome. Regular branches are taken and fully
+    /// predictable (real front-ends carry loop predictors); the irregular
+    /// remainder is a data-dependent coin flip. These are the draws and
+    /// outcomes of `gen_bool(regularity)` and, for an irregular branch,
+    /// `gen_bool(0.5)`: a draw's top 53 bits are what `gen_f64` scales,
+    /// and the coin is their top bit.
+    #[inline]
+    fn draw_taken(&self, rng: &mut Rng) -> bool {
+        let regular = rng.next_u64() >> 11 < self.regular_below;
+        regular || rng.next_u64() >> 63 == 0
     }
 }
 
@@ -1262,6 +1290,61 @@ mod tests {
                     &engine.run(&programs, seed),
                     &reference_run(&engine, &programs, seed),
                 );
+            },
+        );
+    }
+
+    /// Reference model of [`BranchStream::run`]: `n` branches one by one,
+    /// each drawn with `gen_bool` and handed to the predictor.
+    fn reference_branches(
+        seg: &Segment,
+        n: u64,
+        predictor: &mut GsharePredictor,
+        rng: &mut Rng,
+    ) -> u64 {
+        let pc = BranchStream::new(seg).pc;
+        let regularity = seg.branch_regularity.clamp(0.0, 1.0);
+        let mut mispredicts = 0;
+        for _ in 0..n {
+            let taken = rng.gen_bool(regularity) || rng.gen_bool(0.5);
+            mispredicts += u64::from(!predictor.predict(pc, taken));
+        }
+        mispredicts
+    }
+
+    #[test]
+    fn branch_runs_match_branch_by_branch_prediction() {
+        run(
+            "branch_runs_match_branch_by_branch_prediction",
+            Config::cases(64),
+            |g| {
+                let mut fast = GsharePredictor::default_sized();
+                let mut model = fast.clone();
+                let mut rng = Rng::seed_from_u64(g.rng().next_u64());
+                let mut model_rng = rng.clone();
+                // Consecutive segments of different symbols share the
+                // predictor, and each runs in slices, as the overhead
+                // pass runs them.
+                for _ in 0..g.range(1..6) {
+                    let symbol = *g.pick(&["calc_band_9", "addbuf", "ssv_filter", "xla_compile"]);
+                    let mut seg = Segment::compute(symbol, 0, 0, Vec::new());
+                    let (any, near_one) = (g.range(0.0..1.0), g.range(0.95..1.0));
+                    seg.branch_regularity =
+                        *g.pick(&[0.0, 0.5, 0.85, 0.982, 0.9955, 1.0, any, near_one]);
+                    let stream = BranchStream::new(&seg);
+                    for _ in 0..g.range(1..5) {
+                        let slice = g.range(0u64..3_000);
+                        let n = *g.pick(&[0, 1, 13, slice, 40_000]);
+                        assert_eq!(
+                            stream.run(n, &mut fast, &mut rng),
+                            reference_branches(&seg, n, &mut model, &mut model_rng),
+                            "{symbol} at {}, {n} branches",
+                            seg.branch_regularity
+                        );
+                        assert_eq!(rng, model_rng);
+                        assert_eq!(fast, model);
+                    }
+                }
             },
         );
     }

@@ -212,6 +212,8 @@ pub struct PatternCursor {
     pattern: AccessPattern,
     rng: Rng,
     seq_offset: u64,
+    /// A sequential pattern's stride modulo its region size.
+    seq_step: u64,
     burst_left: u32,
     burst_addr: u64,
 }
@@ -219,10 +221,15 @@ pub struct PatternCursor {
 impl PatternCursor {
     /// Create a cursor over a pattern with a deterministic seed.
     pub fn new(pattern: AccessPattern, seed: u64) -> PatternCursor {
+        let seq_step = match pattern {
+            AccessPattern::Sequential { region, stride } => u64::from(stride) % region.bytes,
+            _ => 0,
+        };
         PatternCursor {
             pattern,
             rng: Rng::seed_from_u64(seed),
             seq_offset: 0,
+            seq_step,
             burst_left: 0,
             burst_addr: 0,
         }
@@ -231,9 +238,16 @@ impl PatternCursor {
     /// Next synthetic byte address.
     pub fn next_addr(&mut self) -> u64 {
         match self.pattern {
-            AccessPattern::Sequential { region, stride } => {
+            AccessPattern::Sequential { region, .. } => {
                 let addr = region.base + self.seq_offset;
-                self.seq_offset = (self.seq_offset + u64::from(stride)) % region.bytes;
+                // `(offset + stride) % bytes`: both terms are below
+                // `bytes`, so one subtraction wraps the sum.
+                let room = region.bytes - self.seq_offset;
+                self.seq_offset = if self.seq_step >= room {
+                    self.seq_step - room
+                } else {
+                    self.seq_offset + self.seq_step
+                };
                 addr
             }
             AccessPattern::Random { region } => region.base + self.rng.gen_range(0..region.bytes),
@@ -282,6 +296,26 @@ mod tests {
         );
         let addrs: Vec<u64> = (0..5).map(|_| c.next_addr()).collect();
         assert_eq!(addrs, vec![1000, 1064, 1128, 1192, 1000]);
+    }
+
+    #[test]
+    fn sequential_cursor_wraps_like_the_remainder() {
+        for (bytes, stride) in [
+            (256u64, 64u32),
+            (256, 96),
+            (100, 7),
+            (64, 64),
+            (48, 4096),
+            (1, 3),
+        ] {
+            let region = Region::new(1 << 30, bytes);
+            let mut c = PatternCursor::new(AccessPattern::Sequential { region, stride }, 1);
+            let mut offset = 0u64;
+            for _ in 0..1_000 {
+                assert_eq!(c.next_addr(), region.base + offset, "{bytes} B by {stride}");
+                offset = (offset + u64::from(stride)) % bytes;
+            }
+        }
     }
 
     #[test]
