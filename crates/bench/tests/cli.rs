@@ -181,9 +181,10 @@ fn profile_writes_artifacts_and_perf_diff_gates() {
 
 /// A damaged copy of a committed baseline is refused with exit 2 and a
 /// `perf-diff:` message naming the file, on either side of the diff:
-/// a truncated file, a schema-drifted one (a required key renamed) and
-/// one whose metric overflows f64 — which used to parse as infinity
-/// and pass the gate.
+/// a truncated file, a schema-drifted one (a required key renamed), one
+/// whose metric overflows f64 — which used to parse as infinity and pass
+/// the gate — and one whose metric opens 50,000 nested arrays, which
+/// used to overflow the parser's stack and abort the process.
 #[test]
 fn perf_diff_refuses_damaged_committed_baselines() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_serve_xl.json");
@@ -208,6 +209,10 @@ fn perf_diff_refuses_damaged_committed_baselines() {
         (
             "overflow",
             format!("{}1e400{}", &text[..value], &text[value_end..]),
+        ),
+        (
+            "nested",
+            format!("{}{}{}", &text[..value], "[".repeat(50_000), &text[value..]),
         ),
     ];
     for (name, body) in damaged {

@@ -65,6 +65,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so a bound keeps crafted input
+/// from overflowing the stack: 256 levels fit a 2 MiB thread stack with
+/// room to spare, and no document the suite reads nests past 10.
+pub const MAX_DEPTH: usize = 256;
+
 /// Serialize a value into [`Json`].
 pub trait ToJson {
     /// Build the JSON representation.
@@ -86,11 +92,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -367,6 +375,8 @@ impl ObjBuilder {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -415,8 +425,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!(
+                        "arrays and objects nested deeper than {MAX_DEPTH} levels"
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -612,6 +635,28 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
         assert_eq!(Json::parse("-1.5e3").unwrap(), Json::Num(-1500.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_overflows() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let mixed = r#"{"a":"#.repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(Json::parse(&mixed).is_ok());
+        // The first open bracket past the cap is at byte 256 of the
+        // brackets and at byte 768 of 128 `{"a":[` pairs.
+        for (text, offset) in [
+            (nested(MAX_DEPTH + 1), MAX_DEPTH),
+            ("[".repeat(100_000), MAX_DEPTH),
+            (r#"{"a":["#.repeat(50_000), 768),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(
+                err.message.contains("nested deeper than 256 levels"),
+                "{err}"
+            );
+            assert_eq!(err.offset, offset);
+        }
     }
 
     #[test]
