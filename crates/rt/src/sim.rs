@@ -15,8 +15,8 @@
 //! Determinism rules:
 //!
 //! - The clock only moves when an event is popped ([`SimEngine::pop`])
-//!   or explicitly advanced ([`SimEngine::advance`] /
-//!   [`SimEngine::advance_to`]); it never reads wall time.
+//!   or explicitly advanced ([`SimEngine::advance_to`]); it never reads
+//!   wall time.
 //! - Same-timestamp events pop in **insertion order**: every
 //!   [`SimEngine::schedule`] stamps a monotonically increasing sequence
 //!   number that breaks heap ties, so the pop order is a pure function
@@ -283,15 +283,6 @@ impl SimEngine {
         self.now_s
     }
 
-    /// Advance the clock by `seconds` without popping anything.
-    /// Non-finite or negative deltas are ignored — a fault must never
-    /// corrupt the timeline (same rule as [`Tracer::advance`]).
-    pub fn advance(&mut self, seconds: f64) {
-        if seconds.is_finite() && seconds > 0.0 {
-            self.now_s += seconds;
-        }
-    }
-
     /// Move the clock forward to `seconds` (never backwards).
     pub fn advance_to(&mut self, seconds: f64) {
         if seconds.is_finite() && seconds > self.now_s {
@@ -390,15 +381,9 @@ impl SimEngine {
 
     /// Pop the next event: advances the clock to its timestamp and
     /// returns `(time, event)`. Cancelled entries are skipped silently.
-    /// `None` when the queue is drained.
+    /// `None` when the queue is drained. The popped event's handle is
+    /// [`SimEngine::current`] until the next pop.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        self.pop_with_id().map(|(t, ev, _)| (t, ev))
-    }
-
-    /// [`SimEngine::pop`] that also returns the popped event's handle —
-    /// consumers that need the original schedule order read it from
-    /// [`TimerId::seq`].
-    pub fn pop_with_id(&mut self) -> Option<(f64, Event, TimerId)> {
         while let Some(s) = self.heap.pop() {
             if !self.take_live(s.seq) {
                 self.cancelled -= 1;
@@ -409,7 +394,7 @@ impl SimEngine {
             if let Some(edges) = self.provenance.as_mut() {
                 edges[s.seq as usize].delivered = true;
             }
-            return Some((s.at_s, s.event, TimerId(s.seq)));
+            return Some((s.at_s, s.event));
         }
         None
     }
@@ -418,18 +403,6 @@ impl SimEngine {
     /// first pop). Schedule calls name it as their causal parent.
     pub fn current(&self) -> Option<TimerId> {
         self.current.map(TimerId)
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        loop {
-            let s = self.heap.peek()?;
-            if self.live[s.seq as usize] {
-                return Some(s.at_s);
-            }
-            self.heap.pop();
-            self.cancelled -= 1;
-        }
     }
 
     /// Live (scheduled, uncancelled) events still in the queue.
@@ -474,7 +447,6 @@ mod tests {
         e.schedule(1.0, Event::Arrival { request: 0 });
         e.schedule(3.0, Event::Arrival { request: 1 });
         assert_eq!(e.pending(), 3);
-        assert_eq!(e.peek_time(), Some(1.0));
         let (t0, ev0) = e.pop().unwrap();
         assert_eq!((t0, ev0), (1.0, Event::Arrival { request: 0 }));
         assert_eq!(e.now_seconds(), 1.0);
@@ -513,7 +485,7 @@ mod tests {
     #[test]
     fn past_events_clamp_to_now_and_fire_immediately() {
         let mut e = SimEngine::new();
-        e.advance(10.0);
+        e.advance_to(10.0);
         e.schedule(3.0, Event::BatchClose); // in the past: clamps to 10
         let (t, _) = e.pop().unwrap();
         assert_eq!(t, 10.0);
@@ -589,12 +561,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled_entries() {
+    fn pop_skips_cancelled_entries_and_names_the_popped_event() {
         let mut e = SimEngine::new();
         let first = e.schedule(1.0, Event::BatchClose);
-        e.schedule(2.0, Event::GpuDone);
+        let second = e.schedule(2.0, Event::GpuDone);
         assert!(e.cancel(first));
-        assert_eq!(e.peek_time(), Some(2.0));
         assert_eq!(e.pending(), 1);
+        assert_eq!(e.current(), None);
+        assert_eq!(e.pop(), Some((2.0, Event::GpuDone)));
+        assert_eq!(e.current(), Some(second));
+        assert!(e.is_drained());
     }
 }

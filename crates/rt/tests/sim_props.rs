@@ -223,6 +223,11 @@ impl NaiveQueue {
     }
 }
 
+/// The seq of the event `e` popped last.
+fn popped_seq(e: &SimEngine) -> u64 {
+    e.current().expect("a pop names the popped event").seq()
+}
+
 #[test]
 fn engine_agrees_with_a_naive_reference_model() {
     run(
@@ -243,13 +248,9 @@ fn engine_agrees_with_a_naive_reference_model() {
                         assert_eq!(id.seq(), model.schedule(at));
                         issued.push(id);
                     }
-                    3 | 4 => {
-                        let got = e.pop_with_id().map(|(t, _, id)| (t, id.seq()));
+                    3..=5 => {
+                        let got = e.pop().map(|(t, _)| (t, popped_seq(&e)));
                         assert_eq!(got, model.pop());
-                    }
-                    5 => {
-                        let want = model.head().map(|i| model.live[i].0);
-                        assert_eq!(e.peek_time(), want);
                     }
                     // Cancel any handle ever issued: live, already
                     // cancelled or already popped.
@@ -269,8 +270,8 @@ fn engine_agrees_with_a_naive_reference_model() {
                     assert_eq!(edge.delivered, *fate == Some(false), "seq {}", edge.seq);
                 }
             }
-            while let Some((t, _, id)) = e.pop_with_id() {
-                assert_eq!(Some((t, id.seq())), model.pop());
+            while let Some((t, _)) = e.pop() {
+                assert_eq!(Some((t, popped_seq(&e))), model.pop());
             }
             assert!(model.live.is_empty(), "the model outlived the engine");
         },
@@ -302,9 +303,8 @@ fn simulate_cascade(roots: &[f64], ops: &[(u64, f64, u64)], parent: Parent) -> S
         live.push(e.schedule(at, Event::Arrival { request }));
     }
     let mut next_op = 0;
-    while let Some((now, _, id)) = e.pop_with_id() {
-        assert_eq!(e.current(), Some(id), "current() names the popped event");
-        delivered.push(id);
+    while let Some((now, _)) = e.pop() {
+        delivered.push(e.current().expect("a pop names the popped event"));
         if next_op >= ops.len() {
             continue; // ops exhausted: drain the remainder untouched
         }
