@@ -6,15 +6,18 @@
 # - results/quick/serve-timeline.txt, the quick serve timeline;
 # - every artifact of one profile side (target/ci-profiles/a, the same
 #   runs as ci.sh's side `a`) that already has a committed copy in
-#   results/: BENCH, profile, collapsed and critpath files.
+#   results/: BENCH, profile, collapsed and critpath files;
+# - results/<exp>.txt for every FULL_MODE_EXPERIMENTS entry, the
+#   full-mode tables and figures.
 #
 # results/serve.timeline.txt and results/serve.latency.csv come from a
 # full-mode `afsysbench profile serve --timeline` (~4 min) and are left
-# alone, as are the full-mode tables and figures in results/. On a tree
-# whose simulated numbers did not move, `git status --porcelain results/`
-# is empty afterwards. Review the diff and commit it with the change.
+# alone; everything else in results/ is regenerated. On a tree whose
+# simulated numbers did not move, `git status --porcelain results/` is
+# empty afterwards. Review the diff and commit it with the change.
 #
-# Usage: ./rebaseline.sh     (about 2 minutes on a 2-core box, warm build)
+# Usage: ./rebaseline.sh     (about 15 minutes on a 2-core box, warm
+# build: 2 for the quick goldens and profiles, 13 for the full-mode runs)
 set -euo pipefail
 cd "$(dirname "$0")"
 source ./ci-manifest.sh
@@ -38,4 +41,5 @@ for artifact in "$profile_dir"/*; do
         cp "$artifact" "results/$name"
     fi
 done
+target/release/afsysbench "${FULL_MODE_EXPERIMENTS[@]}" --out results > /dev/null
 git status --short results/
