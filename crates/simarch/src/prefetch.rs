@@ -32,7 +32,7 @@ impl StreamEntry {
     fn continues(&self, line_addr: u64) -> bool {
         let delta = self.delta(line_addr);
         if self.stride == 0 {
-            delta != 0 && delta.unsigned_abs() <= MAX_TRAINING_DELTA
+            delta != 0 && delta.unsigned_abs() <= u64::from(MAX_TRAINING_DELTA)
         } else {
             delta == self.stride
         }
@@ -40,7 +40,7 @@ impl StreamEntry {
 }
 
 /// Largest delta, in lines, that a training stream accepts.
-const MAX_TRAINING_DELTA: u64 = 4;
+const MAX_TRAINING_DELTA: u32 = 4;
 /// Stream slots a prefetcher can track.
 const SLOTS: usize = 16;
 
@@ -122,7 +122,8 @@ impl StreamPrefetcher {
         let mut candidates = 0u32;
         for (i, &last) in self.low_lines.iter().enumerate() {
             let delta = low.wrapping_sub(last);
-            let near = delta != 0 && delta.wrapping_add(4) <= 8;
+            let near =
+                delta != 0 && delta.wrapping_add(MAX_TRAINING_DELTA) <= 2 * MAX_TRAINING_DELTA;
             candidates |= u32::from(near) << i;
         }
         candidates &= self.used;

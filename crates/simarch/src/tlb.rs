@@ -90,8 +90,8 @@ impl Remainder {
     }
 }
 
-/// A way no page has filled. Only a page size of one byte has a page
-/// this high, and the stamp-LRU dTLB this replaced aliased it the same way.
+/// A way no page has filled. Only a one-byte page reaches this page
+/// number, which then reads as a hit on an empty way.
 const EMPTY: u64 = u64::MAX;
 
 /// One set-associative LRU translation buffer (real TLBs are 4–8 way;
