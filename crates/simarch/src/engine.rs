@@ -1159,18 +1159,7 @@ mod tests {
         if seg.branches > 0 {
             let sim = seg.branches.min(BRANCH_SAMPLE_CAP);
             let scale = seg.branches as f64 / sim as f64;
-            let mut name_hash = 0xcbf2_9ce4_8422_2325u64;
-            for &b in seg.symbol.as_bytes() {
-                name_hash = (name_hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-            }
-            let pc = 0x400000 + (name_hash & 0xffff) * 64;
-            let regularity = seg.branch_regularity.clamp(0.0, 1.0);
-            let mut mispredicts = 0u64;
-            for _ in 0..sim {
-                let regular = rng.gen_bool(regularity);
-                let taken = regular || rng.gen_bool(0.5);
-                mispredicts += u64::from(!predictor.predict(pc, taken));
-            }
+            let mispredicts = reference_branches(seg, sim, predictor, rng);
             stats.branches = (sim as f64 * scale).round() as u64;
             stats.mispredicts = (mispredicts as f64 * scale).round() as u64;
             stats.stall_cycles += stats.mispredicts * spec.core.mispredict_cycles;
@@ -1294,15 +1283,20 @@ mod tests {
         );
     }
 
-    /// Reference model of [`BranchStream::run`]: `n` branches one by one,
-    /// each drawn with `gen_bool` and handed to the predictor.
+    /// Reference model of [`BranchStream::run`]: `n` branches of `seg`
+    /// one by one, each drawn with `gen_bool` and handed to the
+    /// predictor.
     fn reference_branches(
         seg: &Segment,
         n: u64,
         predictor: &mut GsharePredictor,
         rng: &mut Rng,
     ) -> u64 {
-        let pc = BranchStream::new(seg).pc;
+        let mut name_hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in seg.symbol.as_bytes() {
+            name_hash = (name_hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        let pc = 0x400000 + (name_hash & 0xffff) * 64;
         let regularity = seg.branch_regularity.clamp(0.0, 1.0);
         let mut mispredicts = 0;
         for _ in 0..n {
