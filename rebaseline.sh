@@ -16,8 +16,9 @@
 # simulated numbers did not move, `git status --porcelain results/` is
 # empty afterwards. Review the diff and commit it with the change.
 #
-# Usage: ./rebaseline.sh     (about 15 minutes on a 2-core box, warm
-# build: 2 for the quick goldens and profiles, 13 for the full-mode runs)
+# Usage: ./rebaseline.sh     (about 10 minutes on a 2-core box with a
+# warm build: 2 for the quick goldens and profiles, 8 for the full-mode
+# runs)
 set -euo pipefail
 cd "$(dirname "$0")"
 source ./ci-manifest.sh
