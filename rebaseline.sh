@@ -11,8 +11,8 @@
 #   full-mode tables and figures.
 #
 # results/serve.timeline.txt and results/serve.latency.csv come from a
-# full-mode `afsysbench profile serve --timeline` (~4 min) and are left
-# alone; everything else in results/ is regenerated. On a tree whose
+# full-mode `afsysbench profile serve --timeline` (under a minute) and
+# are left alone; everything else in results/ is regenerated. On a tree whose
 # simulated numbers did not move, `git status --porcelain results/` is
 # empty afterwards. Review the diff and commit it with the change.
 #
